@@ -25,12 +25,10 @@ from .core import (
     BooleanFunction,
     InputError,
     InvariantError,
-    degree,
+    builtin,
     from_hex,
     fwht,
-    linear_sum,
     to_hex,
-    builtin,
 )
 from .derivatives import (
     derivative_distribution_counted,
@@ -62,29 +60,18 @@ def _dy(x: DyadicRational) -> dict:
 
 
 def _parse_fn(text: str) -> BooleanFunction:
-    parts = text.split(":")
-    family = parts[0].lower()
-
-    def num(part: str) -> int:
-        # only the conversion itself may map to a usage error; range errors
-        # from the constructors carry better messages and must pass through
-        try:
-            return int(part)
-        except ValueError:
-            raise UsageError(f"non-integer parameter in --fn value {text!r}") from None
-
-    if family == "maj" and len(parts) == 2:
-        return majority(num(parts[1]))
-    if family in ("parity", "and", "or") and len(parts) == 2:
-        return builtin(family, (num(parts[1]),))
-    if family == "dictator" and len(parts) == 3:
-        return builtin("dictator", (num(parts[1]), num(parts[2])))
-    if family == "const" and len(parts) == 3:
-        return builtin("constant", (parts[1], num(parts[2])))
-    raise UsageError(
-        f"unrecognized --fn value {text!r}; expected maj:d, parity:n, "
-        f"dictator:i:n, and:n, or:n, const:+:n, or const:-:n"
-    )
+    family, *params = text.split(":")
+    if family.lower() != "maj":
+        return builtin(family, params)
+    if len(params) != 1:
+        raise UsageError(f"maj takes one parameter, got {len(params)} in {text!r}")
+    # only the conversion itself may map to a usage error; range errors from
+    # majority carry better messages and must pass through
+    try:
+        d = int(params[0])
+    except ValueError:
+        raise UsageError(f"non-integer parameter in --fn value {text!r}") from None
+    return majority(d)
 
 
 def _resolve_function(args) -> BooleanFunction:
@@ -107,8 +94,8 @@ def _cmd_analyze(args):
     payload = {
         "n": f.n,
         "table_hex": to_hex(f),
-        "degree": degree(spectrum),
-        "linear_sum": _dy(linear_sum(spectrum)),
+        "degree": report.degree,
+        "linear_sum": _dy(report.linear_sum),
         "total_influence": _dy(profile.total),
         "influences": [_dy(v) for v in profile.influences],
         "conjecture": {
@@ -182,7 +169,7 @@ def _cmd_equiv(args):
         "ineq_c": preds.ineq_c,
         "agreement": preds.agreement,
         "sides": {
-            name: {"lhs": _dy(lhs), "rhs": _dy(rhs), "holds": lhs <= rhs}
+            name: {"lhs": _dy(lhs), "rhs": _dy(rhs), "holds": getattr(preds, name)}
             for name, (lhs, rhs) in preds.sides.items()
         },
     }
@@ -218,7 +205,7 @@ def _cmd_scan(args):
         allow_huge=args.allow_huge,
     )
     result = run_scan(config)
-    return "scan", _scan_payload(result), 2 if result.equivalence_failures else 0
+    return "scan", _scan_payload(result), 2 if result.equivalence_failure_count else 0
 
 
 def _scan_payload(result: ScanResult) -> dict:
@@ -237,7 +224,7 @@ def _scan_payload(result: ScanResult) -> dict:
             "allow_huge": cfg.allow_huge,
         },
         "functions_examined": result.functions_examined,
-        "violation_count": len(result.violations),
+        "violation_count": result.violation_count,
         "violations": [
             {
                 "table_hex": w.table_hex,
@@ -248,7 +235,7 @@ def _scan_payload(result: ScanResult) -> dict:
             }
             for w in result.violations
         ],
-        "equivalence_failure_count": len(result.equivalence_failures),
+        "equivalence_failure_count": result.equivalence_failure_count,
         "equivalence_failures": [
             {
                 "table_hex": w.table_hex,

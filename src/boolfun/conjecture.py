@@ -11,24 +11,83 @@ D = max(n, d) coordinates.  Irrelevant coordinates have identically zero
 derivatives, so they add nothing to either side, but truncating the sums at
 n instead would break the equivalence (a dictator on one coordinate against
 d = 2 already separates the truncated forms).
+
+Every inequality is decided once, here, as a comparison of two integers at
+the common scale 2 * 4^D (D = max(n, d); the bound test uses d = deg f, so
+D = n there).  The same formulas run on Python ints for one function and
+elementwise on int64 arrays for a scan batch.  Their int64 headroom: with
+2^n * |linear sum| <= n * 2^n, 4^n * Inf <= n * 4^n and each summed
+derivative count <= n * 2^(n-1), every side stays below 2^55 in magnitude
+for n <= 16 and d <= 24.  DyadicRational only presents the sides.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     MAX_ARITY,
     BooleanFunction,
     InputError,
     InvariantError,
+    _linear_sums,
     degree,
     fwht,
-    linear_sum,
 )
-from .derivatives import derivative_value_counts, total_influence
-from .dyadic import ZERO, DyadicRational
+from .derivatives import _total_influences, derivative_value_counts
+from .dyadic import DyadicRational
 from .majority import maj_bound, majority_profile
+
+
+class _Scale(NamedTuple):
+    """Multipliers and Maj_d terms that put every side over 2^shift."""
+
+    shift: int  # 2D + 1
+    linear: int  # for 2^n times the linear sum
+    influence: int  # for 4^n times the total influence
+    prob: int  # for a derivative-value count over 2^(n-1) restrictions
+    maj_bound: int
+    maj_influence: int
+    maj_plus_sum: int
+
+
+@functools.cache
+def _scale(n: int, d: int) -> _Scale:
+    """The shared constants for arity n against Maj_d; d = 0 gives M = 0."""
+    shift = 2 * max(n, d) + 1
+
+    def scaled(x: DyadicRational) -> int:
+        return x.num << (shift - x.log2_den)
+
+    maj_influence = maj_plus_sum = 0
+    if d:
+        prof = majority_profile(d)
+        maj_influence = scaled(prof.total_influence)
+        maj_plus_sum = scaled(d * prof.p_plus_per_coordinate)
+    return _Scale(shift, 1 << (shift - n), 1 << (shift - 2 * n), 1 << (shift - n + 1),
+                  scaled(maj_bound(d)), maj_influence, maj_plus_sum)
+
+
+def _bound_sides(s: _Scale, lin):
+    """(lhs, rhs) of linear sum <= M(d), from 2^n times the linear sum."""
+    return lin * s.linear, s.maj_bound
+
+
+def _sides(s: _Scale, lin, inf, plus, minus) -> dict:
+    """(lhs, rhs) of all four inequalities.
+
+    lin and inf are the linear sum and total influence scaled by 2^n and 4^n;
+    plus and minus count derivative values +1 and -1 summed over coordinates.
+    """
+    inf_term = inf * s.influence
+    return {
+        "original": _bound_sides(s, lin),
+        "ineq_a": (inf_term - s.maj_influence, 2 * minus * s.prob),
+        "ineq_b": (plus * s.prob - s.maj_plus_sum, minus * s.prob),
+        "ineq_c": (2 * plus * s.prob, inf_term + s.maj_influence),
+    }
 
 
 @dataclass(frozen=True)
@@ -63,16 +122,16 @@ class EquivalencePredicates:
 def check_conjecture(f: BooleanFunction) -> ConjectureReport:
     """Compare the singleton-coefficient sum of f against M(deg f)."""
     spectrum = fwht(f)
-    ls = linear_sum(spectrum)
     d = degree(spectrum)
-    bound = maj_bound(d)
+    s = _scale(f.n, d)
+    lhs, rhs = _bound_sides(s, int(_linear_sums(spectrum.coeffs, f.n)))
     return ConjectureReport(
         n=f.n,
         degree=d,
-        linear_sum=ls,
-        bound=bound,
-        gap=bound - ls,
-        satisfied=ls <= bound,
+        linear_sum=DyadicRational(lhs, s.shift),
+        bound=DyadicRational(rhs, s.shift),
+        gap=DyadicRational(rhs - lhs, s.shift),
+        satisfied=lhs <= rhs,
     )
 
 
@@ -85,24 +144,15 @@ def equivalence_predicates(f: BooleanFunction, d: int) -> EquivalencePredicates:
     """
     if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
         raise InputError(f"comparison arity must be in 1..{MAX_ARITY}, got {d!r}")
-    spectrum = fwht(f)
-    ls = linear_sum(spectrum)
-    inf_f = total_influence(spectrum)
-    sum_plus = ZERO
-    sum_minus = ZERO
-    k = f.n - 1
+    coeffs = fwht(f).coeffs
+    plus = minus = 0
     for i in range(1, f.n + 1):
-        _, plus, minus = derivative_value_counts(f, i)
-        sum_plus = sum_plus + DyadicRational(plus, k)
-        sum_minus = sum_minus + DyadicRational(minus, k)
-    maj = majority_profile(d)
-    maj_plus_sum = d * maj.p_plus_per_coordinate
-    sides = {
-        "original": (ls, maj.bound_M),
-        "ineq_a": (inf_f - maj.total_influence, 2 * sum_minus),
-        "ineq_b": (sum_plus - maj_plus_sum, sum_minus),
-        "ineq_c": (2 * sum_plus, inf_f + maj.total_influence),
-    }
+        _, p, m = derivative_value_counts(f, i)
+        plus += p
+        minus += m
+    s = _scale(f.n, d)
+    sides = _sides(s, int(_linear_sums(coeffs, f.n)), int(_total_influences(coeffs, f.n)),
+                   plus, minus)
     truth = {name: lhs <= rhs for name, (lhs, rhs) in sides.items()}
     return EquivalencePredicates(
         n=f.n,
@@ -111,7 +161,8 @@ def equivalence_predicates(f: BooleanFunction, d: int) -> EquivalencePredicates:
         ineq_a=truth["ineq_a"],
         ineq_b=truth["ineq_b"],
         ineq_c=truth["ineq_c"],
-        sides=sides,
+        sides={name: (DyadicRational(lhs, s.shift), DyadicRational(rhs, s.shift))
+               for name, (lhs, rhs) in sides.items()},
     )
 
 

@@ -76,10 +76,7 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """The full +-1 value table as a read-only int64 array of length 2^n."""
-        nbytes = (self.points + 7) // 8
-        packed = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[: self.points]
-        vals = 1 - 2 * bits.astype(np.int64)
+        vals = 1 - 2 * _bits_matrix((self.table,), self.points)[0].astype(np.int64)
         vals.setflags(write=False)
         return vals
 
@@ -118,6 +115,14 @@ def popcounts(n: int) -> np.ndarray:
     pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
     pc.setflags(write=False)
     return pc
+
+
+def _bits_matrix(tables: Sequence[int], points: int) -> np.ndarray:
+    """uint8 matrix whose row r holds the first `points` table bits of tables[r]."""
+    nbytes = (points + 7) // 8
+    buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(tables), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :points]
 
 
 # -- construction and encoding ------------------------------------------------
@@ -188,18 +193,19 @@ def evaluate(f: BooleanFunction, x: Sequence[int]) -> int:
 # -- transform and spectrum operations ----------------------------------------
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly on a length-2^n int64 array."""
-    size = values.shape[0]
-    h = 1
-    while h < size:
-        pairs = values.reshape(-1, 2 * h)
-        lo = pairs[:, :h].copy()
-        hi = pairs[:, h:]
-        pairs[:, :h] = lo + hi
-        pairs[:, h:] = lo - hi
-        h <<= 1
-    return values
+def _butterfly(mat: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly along the last axis of a C-contiguous
+    int64 array, so one call transforms every row of a batch."""
+    *lead, width = mat.shape
+    half = 1
+    while half < width:
+        view = mat.reshape(*lead, width // (2 * half), 2, half)
+        low = view[..., 0, :].copy()
+        high = view[..., 1, :]
+        view[..., 0, :] = low + high
+        view[..., 1, :] = low - high
+        half <<= 1
+    return mat
 
 
 def fwht(f: BooleanFunction) -> FourierSpectrum:
@@ -237,12 +243,23 @@ def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
     return DyadicRational(int(spectrum.coeffs[mask]), spectrum.n)
 
 
+# The reductions below run over the last axis, so they serve one spectrum and
+# a matrix of spectra (one per row) alike.
+
+
+def _degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
+    # a Boolean spectrum always has a nonzero entry, so -1 never survives
+    return np.where(coeffs != 0, popcounts(n), -1).max(axis=-1)
+
+
+def _linear_sums(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """2^n times the sum of the singleton coefficients."""
+    return coeffs[..., singleton_masks(n)].sum(axis=-1)
+
+
 def degree(spectrum: FourierSpectrum) -> int:
     """Largest |S| with a nonzero coefficient; 0 for constant functions."""
-    nonzero = spectrum.coeffs != 0
-    if not np.any(nonzero):
-        return 0
-    return int(popcounts(spectrum.n)[nonzero].max())
+    return int(_degrees(spectrum.coeffs, spectrum.n))
 
 
 def singleton_masks(n: int) -> list[int]:
@@ -251,8 +268,7 @@ def singleton_masks(n: int) -> list[int]:
 
 def linear_sum(spectrum: FourierSpectrum) -> DyadicRational:
     """Exact sum of the n singleton coefficients fhat(1) + ... + fhat(n)."""
-    total = int(spectrum.coeffs[singleton_masks(spectrum.n)].sum())
-    return DyadicRational(total, spectrum.n)
+    return DyadicRational(int(_linear_sums(spectrum.coeffs, spectrum.n)), spectrum.n)
 
 
 # -- named function families ---------------------------------------------------

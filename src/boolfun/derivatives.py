@@ -25,6 +25,8 @@ from .core import (
     FourierSpectrum,
     InputError,
     InvariantError,
+    _bits_matrix,
+    _repeat_pattern,
     fourier_coefficient,
     popcounts,
 )
@@ -82,30 +84,24 @@ class InfluenceProfile:
     total: DyadicRational
 
 
-def _low_bit_mask(n: int, i: int) -> int:
-    # 1-bits at exactly the indices whose coordinate-i bit is 0
-    h = 1 << (i - 1)
-    block, width = (1 << h) - 1, 2 * h
-    total = 1 << n
-    while width < total:
-        block |= block << width
-        width <<= 1
-    return block
+def _derivatives(bits: np.ndarray, i: int) -> np.ndarray:
+    """Derivative along coordinate i of int8 table bits indexed by point on axis 0.
+
+    Each block of 2^i points holds x_i = +1 in its low half and x_i = -1 in
+    its high half, and (f at x_i=+1 minus f at x_i=-1)/2 = t_minus - t_plus,
+    so the derivative is high half minus low half.  The result has shape
+    (2^(n-i), 2^(i-1), *rest); its first two axes, flattened, run over the
+    restrictions in order.  Trailing axes, one per table, ride along.
+    """
+    blocks = bits.reshape(-1, 2, 1 << (i - 1), *bits.shape[1:])
+    return blocks[:, 1] - blocks[:, 0]
 
 
 def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
     """The {-1,0,+1}-valued table of the derivative of f along coordinate i."""
     _check_coordinate(i, f.n)
-    h = 1 << (i - 1)
-    ys = np.arange(1 << (f.n - 1), dtype=np.int64)
-    idx_plus = ((ys >> (i - 1)) << i) | (ys & (h - 1))
-    bits = np.unpackbits(
-        np.frombuffer(f.table.to_bytes((f.points + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little",
-    )[: f.points].astype(np.int8)
-    # value = (f at x_i=+1 minus f at x_i=-1)/2 = t_minus - t_plus
-    values = bits[idx_plus | h] - bits[idx_plus]
-    return DerivativeTable(f.n, i, values)
+    bits = _bits_matrix((f.table,), f.points)[0].astype(np.int8)
+    return DerivativeTable(f.n, i, _derivatives(bits, i).reshape(-1))
 
 
 def derivative_value_counts(f: BooleanFunction, i: int) -> tuple[int, int, int]:
@@ -116,9 +112,10 @@ def derivative_value_counts(f: BooleanFunction, i: int) -> tuple[int, int, int]:
     are (table >> 2^(i-1)) & lo, aligned pairwise.
     """
     _check_coordinate(i, f.n)
-    lo = _low_bit_mask(f.n, i)
+    h = 1 << (i - 1)
+    lo = _repeat_pattern((1 << h) - 1, 2 * h, f.points)
     t_plus = f.table & lo
-    t_minus = (f.table >> (1 << (i - 1))) & lo
+    t_minus = (f.table >> h) & lo
     plus = (t_minus & ~t_plus).bit_count()
     minus = (t_plus & ~t_minus).bit_count()
     return (1 << (f.n - 1)) - plus - minus, plus, minus
@@ -151,10 +148,14 @@ def influence(spectrum: FourierSpectrum, i: int) -> DyadicRational:
     return DyadicRational(int(np.dot(spectrum.coeffs * member, spectrum.coeffs)), 2 * spectrum.n)
 
 
+def _total_influences(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """4^n times the total influence, over the last axis of 2^n-scaled spectra."""
+    return (coeffs * coeffs) @ popcounts(n)
+
+
 def total_influence(spectrum: FourierSpectrum) -> DyadicRational:
     """Sum over all subsets of |S| * fhat(S)^2; equals the sum of the Inf_i."""
-    weighted = int(np.dot(popcounts(spectrum.n), spectrum.coeffs * spectrum.coeffs))
-    return DyadicRational(weighted, 2 * spectrum.n)
+    return DyadicRational(int(_total_influences(spectrum.coeffs, spectrum.n)), 2 * spectrum.n)
 
 
 def influence_profile(spectrum: FourierSpectrum) -> InfluenceProfile:

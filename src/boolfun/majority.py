@@ -6,28 +6,19 @@ with M(0) = 0 by convention.  M(d) also equals the expected absolute value
 of the coordinate sum of d uniform signs, which gives an independent
 binomial-sum route to the same number.
 
-Profiles for each d are computed once and cached, since scans compare every
-examined function against the same majority data.
+Profiles come from a closed form in a few big-integer operations; no
+truth table or transform of Maj_d is built to compare against it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_ARITY,
-    BooleanFunction,
-    InputError,
-    InvariantError,
-    fourier_coefficient,
-    fwht,
-    linear_sum,
-)
-from .derivatives import derivative_value_counts, total_influence
+from .core import MAX_ARITY, BooleanFunction, InputError
 from .dyadic import ZERO, DyadicRational
 
 
@@ -53,44 +44,27 @@ class MajorityProfile:
     p_plus_per_coordinate: DyadicRational
 
 
-_lock = threading.Lock()
-_profiles: dict[int, MajorityProfile] = {}
-
-
+@functools.cache
 def majority_profile(d: int) -> MajorityProfile:
+    """Maj_d's profile from the closed form (O'Donnell, Analysis of Boolean
+    Functions, 2014, ch. 5).
+
+    Coordinate i is pivotal exactly when the other d - 1 signs sum to 0 (odd
+    d) or to +1 (even d, where ties go to -1): C(d-1, floor((d-1)/2)) of the
+    2^(d-1) restrictions.  Maj_d is monotone, so its derivative is +1 exactly
+    there and never -1, and Pr[+1] = Inf_i = fhat(i).  Summing over the d
+    coordinates gives M(d) and the total influence.
+    """
     if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
         raise InputError(f"majority arity must be in 1..{MAX_ARITY}, got {d!r}")
-    with _lock:
-        cached = _profiles.get(d)
-        if cached is not None:
-            return cached
-        maj = majority(d)
-        spectrum = fwht(maj)
-        coef = fourier_coefficient(spectrum, 1)
-        for i in range(2, d + 1):
-            if fourier_coefficient(spectrum, 1 << (i - 1)) != coef:
-                raise InvariantError(f"Maj_{d} linear coefficients differ across coordinates")
-        bound = linear_sum(spectrum)
-        if bound != d * coef:
-            raise InvariantError(f"Maj_{d} linear sum disagrees with d * fhat(1)")
-        inf = total_influence(spectrum)
-        zero0, plus0, minus0 = derivative_value_counts(maj, 1)
-        for i in range(2, d + 1):
-            if derivative_value_counts(maj, i) != (zero0, plus0, minus0):
-                raise InvariantError(f"Maj_{d} derivative counts differ across coordinates")
-        if minus0 != 0:
-            raise InvariantError(f"Maj_{d} is monotone but has a -1 derivative value")
-        if inf != bound:
-            raise InvariantError(f"Maj_{d} total influence must equal M({d})")
-        profile = MajorityProfile(
-            d=d,
-            linear_coefficient=coef,
-            bound_M=bound,
-            total_influence=inf,
-            p_plus_per_coordinate=DyadicRational(plus0, d - 1),
-        )
-        _profiles[d] = profile
-        return profile
+    coef = DyadicRational(math.comb(d - 1, (d - 1) // 2), d - 1)
+    return MajorityProfile(
+        d=d,
+        linear_coefficient=coef,
+        bound_M=d * coef,
+        total_influence=d * coef,
+        p_plus_per_coordinate=coef,
+    )
 
 
 def maj_linear_coefficient(d: int) -> DyadicRational:

@@ -8,34 +8,43 @@ associative and commutative, and witness selection always prefers the
 numerically smallest table, so the final report is byte-for-byte identical
 (wall_time aside) no matter how the range was partitioned.
 
-The per-batch analysis is integer-only: spectra come from the in-place
-transform on an int64 matrix, the conjecture comparison is done at scale
-2^n, and the four equivalence inequalities at the common scale 2 * 4^D with
-D = max(n, d).  Worst case (n = 16, d = 24) every scaled term stays below
-about 2^56, well inside int64.  Derivative value counts for the equivalence
-check come from table bits directly, not from the spectrum, so the check
-exercises two genuinely different computation routes.
+The per-batch analysis is integer-only: spectra come from the row-wise
+transform on an int64 matrix, and the bound and the four equivalence
+inequalities are the integer formulas of the conjecture module, applied
+elementwise (see there for their int64 headroom).  Derivative value counts
+for the equivalence check come from table bits directly, not from the
+spectrum, so the check exercises two genuinely different computation routes.
+
+Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
+the number cut off is carried along, so the reported totals stay exact.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .conjecture import _bound_sides, _scale, _sides
 from .core import (
     MAX_ARITY,
+    BooleanFunction,
     InputError,
     InvariantError,
-    hex_digits,
-    popcounts,
+    _bits_matrix,
+    _butterfly,
+    _degrees,
+    _linear_sums,
+    to_hex,
 )
+from .derivatives import _derivatives, _total_influences
 from .dyadic import DyadicRational
-from .majority import maj_bound, majority_profile
+from .majority import maj_bound
 
 _EXHAUSTIVE_DEFAULT_MAX_N = 4
 _EXHAUSTIVE_HUGE_MAX_N = 5
@@ -165,96 +174,35 @@ class ScanResult:
     equivalence_failures: tuple[EquivalenceWitness, ...]
     per_degree: dict[int, DegreeExtremal]
     wall_time: float
+    # witnesses beyond the cap, counted but not listed
+    violations_omitted: int = 0
+    equivalence_failures_omitted: int = 0
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violations) + self.violations_omitted
+
+    @property
+    def equivalence_failure_count(self) -> int:
+        return len(self.equivalence_failures) + self.equivalence_failures_omitted
 
 
-class _EquivConsts(NamedTuple):
-    # predicate sides pre-scaled by 2 * 4^D, D = max(n, d)
-    d: int
-    f_linear: int
-    f_influence: int
-    f_prob: int
-    f_prob2: int
-    rhs_original: int
-    maj_influence: int
-    maj_plus_sum: int
-
-
-class _Consts(NamedTuple):
-    bounds: tuple[tuple[int, int], ...]
-    equiv: tuple[_EquivConsts, ...]
-
-
-def _build_consts(cfg: ScanConfig) -> _Consts:
-    bounds = []
-    for d in range(cfg.n + 1):
-        b = maj_bound(d)
-        bounds.append((b.num, b.log2_den))
-    equiv = []
-    for d in cfg.equivalence_d_range or ():
-        prof = majority_profile(d)
-        big = max(cfg.n, d)
-        shift = 2 * big + 1
-        coef, inf, plus = prof.bound_M, prof.total_influence, prof.p_plus_per_coordinate
-        equiv.append(
-            _EquivConsts(
-                d=d,
-                f_linear=1 << (shift - cfg.n),
-                f_influence=1 << (shift - 2 * cfg.n),
-                f_prob=1 << (shift - cfg.n + 1),
-                f_prob2=1 << (shift - cfg.n + 2),
-                rhs_original=coef.num << (shift - coef.log2_den),
-                maj_influence=inf.num << (shift - inf.log2_den),
-                maj_plus_sum=(d * plus.num) << (shift - plus.log2_den),
-            )
-        )
-    return _Consts(tuple(bounds), tuple(equiv))
-
-
-class _Partial:
-    """Mutable accumulator for one chunk; finalized into a ScanResult."""
-
-    __slots__ = ("examined", "degrees", "violations", "equiv_failures")
-
-    def __init__(self):
-        self.examined = 0
-        # degree -> [function_count, max L (scale 2^n), witness table, witness count]
-        self.degrees: dict[int, list] = {}
-        self.violations: list[tuple[int, int, int]] = []
-        self.equiv_failures: list[tuple[int, int, bool, bool, bool, bool]] = []
-
-    def update_degree(self, d: int, count: int, best: int, witness: int, hits: int):
-        ent = self.degrees.get(d)
-        if ent is None:
-            self.degrees[d] = [count, best, witness, hits]
-            return
-        ent[0] += count
-        if best > ent[1]:
-            ent[1], ent[2], ent[3] = best, witness, hits
-        elif best == ent[1]:
-            ent[3] += hits
-            if witness < ent[2]:
-                ent[2] = witness
-
-
-def _batch_butterfly(mat: np.ndarray) -> np.ndarray:
-    # same recursion as core._butterfly, applied along axis 1
-    rows, width = mat.shape
-    half = 1
-    while half < width:
-        view = mat.reshape(rows, -1, 2, half)
-        low = view[:, :, 0, :].copy()
-        high = view[:, :, 1, :]
-        view[:, :, 0, :] = low + high
-        view[:, :, 1, :] = low - high
-        half <<= 1
-    return mat
-
-
-def _bits_matrix(tables: Sequence[int], points: int) -> np.ndarray:
-    nbytes = (points + 7) // 8
-    buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(tables), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :points]
+def _result(cfg: ScanConfig, examined: int, violations, failures, per_degree: dict,
+            wall_time: float = 0.0, violations_omitted: int = 0,
+            failures_omitted: int = 0) -> ScanResult:
+    """A ScanResult with witnesses sorted by table and cut at _WITNESS_CAP."""
+    violations = sorted(violations, key=lambda w: w.table_hex)
+    failures = sorted(failures, key=lambda w: (w.table_hex, w.d))
+    return ScanResult(
+        config=cfg,
+        functions_examined=examined,
+        violations=tuple(violations[:_WITNESS_CAP]),
+        equivalence_failures=tuple(failures[:_WITNESS_CAP]),
+        per_degree=per_degree,
+        wall_time=wall_time,
+        violations_omitted=violations_omitted + max(0, len(violations) - _WITNESS_CAP),
+        equivalence_failures_omitted=failures_omitted + max(0, len(failures) - _WITNESS_CAP),
+    )
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -264,114 +212,65 @@ def _sample_table(seed: int, index: int, points: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << points) - 1)
 
 
-def _accumulate(part: _Partial, cfg: ScanConfig, consts: _Consts,
-                tables: Sequence[int], bits: np.ndarray) -> None:
-    n, points = cfg.n, cfg.points
-    rows = len(tables)
-    values = 1 - 2 * bits.astype(np.int64)
-    coeffs = _batch_butterfly(values)
-    squares = coeffs * coeffs
-    if np.any(squares.sum(axis=1) != 1 << (2 * n)):
+def _analyze_batch(cfg: ScanConfig, tables: Sequence[int]) -> ScanResult:
+    """Every table of one sub-batch at once, as rows of a matrix."""
+    n = cfg.n
+    bits = _bits_matrix(tables, cfg.points)
+    coeffs = _butterfly(1 - 2 * bits.astype(np.int64))
+    if np.any((coeffs * coeffs).sum(axis=1) != 1 << (2 * n)):
         raise InvariantError("spectrum norm check failed during scan")
-    pc = popcounts(n)
-    deg = np.where(coeffs != 0, pc[np.newaxis, :], -1).max(axis=1)
-    lin = coeffs[:, [1 << k for k in range(n)]].sum(axis=1)
-    total_inf = squares @ pc
+    deg = _degrees(coeffs, n)
+    lin = _linear_sums(coeffs, n)
     if cfg.degree_filter is None:
-        mask = np.ones(rows, dtype=bool)
+        mask = np.ones(len(tables), dtype=bool)
     else:
         mask = deg == cfg.degree_filter
-    part.examined += rows
 
+    def hex_of(j) -> str:
+        return to_hex(BooleanFunction(n, tables[int(j)]))
+
+    per_degree = {}
+    violations = []
     for dval in np.unique(deg[mask]):
         d = int(dval)
         idx = np.nonzero(mask & (deg == dval))[0]
         sums = lin[idx]
         best = int(sums.max())
         attain = idx[sums == best]
-        witness = min(tables[int(j)] for j in attain)
-        part.update_degree(d, len(idx), best, witness, len(attain))
-        num, ld = consts.bounds[d]
-        bad = idx[sums * (1 << ld) > (num << n)]
-        for j in bad:
-            part.violations.append((tables[int(j)], d, int(lin[j])))
+        best_dy, bound = DyadicRational(best, n), maj_bound(d)
+        witness = min(attain, key=lambda j: tables[int(j)])
+        per_degree[d] = DegreeExtremal(d, len(idx), best_dy, hex_of(witness), len(attain),
+                                       bound, bound - best_dy)
+        lhs, rhs = _bound_sides(_scale(n, d), sums)
+        violations += [ConjectureWitness(hex_of(j), n, d, DyadicRational(int(lin[j]), n), bound)
+                       for j in idx[lhs > rhs]]
 
-    if consts.equiv:
-        sum_plus = np.zeros(rows, dtype=np.int64)
-        sum_minus = np.zeros(rows, dtype=np.int64)
-        ys = np.arange(points >> 1, dtype=np.int64)
-        signed = bits.astype(np.int8)
+    failures = []
+    if cfg.equivalence_d_range:
+        inf = _total_influences(coeffs, n)
+        plus = np.zeros(len(tables), dtype=np.int64)
+        minus = np.zeros(len(tables), dtype=np.int64)
+        # point-major, so the counts below add whole contiguous rows of tables
+        columns = np.ascontiguousarray(bits.T, dtype=np.int8)
         for i in range(1, n + 1):
-            h = 1 << (i - 1)
-            idx_plus = ((ys >> (i - 1)) << i) | (ys & (h - 1))
-            diff = signed[:, idx_plus | h] - signed[:, idx_plus]
-            sum_plus += (diff == 1).sum(axis=1)
-            sum_minus += (diff == -1).sum(axis=1)
-        for ec in consts.equiv:
-            influence_term = total_inf * ec.f_influence
-            sat_orig = lin * ec.f_linear <= ec.rhs_original
-            sat_a = influence_term - ec.maj_influence <= sum_minus * ec.f_prob2
-            sat_b = sum_plus * ec.f_prob - ec.maj_plus_sum <= sum_minus * ec.f_prob
-            sat_c = sum_plus * ec.f_prob2 <= influence_term + ec.maj_influence
-            agree = (sat_orig == sat_a) & (sat_orig == sat_b) & (sat_orig == sat_c)
-            for j in np.nonzero(mask & ~agree)[0]:
-                part.equiv_failures.append(
-                    (tables[int(j)], ec.d,
-                     bool(sat_orig[j]), bool(sat_a[j]), bool(sat_b[j]), bool(sat_c[j]))
-                )
+            diff = _derivatives(columns, i)
+            plus += (diff == 1).sum(axis=(0, 1))
+            minus += (diff == -1).sum(axis=(0, 1))
+        for d in cfg.equivalence_d_range:
+            sat = [lhs <= rhs for lhs, rhs in _sides(_scale(n, d), lin, inf, plus, minus).values()]
+            agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
+            failures += [EquivalenceWitness(hex_of(j), n, d, *(bool(x[j]) for x in sat))
+                         for j in np.nonzero(mask & ~agree)[0]]
+    return _result(cfg, len(tables), violations, failures, per_degree)
 
 
-def _analyze_chunk(cfg: ScanConfig, consts: _Consts, tables: Sequence[int]) -> _Partial:
-    part = _Partial()
-    cap = max(1, _BATCH_CELLS // cfg.points)
-    for off in range(0, len(tables), cap):
-        sub = tables[off : off + cap]
-        _accumulate(part, cfg, consts, sub, _bits_matrix(sub, cfg.points))
-    return part
-
-
-def _table_hex(table: int, n: int) -> str:
-    return f"0x{table:0{hex_digits(n)}x}"
-
-
-def _finalize(part: _Partial, cfg: ScanConfig, consts: _Consts, elapsed: float) -> ScanResult:
-    n = cfg.n
-    per_degree = {}
-    for d in sorted(part.degrees):
-        count, best, witness, hits = part.degrees[d]
-        bound = DyadicRational(*consts.bounds[d])
-        best_dy = DyadicRational(best, n)
-        per_degree[d] = DegreeExtremal(
-            degree=d,
-            function_count=count,
-            max_linear_sum=best_dy,
-            witness=_table_hex(witness, n),
-            witness_count=hits,
-            bound=bound,
-            margin=bound - best_dy,
-        )
-    violations = tuple(
-        ConjectureWitness(
-            table_hex=_table_hex(t, n),
-            n=n,
-            degree=d,
-            linear_sum=DyadicRational(lin, n),
-            bound=DyadicRational(*consts.bounds[d]),
-        )
-        for t, d, lin in sorted(part.violations)[:_WITNESS_CAP]
-    )
-    failures = tuple(
-        EquivalenceWitness(_table_hex(t, n), n, d, o, a, b, c)
-        for t, d, o, a, b, c in sorted(part.equiv_failures)[:_WITNESS_CAP]
-    )
-    return ScanResult(
-        config=cfg,
-        functions_examined=part.examined,
-        violations=violations,
-        equivalence_failures=failures,
-        per_degree=per_degree,
-        wall_time=elapsed,
-    )
+def _analyze_chunk(cfg: ScanConfig, tables: Sequence[int], begin: float) -> ScanResult:
+    """Analyze tables in sub-batches; wall time counts from begin."""
+    step = max(1, _BATCH_CELLS // cfg.points)
+    pieces = (_analyze_batch(cfg, tables[off : off + step])
+              for off in range(0, len(tables), step))
+    merged = functools.reduce(merge_results, pieces, _result(cfg, 0, (), (), {}))
+    return replace(merged, wall_time=time.perf_counter() - begin)
 
 
 def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -381,10 +280,7 @@ def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
         raise InputError("scan_table_range requires an exhaustive-mode config")
     if not 0 <= start <= stop <= 1 << cfg.points:
         raise InputError(f"table range [{start}, {stop}) out of bounds for n = {cfg.n}")
-    begin = time.perf_counter()
-    consts = _build_consts(cfg)
-    part = _analyze_chunk(cfg, consts, range(start, stop))
-    return _finalize(part, cfg, consts, time.perf_counter() - begin)
+    return _analyze_chunk(cfg, range(start, stop), time.perf_counter())
 
 
 def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -395,10 +291,8 @@ def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
     if not 0 <= start <= stop <= cfg.sample_count:
         raise InputError(f"sample range [{start}, {stop}) out of bounds")
     begin = time.perf_counter()
-    consts = _build_consts(cfg)
     tables = [_sample_table(cfg.seed, k, cfg.points) for k in range(start, stop)]
-    part = _analyze_chunk(cfg, consts, tables)
-    return _finalize(part, cfg, consts, time.perf_counter() - begin)
+    return _analyze_chunk(cfg, tables, begin)
 
 
 def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
@@ -429,22 +323,15 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
             bound=a.bound,
             margin=a.bound - best,
         )
-    violations = tuple(
-        sorted(left.violations + right.violations, key=lambda w: w.table_hex)[:_WITNESS_CAP]
-    )
-    failures = tuple(
-        sorted(
-            left.equivalence_failures + right.equivalence_failures,
-            key=lambda w: (w.table_hex, w.d),
-        )[:_WITNESS_CAP]
-    )
-    return ScanResult(
-        config=left.config,
-        functions_examined=left.functions_examined + right.functions_examined,
-        violations=violations,
-        equivalence_failures=failures,
-        per_degree=per_degree,
-        wall_time=left.wall_time + right.wall_time,
+    return _result(
+        left.config,
+        left.functions_examined + right.functions_examined,
+        left.violations + right.violations,
+        left.equivalence_failures + right.equivalence_failures,
+        per_degree,
+        left.wall_time + right.wall_time,
+        left.violations_omitted + right.violations_omitted,
+        left.equivalence_failures_omitted + right.equivalence_failures_omitted,
     )
 
 
@@ -464,25 +351,8 @@ def run_scan(config: ScanConfig) -> ScanResult:
         for s in range(0, total, cfg.chunk_size)
     ]
     if cfg.worker_count == 1:
-        merged = None
-        for span in spans:
-            piece = _range_worker(span)
-            merged = piece if merged is None else merge_results(merged, piece)
+        merged = functools.reduce(merge_results, map(_range_worker, spans))
     else:
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            merged = None
-            for piece in pool.map(_range_worker, spans):
-                merged = piece if merged is None else merge_results(merged, piece)
+            merged = functools.reduce(merge_results, pool.map(_range_worker, spans))
     return replace(merged, wall_time=time.perf_counter() - begin)
-
-
-def exhaustive_scan(config: ScanConfig) -> ScanResult:
-    if config.mode != "exhaustive":
-        raise InputError("exhaustive_scan requires mode 'exhaustive'")
-    return run_scan(config)
-
-
-def random_scan(config: ScanConfig) -> ScanResult:
-    if config.mode != "random":
-        raise InputError("random_scan requires mode 'random'")
-    return run_scan(config)

@@ -1,90 +1,27 @@
 """The bound report and the four-way equivalence, against a Fraction oracle.
 
-The oracle rebuilds every quantity with stdlib Fractions from first
-principles: coefficients by direct summation, derivative probabilities by
-explicit restriction counting, and the majority side from the majority
-truth table through the same slow code.  It shares no arithmetic with the
-module under test.
+The oracle (tests/oracles.py) rebuilds every quantity with stdlib Fractions
+from first principles and shares no arithmetic with the module under test.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from boolfun import (
     BooleanFunction,
     InputError,
-    InvariantError,
     check_conjecture,
     conjunction,
     constant,
     dictator,
     equivalence_predicates,
     assert_equivalence,
-    evaluate,
     parity,
 )
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import majority
-
-
-# ------------------------------------------------------------ oracle parts
-
-def frac_coefficient(f: BooleanFunction, mask: int) -> Fraction:
-    total = 0
-    for idx in range(f.points):
-        sign = -1 if bin(mask & idx).count("1") % 2 else 1
-        total += f.value_at(idx) * sign
-    return Fraction(total, f.points)
-
-
-def frac_derivative_probs(f: BooleanFunction, i: int):
-    plus = minus = 0
-    for y in range(1 << (f.n - 1)):
-        point = [0] * f.n
-        for j in range(f.n - 1):
-            coord = j if j < i - 1 else j + 1
-            point[coord] = -1 if (y >> j) & 1 else 1
-        point[i - 1] = 1
-        up = evaluate(f, point)
-        point[i - 1] = -1
-        diff = (up - evaluate(f, point)) // 2
-        plus += diff == 1
-        minus += diff == -1
-    denom = 1 << (f.n - 1)
-    return Fraction(plus, denom), Fraction(minus, denom)
-
-
-def frac_total_influence(f: BooleanFunction) -> Fraction:
-    total = Fraction(0)
-    for mask in range(f.points):
-        total += bin(mask).count("1") * frac_coefficient(f, mask) ** 2
-    return total
-
-
-def oracle_predicates(f: BooleanFunction, d: int) -> dict[str, bool]:
-    maj = majority(d)
-    ls = sum(frac_coefficient(f, 1 << k) for k in range(f.n))
-    bound = sum(frac_coefficient(maj, 1 << k) for k in range(d))
-    inf_f = frac_total_influence(f)
-    inf_maj = frac_total_influence(maj)
-    sum_plus = Fraction(0)
-    sum_minus = Fraction(0)
-    for i in range(1, f.n + 1):
-        p, m = frac_derivative_probs(f, i)
-        sum_plus += p
-        sum_minus += m
-    maj_plus = Fraction(0)
-    for i in range(1, d + 1):
-        p, _ = frac_derivative_probs(maj, i)
-        maj_plus += p
-    return {
-        "original": ls <= bound,
-        "ineq_a": inf_f - inf_maj <= 2 * sum_minus,
-        "ineq_b": sum_plus - maj_plus <= sum_minus,
-        "ineq_c": 2 * sum_plus <= inf_f + inf_maj,
-    }
+from oracles import oracle_predicates
 
 
 # ------------------------------------------------------------------- tests

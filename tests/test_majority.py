@@ -1,11 +1,24 @@
-"""Majority family: tables, coefficients, the bound M, and its profile."""
+"""Majority family: tables, coefficients, the bound M, and its profile.
+
+The profile is a closed form; the oracle here derives it the long way, from
+Maj_d's truth table through the transform and counted derivatives.
+"""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from boolfun import InputError, dictator, conjunction, fwht, linear_sum, to_hex
+from boolfun import (
+    InputError,
+    conjunction,
+    dictator,
+    fourier_coefficient,
+    fwht,
+    linear_sum,
+    to_hex,
+    total_influence,
+)
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import ZERO, DyadicRational
 from boolfun.majority import (
@@ -82,6 +95,26 @@ def test_profile_invariants():
             zero, plus, minus = derivative_value_counts(majority(d), i)
             assert minus == 0
             assert DyadicRational(plus, d - 1) == prof.p_plus_per_coordinate
+
+
+def transform_profile(d: int) -> tuple[DyadicRational, ...]:
+    """The four profile fields of Maj_d from its 2^d-point transform."""
+    maj = majority(d)
+    spectrum = fwht(maj)
+    (coef,) = {fourier_coefficient(spectrum, 1 << k) for k in range(d)}
+    ((_, plus, minus),) = {derivative_value_counts(maj, i) for i in range(1, d + 1)}
+    assert minus == 0
+    return (coef, linear_sum(spectrum), total_influence(spectrum),
+            DyadicRational(plus, d - 1))
+
+
+def test_closed_form_profile_matches_transform_route():
+    for d in range(1, 21):
+        prof = majority_profile(d)
+        got = (prof.linear_coefficient, prof.bound_M, prof.total_influence,
+               prof.p_plus_per_coordinate)
+        assert [(x.num, x.log2_den) for x in got] == \
+            [(x.num, x.log2_den) for x in transform_profile(d)], d
 
 
 def test_profile_memoized():

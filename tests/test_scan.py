@@ -1,12 +1,13 @@
 """Scan engine: results, merging, determinism, and the random stream.
 
 The cross-check oracle reruns a whole scan one function at a time through
-the public single-function API and aggregates with plain dictionaries, so
-any batching or scaling mistake in the engine shows up as a mismatch.
+the Fraction oracle in tests/oracles.py and aggregates with plain
+dictionaries, so any batching or scaling mistake in the engine, or in the
+integer formulas it shares with the single-function API, shows up as a
+mismatch.
 """
 
 import dataclasses
-import json
 
 import pytest
 
@@ -14,19 +15,16 @@ from boolfun import (
     BooleanFunction,
     InputError,
     ScanConfig,
-    check_conjecture,
-    equivalence_predicates,
-    exhaustive_scan,
     merge_results,
-    random_scan,
     run_scan,
     scan_sample_range,
     scan_table_range,
     to_hex,
 )
+from boolfun.cli import _scan_payload
 from boolfun.dyadic import DyadicRational, ZERO
-from boolfun.majority import maj_bound
-from boolfun.scan import ConjectureWitness, ScanResult, _sample_table
+from boolfun.scan import ConjectureWitness, EquivalenceWitness, ScanResult, _sample_table
+from oracles import frac_bound, frac_side, oracle_predicates
 
 
 def strip_time(result: ScanResult):
@@ -41,30 +39,29 @@ def strip_time(result: ScanResult):
 
 
 def oracle_scan(cfg: ScanConfig, tables):
-    """Single-function public API, aggregated by hand."""
+    """Fraction oracle, one function at a time, aggregated by hand."""
     cfg = cfg.resolved()
     per_degree = {}
     violations = []
     equiv_failures = []
     for table in tables:
         f = BooleanFunction(cfg.n, table)
-        rep = check_conjecture(f)
-        if cfg.degree_filter is not None and rep.degree != cfg.degree_filter:
+        side = frac_side(f)
+        if cfg.degree_filter is not None and side.degree != cfg.degree_filter:
             continue
-        ent = per_degree.setdefault(rep.degree, {"count": 0, "best": None,
-                                                 "witness": None, "hits": 0})
+        ent = per_degree.setdefault(side.degree, {"count": 0, "best": None,
+                                                  "witness": None, "hits": 0})
         ent["count"] += 1
-        if ent["best"] is None or rep.linear_sum > ent["best"]:
-            ent.update(best=rep.linear_sum, witness=table, hits=1)
-        elif rep.linear_sum == ent["best"]:
+        if ent["best"] is None or side.linear_sum > ent["best"]:
+            ent.update(best=side.linear_sum, witness=table, hits=1)
+        elif side.linear_sum == ent["best"]:
             ent["hits"] += 1
             ent["witness"] = min(ent["witness"], table)
-        if not rep.satisfied:
+        if side.linear_sum > frac_bound(side.degree):
             violations.append(table)
         if cfg.equivalence_check:
             for d in cfg.equivalence_d_range:
-                preds = equivalence_predicates(f, d)
-                if not preds.agreement:
+                if len(set(oracle_predicates(f, d, side).values())) > 1:
                     equiv_failures.append((table, d))
     return per_degree, violations, equiv_failures
 
@@ -75,10 +72,10 @@ def assert_matches_oracle(result: ScanResult, tables):
     for d, ext in result.per_degree.items():
         want = per_degree[d]
         assert ext.function_count == want["count"]
-        assert ext.max_linear_sum == want["best"]
+        assert ext.max_linear_sum.as_fraction() == want["best"]
         assert ext.witness == to_hex(BooleanFunction(result.config.n, want["witness"]))
         assert ext.witness_count == want["hits"]
-        assert ext.bound == maj_bound(d)
+        assert ext.bound.as_fraction() == frac_bound(d)
         assert ext.margin == ext.bound - ext.max_linear_sum
     assert [w.table_hex for w in result.violations] == \
         [to_hex(BooleanFunction(result.config.n, t)) for t in sorted(violations)]
@@ -134,7 +131,7 @@ def test_degree_filter():
 def test_random_scan_matches_oracle():
     cfg = ScanConfig(n=4, mode="random", sample_count=300, seed=9,
                      equivalence_check=True, equivalence_d_range=(1, 3, 5))
-    res = random_scan(cfg)
+    res = run_scan(cfg)
     assert res.functions_examined == 300
     tables = [_sample_table(9, k, 16) for k in range(300)]
     assert_matches_oracle(res, tables)
@@ -208,11 +205,19 @@ def test_merge_caps_witness_lists():
                               linear_sum=DyadicRational(2), bound=DyadicRational(1))
             for t in tables
         )
-        return dataclasses.replace(base, violations=witnesses)
+        failures = tuple(EquivalenceWitness(f"0x{t:x}", 2, 1, True, False, True, True)
+                         for t in tables)
+        return dataclasses.replace(base, violations=witnesses,
+                                   equivalence_failures=failures)
 
     merged = merge_results(fake(range(600)), fake(range(600, 1300)))
     assert len(merged.violations) == 1000
     assert merged.violations[0].table_hex == "0x0"
+    assert merged.violation_count == merged.equivalence_failure_count == 1300
+    merged = merge_results(merged, fake(range(1300, 1500)))
+    assert len(merged.equivalence_failures) == 1000
+    payload = _scan_payload(merged)
+    assert payload["violation_count"] == payload["equivalence_failure_count"] == 1500
 
 
 # ------------------------------------------------------------ determinism
@@ -308,10 +313,6 @@ def test_range_primitive_validation():
         scan_table_range(rnd, 0, 4)
     with pytest.raises(InputError):
         scan_sample_range(exh, 0, 4)
-    with pytest.raises(InputError):
-        exhaustive_scan(rnd)
-    with pytest.raises(InputError):
-        random_scan(exh)
 
 
 def test_wall_time_positive():
