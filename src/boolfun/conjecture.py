@@ -38,41 +38,33 @@ from .core import (
 )
 from .derivatives import _total_influences, derivative_value_counts
 from .dyadic import DyadicRational
-from .majority import maj_bound, majority_profile
+from .majority import maj_bound
 
 
 class _Scale(NamedTuple):
-    """Multipliers and Maj_d terms that put every side over 2^shift."""
+    """Multipliers and the Maj_d term that put every side over 2^shift."""
 
     shift: int  # 2D + 1
     linear: int  # for 2^n times the linear sum
     influence: int  # for 4^n times the total influence
     prob: int  # for a derivative-value count over 2^(n-1) restrictions
-    maj_bound: int
-    maj_influence: int
-    maj_plus_sum: int
+    # M(d) = Inf(Maj_d) = d * p_plus(d) (see majority_profile), so this one
+    # value is the Maj_d side of all four inequalities
+    maj: int
 
 
 @functools.cache
 def _scale(n: int, d: int) -> _Scale:
     """The shared constants for arity n against Maj_d; d = 0 gives M = 0."""
     shift = 2 * max(n, d) + 1
-
-    def scaled(x: DyadicRational) -> int:
-        return x.num << (shift - x.log2_den)
-
-    maj_influence = maj_plus_sum = 0
-    if d:
-        prof = majority_profile(d)
-        maj_influence = scaled(prof.total_influence)
-        maj_plus_sum = scaled(d * prof.p_plus_per_coordinate)
+    m = maj_bound(d)
     return _Scale(shift, 1 << (shift - n), 1 << (shift - 2 * n), 1 << (shift - n + 1),
-                  scaled(maj_bound(d)), maj_influence, maj_plus_sum)
+                  m.num << (shift - m.log2_den))
 
 
 def _bound_sides(s: _Scale, lin):
     """(lhs, rhs) of linear sum <= M(d), from 2^n times the linear sum."""
-    return lin * s.linear, s.maj_bound
+    return lin * s.linear, s.maj
 
 
 def _sides(s: _Scale, lin, inf, plus, minus) -> dict:
@@ -84,9 +76,9 @@ def _sides(s: _Scale, lin, inf, plus, minus) -> dict:
     inf_term = inf * s.influence
     return {
         "original": _bound_sides(s, lin),
-        "ineq_a": (inf_term - s.maj_influence, 2 * minus * s.prob),
-        "ineq_b": (plus * s.prob - s.maj_plus_sum, minus * s.prob),
-        "ineq_c": (2 * plus * s.prob, inf_term + s.maj_influence),
+        "ineq_a": (inf_term - s.maj, 2 * minus * s.prob),
+        "ineq_b": (plus * s.prob - s.maj, minus * s.prob),
+        "ineq_c": (2 * plus * s.prob, inf_term + s.maj),
     }
 
 

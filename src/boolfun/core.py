@@ -76,7 +76,7 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """The full +-1 value table as a read-only int64 array of length 2^n."""
-        vals = 1 - 2 * _bits_matrix((self.table,), self.points)[0].astype(np.int64)
+        vals = 1 - 2 * _unpack_bits((self.table,), self.points)[0].astype(np.int64)
         vals.setflags(write=False)
         return vals
 
@@ -117,7 +117,7 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-def _bits_matrix(tables: Sequence[int], points: int) -> np.ndarray:
+def _unpack_bits(tables: Sequence[int], points: int) -> np.ndarray:
     """uint8 matrix whose row r holds the first `points` table bits of tables[r]."""
     nbytes = (points + 7) // 8
     buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)

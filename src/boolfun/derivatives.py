@@ -25,8 +25,8 @@ from .core import (
     FourierSpectrum,
     InputError,
     InvariantError,
-    _bits_matrix,
     _repeat_pattern,
+    _unpack_bits,
     fourier_coefficient,
     popcounts,
 )
@@ -100,7 +100,7 @@ def _derivatives(bits: np.ndarray, i: int) -> np.ndarray:
 def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
     """The {-1,0,+1}-valued table of the derivative of f along coordinate i."""
     _check_coordinate(i, f.n)
-    bits = _bits_matrix((f.table,), f.points)[0].astype(np.int8)
+    bits = _unpack_bits((f.table,), f.points)[0].astype(np.int8)
     return DerivativeTable(f.n, i, _derivatives(bits, i).reshape(-1))
 
 

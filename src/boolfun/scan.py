@@ -30,16 +30,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjecture import _bound_sides, _scale, _sides
+from .conjecture import _bound_sides, _scale, _Scale, _sides
 from .core import (
     MAX_ARITY,
     BooleanFunction,
     InputError,
     InvariantError,
-    _bits_matrix,
     _butterfly,
     _degrees,
     _linear_sums,
+    _unpack_bits,
     to_hex,
 )
 from .derivatives import _derivatives, _total_influences
@@ -187,9 +187,9 @@ class ScanResult:
         return len(self.equivalence_failures) + self.equivalence_failures_omitted
 
 
-def _result(cfg: ScanConfig, examined: int, violations, failures, per_degree: dict,
-            wall_time: float = 0.0, violations_omitted: int = 0,
-            failures_omitted: int = 0) -> ScanResult:
+def _finalize(cfg: ScanConfig, examined: int, violations, failures, per_degree: dict,
+              wall_time: float = 0.0, violations_omitted: int = 0,
+              failures_omitted: int = 0) -> ScanResult:
     """A ScanResult with witnesses sorted by table and cut at _WITNESS_CAP."""
     violations = sorted(violations, key=lambda w: w.table_hex)
     failures = sorted(failures, key=lambda w: (w.table_hex, w.d))
@@ -205,6 +205,28 @@ def _result(cfg: ScanConfig, examined: int, violations, failures, per_degree: di
     )
 
 
+# The scan's stages are functions of their own, so that bench/tracing.py can
+# time them apart from the single-function calls into the same core code.
+
+
+def _build_consts(cfg: ScanConfig) -> dict[int, _Scale]:
+    """The shared constants for every degree 0..n and every equivalence d."""
+    return {d: _scale(cfg.n, d) for d in {*range(cfg.n + 1), *cfg.equivalence_d_range}}
+
+
+def _bits_matrix(tables: Sequence[int], points: int) -> np.ndarray:
+    """The sub-batch's table bits, one row per table."""
+    return _unpack_bits(tables, points)
+
+
+def _batch_butterfly(bits: np.ndarray) -> np.ndarray:
+    """2^n-scaled spectra of the sub-batch, one row per table, norm-checked."""
+    coeffs = _butterfly(1 - 2 * bits.astype(np.int64))
+    if np.any((coeffs * coeffs).sum(axis=1) != coeffs.shape[1] ** 2):
+        raise InvariantError("spectrum norm check failed during scan")
+    return coeffs
+
+
 def _sample_table(seed: int, index: int, points: int) -> int:
     """Deterministic table for sample #index; independent of partitioning."""
     material = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
@@ -212,13 +234,12 @@ def _sample_table(seed: int, index: int, points: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << points) - 1)
 
 
-def _analyze_batch(cfg: ScanConfig, tables: Sequence[int]) -> ScanResult:
+def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
+                tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
     bits = _bits_matrix(tables, cfg.points)
-    coeffs = _butterfly(1 - 2 * bits.astype(np.int64))
-    if np.any((coeffs * coeffs).sum(axis=1) != 1 << (2 * n)):
-        raise InvariantError("spectrum norm check failed during scan")
+    coeffs = _batch_butterfly(bits)
     deg = _degrees(coeffs, n)
     lin = _linear_sums(coeffs, n)
     if cfg.degree_filter is None:
@@ -241,7 +262,7 @@ def _analyze_batch(cfg: ScanConfig, tables: Sequence[int]) -> ScanResult:
         witness = min(attain, key=lambda j: tables[int(j)])
         per_degree[d] = DegreeExtremal(d, len(idx), best_dy, hex_of(witness), len(attain),
                                        bound, bound - best_dy)
-        lhs, rhs = _bound_sides(_scale(n, d), sums)
+        lhs, rhs = _bound_sides(consts[d], sums)
         violations += [ConjectureWitness(hex_of(j), n, d, DyadicRational(int(lin[j]), n), bound)
                        for j in idx[lhs > rhs]]
 
@@ -257,19 +278,20 @@ def _analyze_batch(cfg: ScanConfig, tables: Sequence[int]) -> ScanResult:
             plus += (diff == 1).sum(axis=(0, 1))
             minus += (diff == -1).sum(axis=(0, 1))
         for d in cfg.equivalence_d_range:
-            sat = [lhs <= rhs for lhs, rhs in _sides(_scale(n, d), lin, inf, plus, minus).values()]
+            sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, plus, minus).values()]
             agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
             failures += [EquivalenceWitness(hex_of(j), n, d, *(bool(x[j]) for x in sat))
                          for j in np.nonzero(mask & ~agree)[0]]
-    return _result(cfg, len(tables), violations, failures, per_degree)
+    return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 
-def _analyze_chunk(cfg: ScanConfig, tables: Sequence[int], begin: float) -> ScanResult:
+def _analyze_chunk(cfg: ScanConfig, consts: dict[int, _Scale], tables: Sequence[int],
+                   begin: float) -> ScanResult:
     """Analyze tables in sub-batches; wall time counts from begin."""
     step = max(1, _BATCH_CELLS // cfg.points)
-    pieces = (_analyze_batch(cfg, tables[off : off + step])
+    pieces = (_accumulate(cfg, consts, tables[off : off + step])
               for off in range(0, len(tables), step))
-    merged = functools.reduce(merge_results, pieces, _result(cfg, 0, (), (), {}))
+    merged = functools.reduce(merge_results, pieces, _finalize(cfg, 0, (), (), {}))
     return replace(merged, wall_time=time.perf_counter() - begin)
 
 
@@ -280,7 +302,8 @@ def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
         raise InputError("scan_table_range requires an exhaustive-mode config")
     if not 0 <= start <= stop <= 1 << cfg.points:
         raise InputError(f"table range [{start}, {stop}) out of bounds for n = {cfg.n}")
-    return _analyze_chunk(cfg, range(start, stop), time.perf_counter())
+    begin = time.perf_counter()
+    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), begin)
 
 
 def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -292,7 +315,7 @@ def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
         raise InputError(f"sample range [{start}, {stop}) out of bounds")
     begin = time.perf_counter()
     tables = [_sample_table(cfg.seed, k, cfg.points) for k in range(start, stop)]
-    return _analyze_chunk(cfg, tables, begin)
+    return _analyze_chunk(cfg, _build_consts(cfg), tables, begin)
 
 
 def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
@@ -323,7 +346,7 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
             bound=a.bound,
             margin=a.bound - best,
         )
-    return _result(
+    return _finalize(
         left.config,
         left.functions_examined + right.functions_examined,
         left.violations + right.violations,
