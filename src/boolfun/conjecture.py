@@ -15,10 +15,12 @@ d = 2 already separates the truncated forms).
 Every inequality is decided once, here, as a comparison of two integers at
 the common scale 2 * 4^D (D = max(n, d); the bound test uses d = deg f, so
 D = n there).  The same formulas run on Python ints for one function and
-elementwise on int64 arrays for a scan batch.  Their int64 headroom: with
-2^n * |linear sum| <= n * 2^n, 4^n * Inf <= n * 4^n and each summed
-derivative count <= n * 2^(n-1), every side stays below 2^55 in magnitude
-for n <= 16 and d <= 24.  DyadicRational only presents the sides.
+elementwise on int64 arrays for a scan batch.  Their int64 headroom is
+checked in _scale for each (n, d): with 2^n * |linear sum| <= n * 2^n,
+4^n * Inf <= n * 4^n and each summed derivative count <= n * 2^(n-1), it
+bounds every side and every intermediate product, and refuses the pair if
+that bound reaches 2^62.  For n, d <= 24 the bound stays below 2^55.
+DyadicRational only presents the sides.
 """
 
 from __future__ import annotations
@@ -55,11 +57,21 @@ class _Scale(NamedTuple):
 
 @functools.cache
 def _scale(n: int, d: int) -> _Scale:
-    """The shared constants for arity n against Maj_d; d = 0 gives M = 0."""
+    """The shared constants for arity n against Maj_d; d = 0 gives M = 0.
+
+    Raises InvariantError if a side could reach 2^62 in magnitude.
+    """
     shift = 2 * max(n, d) + 1
     m = maj_bound(d)
-    return _Scale(shift, 1 << (shift - n), 1 << (shift - 2 * n), 1 << (shift - n + 1),
-                  m.num << (shift - m.log2_den))
+    s = _Scale(shift, 1 << (shift - n), 1 << (shift - 2 * n), 1 << (shift - n + 1),
+               m.num << (shift - m.log2_den))
+    # largest possible 2^n * |linear sum|, 4^n * Inf and summed count
+    lin, inf, count = n << n, n << (2 * n), n << (n - 1)
+    worst = max(lin * s.linear, inf * s.influence + s.maj,
+                2 * count * s.prob, count * s.prob + s.maj)
+    if worst >= 1 << 62:
+        raise InvariantError(f"int64 headroom exceeded at n = {n}, d = {d}")
+    return s
 
 
 def _bound_sides(s: _Scale, lin):

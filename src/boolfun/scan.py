@@ -8,12 +8,22 @@ associative and commutative, and witness selection always prefers the
 numerically smallest table, so the final report is byte-for-byte identical
 (wall_time aside) no matter how the range was partitioned.
 
-The per-batch analysis is integer-only: spectra come from the row-wise
-transform on an int64 matrix, and the bound and the four equivalence
+The per-batch analysis is integer-only.  Random mode unpacks each table's
+bits and runs the row-wise transform on an int64 matrix.  Exhaustive mode
+never unpacks or transforms a table: restricting f to x_n = +1 and x_n = -1
+splits its table integer t into two arity n-1 halves, lo = t mod 2^(2^(n-1))
+(low bits) and hi = t div 2^(2^(n-1)), and with A the 2^(n-1)-scaled spectra
+of the halves, 2^n * fhat(S) = A_lo(S) + A_hi(S) and 2^n * fhat(S + {n}) =
+A_lo(S) - A_hi(S).  The spectra of every arity k table are built once per
+process by that same step from arity k-1 (_level), so one add/subtract stage
+per table gives its spectrum.  Either way the bound and the four equivalence
 inequalities are the integer formulas of the conjecture module, applied
 elementwise (see there for their int64 headroom).  Derivative value counts
-for the equivalence check come from table bits directly, not from the
-spectrum, so the check exercises two genuinely different computation routes.
+for the equivalence check come from table bits, not from the spectrum:
+directly in random mode, and in exhaustive mode as the halves' counts plus
+the bit counts along coordinate n, popcount(hi & ~lo) and popcount(lo & ~hi).
+Total influence always comes from the spectrum, so the check exercises two
+genuinely different computation routes.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -21,8 +31,10 @@ the number cut off is carried along, so the reported totals stay exact.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,6 +64,8 @@ _RANDOM_MAX_N = 16
 _WITNESS_CAP = 1000
 # sub-batch rows are capped so bits + spectrum matrices stay ~16 MB
 _BATCH_CELLS = 1 << 21
+# spans submitted to a process pool at once, per worker
+_SPANS_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -227,6 +241,58 @@ def _batch_butterfly(bits: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _derivative_counts(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative values +1 and -1 per table, summed over coordinates, from bits."""
+    plus = np.zeros(len(bits), dtype=np.int64)
+    minus = np.zeros(len(bits), dtype=np.int64)
+    # point-major, so the counts below add whole contiguous rows of tables
+    columns = np.ascontiguousarray(bits.T, dtype=np.int8)
+    for i in range(1, n + 1):
+        diff = _derivatives(columns, i)
+        plus += (diff == 1).sum(axis=(0, 1))
+        minus += (diff == -1).sum(axis=(0, 1))
+    return plus, minus
+
+
+@functools.cache
+def _spectrum_dtype(n: int) -> type:
+    """int16, after checking it holds every exhaustive arity-n quantity formed in it."""
+    # entries are bounded by 2^n, so a square is at most 4^n
+    if 4 ** n > np.iinfo(np.int16).max:
+        raise InvariantError(f"int16 spectra overflow at exhaustive n = {n}")
+    return np.int16
+
+
+@functools.cache
+def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2^k-scaled spectra (int8) and summed derivative +1 and -1 counts over
+    coordinates 1..k of every arity-k table, indexed by table integer."""
+    if k == 0:
+        zero = np.zeros(2, dtype=np.int64)
+        return np.array([[1], [-1]], dtype=np.int8), zero, zero
+    coeffs, plus, minus = _restricted(k, np.arange(1 << (1 << k)))
+    return coeffs.astype(np.int8), plus, minus
+
+
+def _restricted(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norm-checked int16 spectra and summed derivative +1 and -1 counts of
+    arity-n tables, joined from the level n-1 entries of their two halves."""
+    spec, half_plus, half_minus = _level(n - 1)
+    lo, hi = tables % len(spec), tables // len(spec)
+    a, b = spec[lo], spec[hi]
+    width = spec.shape[1]
+    dtype = _spectrum_dtype(n)
+    coeffs = np.empty((len(tables), 2 * width), dtype=dtype)
+    np.add(a, b, out=coeffs[:, :width], dtype=dtype)
+    np.subtract(a, b, out=coeffs[:, width:], dtype=dtype)
+    if np.any((coeffs * coeffs).sum(axis=1, dtype=np.int32) != 1 << (2 * n)):
+        raise InvariantError("spectrum norm check failed during scan")
+    # along x_n the derivative is +1 where only the high half has a set bit
+    plus = half_plus[lo] + half_plus[hi] + np.bitwise_count(hi & ~lo)
+    minus = half_minus[lo] + half_minus[hi] + np.bitwise_count(lo & ~hi)
+    return coeffs, plus, minus
+
+
 def _sample_table(seed: int, index: int, points: int) -> int:
     """Deterministic table for sample #index; independent of partitioning."""
     material = seed.to_bytes(8, "big") + index.to_bytes(8, "big")
@@ -238,8 +304,11 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
-    bits = _bits_matrix(tables, cfg.points)
-    coeffs = _batch_butterfly(bits)
+    if cfg.mode == "exhaustive":
+        coeffs, plus, minus = _restricted(n, np.arange(tables.start, tables.stop))
+    else:
+        bits = _bits_matrix(tables, cfg.points)
+        coeffs = _batch_butterfly(bits)
     deg = _degrees(coeffs, n)
     lin = _linear_sums(coeffs, n)
     if cfg.degree_filter is None:
@@ -269,14 +338,8 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     failures = []
     if cfg.equivalence_d_range:
         inf = _total_influences(coeffs, n)
-        plus = np.zeros(len(tables), dtype=np.int64)
-        minus = np.zeros(len(tables), dtype=np.int64)
-        # point-major, so the counts below add whole contiguous rows of tables
-        columns = np.ascontiguousarray(bits.T, dtype=np.int8)
-        for i in range(1, n + 1):
-            diff = _derivatives(columns, i)
-            plus += (diff == 1).sum(axis=(0, 1))
-            minus += (diff == -1).sum(axis=(0, 1))
+        if cfg.mode == "random":
+            plus, minus = _derivative_counts(bits, n)
         for d in cfg.equivalence_d_range:
             sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, plus, minus).values()]
             agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
@@ -369,13 +432,24 @@ def run_scan(config: ScanConfig) -> ScanResult:
     cfg = config.resolved()
     begin = time.perf_counter()
     total = (1 << cfg.points) if cfg.mode == "exhaustive" else cfg.sample_count
-    spans = [
-        (cfg, s, min(s + cfg.chunk_size, total))
-        for s in range(0, total, cfg.chunk_size)
-    ]
+    spans = ((cfg, s, min(s + cfg.chunk_size, total))
+             for s in range(0, total, cfg.chunk_size))
     if cfg.worker_count == 1:
         merged = functools.reduce(merge_results, map(_range_worker, spans))
     else:
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            merged = functools.reduce(merge_results, pool.map(_range_worker, spans))
+            depth = _SPANS_IN_FLIGHT * cfg.worker_count
+            merged = functools.reduce(merge_results, _bounded_map(pool, spans, depth))
     return replace(merged, wall_time=time.perf_counter() - begin)
+
+
+def _bounded_map(pool: ProcessPoolExecutor, spans, depth: int):
+    """Results of _range_worker over spans, in span order, with at most depth
+    spans submitted at a time (pool.map would submit every span up front)."""
+    spans = iter(spans)
+    pending = collections.deque(pool.submit(_range_worker, span)
+                                for span in itertools.islice(spans, depth))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(_range_worker, span) for span in itertools.islice(spans, 1))
+        yield result

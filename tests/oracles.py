@@ -3,14 +3,19 @@
 Every quantity is rebuilt with stdlib Fractions from first principles:
 coefficients by direct summation, derivative probabilities by explicit
 restriction counting, and the majority side from the majority truth table
-through the same slow code.  From the package only truth tables are used
-(BooleanFunction, evaluate, majority); none of its transforms, reductions
-or inequality formulas, so these stay independent of the code under test.
+through the same slow code.  Past d = 8, where that table is too long to
+sum over, the majority side is summed by weight class from the sign of the
+coordinate sum instead (frac_symmetric_side); the two routes are compared
+for d <= 8 in test_majority.py.  From the package only truth tables are
+used (BooleanFunction, evaluate, majority); none of its transforms,
+reductions or inequality formulas, so these stay independent of the code
+under test.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from boolfun import BooleanFunction, evaluate
 from boolfun.majority import majority
@@ -65,9 +70,37 @@ def frac_side(f: BooleanFunction) -> FracSide:
     )
 
 
+def frac_symmetric_side(d: int, value) -> FracSide:
+    """FracSide of a symmetric function of d coordinates, given value(k), its
+    value at the points with k coordinates equal to -1, summed by weight class."""
+    # a set S of size m holds j of a point's k minus coordinates in
+    # comb(m, j) * comb(d - m, k - j) ways, and then x_S = (-1)^j
+    spectrum = [Fraction(sum(value(k) * (-1) ** j * comb(m, j) * comb(d - m, k - j)
+                             for k in range(d + 1) for j in range(min(m, k) + 1)), 1 << d)
+                for m in range(d + 1)]
+    # along one coordinate: comb(d - 1, j) restrictions with j other minus
+    # coordinates, where the derivative is (value(j) - value(j + 1)) / 2
+    diffs = [(comb(d - 1, j), (value(j) - value(j + 1)) // 2) for j in range(d)]
+    per_coordinate = Fraction(d, 1 << (d - 1))
+    return FracSide(
+        degree=max(m for m in range(d + 1) if spectrum[m]),
+        linear_sum=d * spectrum[1],
+        total_influence=sum(m * comb(d, m) * c * c for m, c in enumerate(spectrum)),
+        sum_plus=per_coordinate * sum(count for count, diff in diffs if diff == 1),
+        sum_minus=per_coordinate * sum(count for count, diff in diffs if diff == -1),
+    )
+
+
+def frac_majority_value(d: int):
+    """Maj_d at k coordinates equal to -1: the sign of d - 2k, ties to -1."""
+    return lambda k: 1 if d - 2 * k > 0 else -1
+
+
 @cache
 def frac_majority_side(d: int) -> FracSide:
-    return frac_side(majority(d))
+    if d <= 8:
+        return frac_side(majority(d))
+    return frac_symmetric_side(d, frac_majority_value(d))
 
 
 def frac_bound(d: int) -> Fraction:

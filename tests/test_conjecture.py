@@ -6,7 +6,9 @@ from first principles and shares no arithmetic with the module under test.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolfun import (
     BooleanFunction,
@@ -19,6 +21,8 @@ from boolfun import (
     assert_equivalence,
     parity,
 )
+from boolfun.conjecture import _scale, _sides
+from boolfun.core import InvariantError
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import majority
 from oracles import oracle_predicates
@@ -141,3 +145,30 @@ def test_d_validation():
 def test_assert_equivalence_returns_predicates():
     preds = assert_equivalence(majority(3), 2)
     assert preds.agreement and preds.d == 2
+
+
+# ------------------------------------------------------------- headroom
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 16]), d=st.sampled_from([1, 24]), data=st.data())
+def test_int64_sides_equal_python_int_sides(n, d, data):
+    # any value the scan can feed in: |2^n lin| <= n 2^n, 4^n Inf <= n 4^n,
+    # and each summed derivative count <= n 2^(n-1)
+    lin = data.draw(st.integers(-(n << n), n << n))
+    inf = data.draw(st.integers(0, n << (2 * n)))
+    plus, minus = (data.draw(st.integers(0, n << (n - 1))) for _ in range(2))
+    s = _scale(n, d)
+    exact = _sides(s, lin, inf, plus, minus)
+    batch = _sides(s, *(np.array([v], dtype=np.int64) for v in (lin, inf, plus, minus)))
+    for name, sides in exact.items():
+        for want, got in zip(sides, batch[name]):
+            assert abs(want) < 1 << 62
+            assert int(np.asarray(got).reshape(-1)[0]) == want, name
+
+
+def test_scale_refuses_configs_past_int64_headroom():
+    for n in range(1, 25):
+        for d in range(25):
+            _scale(n, d)
+    with pytest.raises(InvariantError):
+        _scale(40, 24)

@@ -28,6 +28,7 @@ from boolfun.majority import (
     majority,
     majority_profile,
 )
+from oracles import frac_majority_value, frac_side, frac_symmetric_side
 
 
 def test_small_tables():
@@ -115,6 +116,12 @@ def test_closed_form_profile_matches_transform_route():
                prof.p_plus_per_coordinate)
         assert [(x.num, x.log2_den) for x in got] == \
             [(x.num, x.log2_den) for x in transform_profile(d)], d
+
+
+def test_oracle_weight_class_route_matches_table_route():
+    # the Fraction oracle switches to weight classes past d = 8
+    for d in range(1, 9):
+        assert frac_symmetric_side(d, frac_majority_value(d)) == frac_side(majority(d)), d
 
 
 def test_profile_memoized():

@@ -8,22 +8,38 @@ mismatch.
 """
 
 import dataclasses
+import random
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from boolfun import (
     BooleanFunction,
     InputError,
+    InvariantError,
     ScanConfig,
+    check_conjecture,
+    fwht,
     merge_results,
     run_scan,
+    scan,
     scan_sample_range,
     scan_table_range,
     to_hex,
 )
 from boolfun.cli import _scan_payload
+from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
-from boolfun.scan import ConjectureWitness, EquivalenceWitness, ScanResult, _sample_table
+from boolfun.scan import (
+    _EXHAUSTIVE_HUGE_MAX_N,
+    ConjectureWitness,
+    EquivalenceWitness,
+    ScanResult,
+    _level,
+    _sample_table,
+    _spectrum_dtype,
+)
 from oracles import frac_bound, frac_side, oracle_predicates
 
 
@@ -234,6 +250,24 @@ def test_results_identical_across_workers_and_chunks():
             assert key == ref, (workers, chunk)
 
 
+def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
+    class Pool:  # resolves each span at once to its start index
+        submitted = 0
+
+        def submit(self, fn, span):
+            self.submitted += 1
+            future = Future()
+            future.set_result(span[1])
+            return future
+
+    pool = Pool()
+    spans = ((None, s, s + 1) for s in range(100))
+    for done, start in enumerate(scan._bounded_map(pool, spans, 8)):
+        assert start == done
+        assert pool.submitted <= done + 1 + 8
+    assert pool.submitted == 100
+
+
 def test_parallel_random_scan_matches_serial():
     serial = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3))
     parallel = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3,
@@ -293,9 +327,66 @@ def test_config_validation_errors():
 
 def test_allow_huge_gate_constructs_and_slices():
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
-    res = scan_table_range(cfg, 0, 2048)
+    start = 3 << 30
+    res = scan_table_range(cfg, start, start + 2048)
     assert res.functions_examined == 2048
     assert not res.violations
+    reports = [check_conjecture(BooleanFunction(5, t)) for t in range(start, start + 2048)]
+    assert sum(e.function_count for e in res.per_degree.values()) == 2048
+    for d, ext in res.per_degree.items():
+        sums = [r.linear_sum for r in reports if r.degree == d]
+        assert ext.function_count == len(sums)
+        assert ext.max_linear_sum == max(sums)
+        assert ext.witness_count == sums.count(max(sums))
+        witness = int(ext.witness, 16)
+        assert reports[witness - start].linear_sum == ext.max_linear_sum
+
+
+# ------------------------------------------------- restriction decomposition
+
+def test_level_matches_transform_and_counted_derivatives():
+    rng = random.Random(2024)
+    cases = [(k, t) for k in (1, 2, 3) for t in range(1 << (1 << k))]
+    cases += [(4, rng.randrange(1 << 16)) for _ in range(2000)]
+    for k, t in cases:
+        coeffs, plus, minus = _level(k)
+        f = BooleanFunction(k, t)
+        assert coeffs[t].tolist() == fwht(f).coeffs.tolist(), (k, t)
+        counts = [derivative_value_counts(f, i) for i in range(1, k + 1)]
+        assert plus[t] == sum(c[1] for c in counts) and minus[t] == sum(c[2] for c in counts)
+    coeffs, plus, minus = _level(0)
+    assert coeffs.tolist() == [[1], [-1]] and plus.tolist() == minus.tolist() == [0, 0]
+
+
+def test_exhaustive_n5_slices_match_oracle():
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=(1, 2, 3, 4, 5, 6, 24))
+    rng = random.Random(55)
+    # across the boundary of the two 16-bit halves, the last tables, and seeded slices
+    slices = [((1 << 16) - 100, (1 << 16) + 100), ((1 << 32) - 100, 1 << 32)]
+    slices += [(s, s + 150) for s in (rng.randrange((1 << 32) - 150) for _ in range(3))]
+    for start, stop in slices:
+        res = scan_table_range(cfg, start, stop)
+        assert res.functions_examined == stop - start
+        assert_matches_oracle(res, range(start, stop))
+
+
+def test_corrupted_level_row_fails_norm_check(monkeypatch):
+    coeffs, plus, minus = _level(2)
+    bad = coeffs.copy()
+    bad[5, 0] += 2
+    monkeypatch.setattr(scan, "_level", lambda k: (bad, plus, minus))
+    cfg = ScanConfig(n=3, mode="exhaustive")
+    scan_table_range(cfg, 0, 5)  # neither half is table 5 yet
+    with pytest.raises(InvariantError):
+        scan_table_range(cfg, 0, 6)
+
+
+def test_int16_spectra_hold_every_exhaustive_arity():
+    for n in range(1, _EXHAUSTIVE_HUGE_MAX_N + 1):
+        assert _spectrum_dtype(n) is np.int16
+    with pytest.raises(InvariantError):
+        _spectrum_dtype(8)
 
 
 def test_range_primitive_validation():
