@@ -193,11 +193,15 @@ def evaluate(f: BooleanFunction, x: Sequence[int]) -> int:
 # -- transform and spectrum operations ----------------------------------------
 
 
-def _butterfly(mat: np.ndarray) -> np.ndarray:
+def _butterfly(mat: np.ndarray, half: int = 1) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly along the last axis of a C-contiguous
-    int64 array, so one call transforms every row of a batch."""
+    integer array, so one call transforms every row of a batch.
+
+    The stages start at the one that pairs entries half apart: with half = 2^k
+    only the stages for coordinates k+1..n run, which completes the transform
+    of a row whose blocks of 2^k entries are already transformed.  The dtype
+    must hold every partial sum (|entries| <= 2^n for a +-1 row)."""
     *lead, width = mat.shape
-    half = 1
     while half < width:
         view = mat.reshape(*lead, width // (2 * half), 2, half)
         low = view[..., 0, :].copy()
@@ -248,8 +252,7 @@ def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
 
 
 def _degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
-    # a Boolean spectrum always has a nonzero entry, so -1 never survives
-    return np.where(coeffs != 0, popcounts(n), -1).max(axis=-1)
+    return ((coeffs != 0) * popcounts(n).astype(np.int8)).max(axis=-1)
 
 
 def _linear_sums(coeffs: np.ndarray, n: int) -> np.ndarray:

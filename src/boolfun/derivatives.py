@@ -84,24 +84,18 @@ class InfluenceProfile:
     total: DyadicRational
 
 
-def _derivatives(bits: np.ndarray, i: int) -> np.ndarray:
-    """Derivative along coordinate i of int8 table bits indexed by point on axis 0.
+def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
+    """The {-1,0,+1}-valued table of the derivative of f along coordinate i.
 
     Each block of 2^i points holds x_i = +1 in its low half and x_i = -1 in
     its high half, and (f at x_i=+1 minus f at x_i=-1)/2 = t_minus - t_plus,
-    so the derivative is high half minus low half.  The result has shape
-    (2^(n-i), 2^(i-1), *rest); its first two axes, flattened, run over the
-    restrictions in order.  Trailing axes, one per table, ride along.
+    so the derivative is high half minus low half; flattened, the blocks run
+    over the restrictions in order.
     """
-    blocks = bits.reshape(-1, 2, 1 << (i - 1), *bits.shape[1:])
-    return blocks[:, 1] - blocks[:, 0]
-
-
-def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
-    """The {-1,0,+1}-valued table of the derivative of f along coordinate i."""
     _check_coordinate(i, f.n)
     bits = _unpack_bits((f.table,), f.points)[0].astype(np.int8)
-    return DerivativeTable(f.n, i, _derivatives(bits, i).reshape(-1))
+    blocks = bits.reshape(-1, 2, 1 << (i - 1))
+    return DerivativeTable(f.n, i, (blocks[:, 1] - blocks[:, 0]).reshape(-1))
 
 
 def derivative_value_counts(f: BooleanFunction, i: int) -> tuple[int, int, int]:

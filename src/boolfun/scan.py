@@ -8,22 +8,22 @@ associative and commutative, and witness selection always prefers the
 numerically smallest table, so the final report is byte-for-byte identical
 (wall_time aside) no matter how the range was partitioned.
 
-The per-batch analysis is integer-only.  Random mode unpacks each table's
-bits and runs the row-wise transform on an int64 matrix.  Exhaustive mode
-never unpacks or transforms a table: restricting f to x_n = +1 and x_n = -1
-splits its table integer t into two arity n-1 halves, lo = t mod 2^(2^(n-1))
-(low bits) and hi = t div 2^(2^(n-1)), and with A the 2^(n-1)-scaled spectra
-of the halves, 2^n * fhat(S) = A_lo(S) + A_hi(S) and 2^n * fhat(S + {n}) =
-A_lo(S) - A_hi(S).  The spectra of every arity k table are built once per
-process by that same step from arity k-1 (_level), so one add/subtract stage
-per table gives its spectrum.  Either way the bound and the four equivalence
+The per-batch analysis is integer-only, and both modes take one route.  Each
+table is read as 2^(n-k) chunks of 2^k bits, k = min(n - 1, 4), low chunk
+first (_bits_matrix); chunk c is f restricted to the points whose
+coordinates k+1..n spell c.  The 2^k-scaled spectra of every arity-k table
+are built once per process (_level), so a table's spectrum is its chunks'
+level rows followed by the butterfly stages for coordinates k+1..n
+(_batch_butterfly; O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
+The level tables are built by this same route from arity k-1, starting at
+the arity-0 spectra [1] and [-1].  The bound and the four equivalence
 inequalities are the integer formulas of the conjecture module, applied
 elementwise (see there for their int64 headroom).  Derivative value counts
-for the equivalence check come from table bits, not from the spectrum:
-directly in random mode, and in exhaustive mode as the halves' counts plus
-the bit counts along coordinate n, popcount(hi & ~lo) and popcount(lo & ~hi).
-Total influence always comes from the spectrum, so the check exercises two
-genuinely different computation routes.
+for the equivalence check come from table bits, not from the spectrum: the
+chunks' level counts plus, along each coordinate above k, popcount(hi & ~lo)
+and popcount(lo & ~hi) over the chunk pairs (_derivative_counts).  Total
+influence comes from the spectrum, so the check exercises two genuinely
+different computation routes.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -51,10 +51,9 @@ from .core import (
     _butterfly,
     _degrees,
     _linear_sums,
-    _unpack_bits,
     to_hex,
 )
-from .derivatives import _derivatives, _total_influences
+from .derivatives import _total_influences
 from .dyadic import DyadicRational
 from .majority import maj_bound
 
@@ -228,39 +227,61 @@ def _build_consts(cfg: ScanConfig) -> dict[int, _Scale]:
     return {d: _scale(cfg.n, d) for d in {*range(cfg.n + 1), *cfg.equivalence_d_range}}
 
 
-def _bits_matrix(tables: Sequence[int], points: int) -> np.ndarray:
-    """The sub-batch's table bits, one row per table."""
-    return _unpack_bits(tables, points)
+def _chunk_arity(n: int) -> int:
+    """Arity k of the chunks an arity-n table is read as; _level(k) is cached."""
+    return min(n - 1, 4)
 
 
-def _batch_butterfly(bits: np.ndarray) -> np.ndarray:
+def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
+    """The sub-batch's tables as rows of 2^(n-k) arity-k chunks, low chunk first."""
+    k = _chunk_arity(n)
+    if n > 5:  # 16-bit chunks, straight from the table bytes
+        nbytes = 1 << (n - 3)
+        buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
+        return np.frombuffer(buf, dtype="<u2").reshape(len(tables), -1)
+    if isinstance(tables, range):
+        ints = np.arange(tables.start, tables.stop, dtype=np.int64)
+    else:
+        ints = np.array(tables, dtype=np.int64)
+    shifts = np.arange(1 << (n - k)) << k
+    return (ints[:, None] >> shifts) & ((1 << (1 << k)) - 1)
+
+
+def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
     """2^n-scaled spectra of the sub-batch, one row per table, norm-checked."""
-    coeffs = _butterfly(1 - 2 * bits.astype(np.int64))
-    if np.any((coeffs * coeffs).sum(axis=1) != coeffs.shape[1] ** 2):
+    k = _chunk_arity(n)
+    coeffs = _level(k)[0][chunks].reshape(len(chunks), 1 << n)
+    coeffs = _butterfly(coeffs.astype(_spectrum_dtype(n)), half=1 << k)
+    if np.any((coeffs * coeffs).sum(axis=1, dtype=np.int64) != 1 << (2 * n)):
         raise InvariantError("spectrum norm check failed during scan")
     return coeffs
 
 
-def _derivative_counts(bits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Derivative values +1 and -1 per table, summed over coordinates, from bits."""
-    plus = np.zeros(len(bits), dtype=np.int64)
-    minus = np.zeros(len(bits), dtype=np.int64)
-    # point-major, so the counts below add whole contiguous rows of tables
-    columns = np.ascontiguousarray(bits.T, dtype=np.int8)
-    for i in range(1, n + 1):
-        diff = _derivatives(columns, i)
-        plus += (diff == 1).sum(axis=(0, 1))
-        minus += (diff == -1).sum(axis=(0, 1))
+    k = _chunk_arity(n)
+    _, level_plus, level_minus = _level(k)
+    # chunk-major, so the counts below add whole contiguous rows of tables
+    columns = np.ascontiguousarray(chunks.T)
+    plus = level_plus[columns].sum(axis=0)
+    minus = level_minus[columns].sum(axis=0)
+    for i in range(k + 1, n + 1):
+        # along x_i the derivative is +1 where only the high chunk has a set bit
+        pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(chunks))
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        plus += np.bitwise_count(hi & ~lo).sum(axis=(0, 1), dtype=np.int64)
+        minus += np.bitwise_count(lo & ~hi).sum(axis=(0, 1), dtype=np.int64)
     return plus, minus
 
 
 @functools.cache
 def _spectrum_dtype(n: int) -> type:
-    """int16, after checking it holds every exhaustive arity-n quantity formed in it."""
-    # entries are bounded by 2^n, so a square is at most 4^n
-    if 4 ** n > np.iinfo(np.int16).max:
-        raise InvariantError(f"int16 spectra overflow at exhaustive n = {n}")
-    return np.int16
+    """The narrowest of int16, int32 and int64 that holds 4^n, the largest
+    square of an arity-n spectrum entry (entries are bounded by 2^n)."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if 4 ** n <= np.iinfo(dtype).max:
+            return dtype
+    raise InvariantError(f"int64 spectra overflow at n = {n}")
 
 
 @functools.cache
@@ -270,27 +291,8 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k == 0:
         zero = np.zeros(2, dtype=np.int64)
         return np.array([[1], [-1]], dtype=np.int8), zero, zero
-    coeffs, plus, minus = _restricted(k, np.arange(1 << (1 << k)))
-    return coeffs.astype(np.int8), plus, minus
-
-
-def _restricted(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Norm-checked int16 spectra and summed derivative +1 and -1 counts of
-    arity-n tables, joined from the level n-1 entries of their two halves."""
-    spec, half_plus, half_minus = _level(n - 1)
-    lo, hi = tables % len(spec), tables // len(spec)
-    a, b = spec[lo], spec[hi]
-    width = spec.shape[1]
-    dtype = _spectrum_dtype(n)
-    coeffs = np.empty((len(tables), 2 * width), dtype=dtype)
-    np.add(a, b, out=coeffs[:, :width], dtype=dtype)
-    np.subtract(a, b, out=coeffs[:, width:], dtype=dtype)
-    if np.any((coeffs * coeffs).sum(axis=1, dtype=np.int32) != 1 << (2 * n)):
-        raise InvariantError("spectrum norm check failed during scan")
-    # along x_n the derivative is +1 where only the high half has a set bit
-    plus = half_plus[lo] + half_plus[hi] + np.bitwise_count(hi & ~lo)
-    minus = half_minus[lo] + half_minus[hi] + np.bitwise_count(lo & ~hi)
-    return coeffs, plus, minus
+    chunks = _bits_matrix(range(1 << (1 << k)), k)
+    return (_batch_butterfly(chunks, k).astype(np.int8), *_derivative_counts(chunks, k))
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -304,11 +306,8 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
-    if cfg.mode == "exhaustive":
-        coeffs, plus, minus = _restricted(n, np.arange(tables.start, tables.stop))
-    else:
-        bits = _bits_matrix(tables, cfg.points)
-        coeffs = _batch_butterfly(bits)
+    chunks = _bits_matrix(tables, n)
+    coeffs = _batch_butterfly(chunks, n)
     deg = _degrees(coeffs, n)
     lin = _linear_sums(coeffs, n)
     if cfg.degree_filter is None:
@@ -338,8 +337,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     failures = []
     if cfg.equivalence_d_range:
         inf = _total_influences(coeffs, n)
-        if cfg.mode == "random":
-            plus, minus = _derivative_counts(bits, n)
+        plus, minus = _derivative_counts(chunks, n)
         for d in cfg.equivalence_d_range:
             sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, plus, minus).values()]
             agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])

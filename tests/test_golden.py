@@ -35,6 +35,18 @@ GOLDEN = {
     "scan_n4": (
         ["scan", "--n", "4"],
         "e5c202a224884ce052583fd9abdffa6d9da83ba4fa588144862eb6c6b835ce01"),
+    "scan_random_n7_equiv_1_4_8": (
+        ["scan", "--n", "7", "--mode", "random", "--samples", "300", "--seed", "11",
+         "--chunk-size", "64", "--equiv-d", "1,4,8"],
+        "8b687bdba4a0c5c88bfb78132988b5fde8e62c167d32d790acf91adce2a33257"),
+    "scan_random_n12_equiv_1_2_13": (
+        ["scan", "--n", "12", "--mode", "random", "--samples", "96", "--seed", "7",
+         "--equiv-d", "1,2,13"],
+        "29a4c3ca82084ba80ac4c3148a04674e088bd7a4c8bb613bf236a8fdd8d51537"),
+    "scan_random_n16_equiv_16_17": (
+        ["scan", "--n", "16", "--mode", "random", "--samples", "8", "--seed", "3",
+         "--equiv-d", "16,17"],
+        "6afc55e469f23ce99dd9cc3d270e5399c984589e3b2f08d7da8dedc60089fbb9"),
 }
 
 

@@ -36,6 +36,9 @@ from boolfun.scan import (
     ConjectureWitness,
     EquivalenceWitness,
     ScanResult,
+    _batch_butterfly,
+    _bits_matrix,
+    _derivative_counts,
     _level,
     _sample_table,
     _spectrum_dtype,
@@ -145,12 +148,14 @@ def test_degree_filter():
 
 
 def test_random_scan_matches_oracle():
-    cfg = ScanConfig(n=4, mode="random", sample_count=300, seed=9,
-                     equivalence_check=True, equivalence_d_range=(1, 3, 5))
-    res = run_scan(cfg)
-    assert res.functions_examined == 300
-    tables = [_sample_table(9, k, 16) for k in range(300)]
-    assert_matches_oracle(res, tables)
+    # n = 4 joins two chunks; n = 6 and 7 join 4 and 8 arity-4 chunks
+    for n, count, d_range in ((4, 300, (1, 3, 5)), (6, 60, (1, 4, 7)), (7, 40, (1, 4, 8))):
+        cfg = ScanConfig(n=n, mode="random", sample_count=count, seed=9,
+                         equivalence_check=True, equivalence_d_range=d_range)
+        res = run_scan(cfg)
+        assert res.functions_examined == count
+        tables = [_sample_table(9, k, 1 << n) for k in range(count)]
+        assert_matches_oracle(res, tables)
 
 
 def test_random_stream_is_partition_independent():
@@ -344,6 +349,23 @@ def test_allow_huge_gate_constructs_and_slices():
 
 # ------------------------------------------------- restriction decomposition
 
+def test_chunked_route_matches_transform_and_counted_derivatives():
+    rng = random.Random(4096)
+    for n in range(1, 17):
+        # 40 tables at n <= 2, down to 2 at n >= 12
+        tables = [rng.getrandbits(1 << n) for _ in range(max(2, 40 >> (n // 3)))]
+        chunks = _bits_matrix(tables, n)
+        coeffs = _batch_butterfly(chunks, n)
+        plus, minus = _derivative_counts(chunks, n)
+        assert coeffs.shape == (len(tables), 1 << n)
+        for row, t in enumerate(tables):
+            f = BooleanFunction(n, t)
+            assert coeffs[row].tolist() == fwht(f).coeffs.tolist(), (n, t)
+            counts = [derivative_value_counts(f, i) for i in range(1, n + 1)]
+            assert plus[row] == sum(c[1] for c in counts), (n, t)
+            assert minus[row] == sum(c[2] for c in counts), (n, t)
+
+
 def test_level_matches_transform_and_counted_derivatives():
     rng = random.Random(2024)
     cases = [(k, t) for k in (1, 2, 3) for t in range(1 << (1 << k))]
@@ -380,13 +402,29 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     scan_table_range(cfg, 0, 5)  # neither half is table 5 yet
     with pytest.raises(InvariantError):
         scan_table_range(cfg, 0, 6)
+    monkeypatch.undo()
+    # a random n = 6 scan reads every sample as four arity-4 chunks
+    cfg = ScanConfig(n=6, mode="random", sample_count=2, seed=5)
+    chunks = _bits_matrix([_sample_table(5, k, 64) for k in range(2)], 6)
+    target = int(chunks[1, 2])
+    assert target not in chunks[0]
+    level = _level(4)
+    bad = level[0].copy()
+    bad[target, 3] -= 2
+    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    scan_sample_range(cfg, 0, 1)  # sample 0 has no chunk equal to target
+    with pytest.raises(InvariantError):
+        scan_sample_range(cfg, 0, 2)
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
     for n in range(1, _EXHAUSTIVE_HUGE_MAX_N + 1):
         assert _spectrum_dtype(n) is np.int16
+    # the narrowest integer type that holds 4^n
+    assert [_spectrum_dtype(n) for n in range(1, 17)] == \
+        [np.int16] * 7 + [np.int32] * 8 + [np.int64]
     with pytest.raises(InvariantError):
-        _spectrum_dtype(8)
+        _spectrum_dtype(32)
 
 
 def test_range_primitive_validation():
