@@ -15,6 +15,10 @@ coordinates k+1..n spell c.  The 2^k-scaled spectra of every arity-k table
 are built once per process (_level), so a table's spectrum is its chunks'
 level rows followed by the butterfly stages for coordinates k+1..n
 (_batch_butterfly; O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
+The spectra are built and norm-checked one block of rows at a time, sized
+so that a block stays in a core's L2 cache through every stage.  Entries
+are stored in the narrowest type that holds 2^n, and their squares are
+taken in the narrowest type that holds 4^n (_spectrum_dtype).
 The level tables are built by this same route from arity k-1, starting at
 the arity-0 spectra [1] and [-1].  The bound and the four equivalence
 inequalities are the integer formulas of the conjecture module, applied
@@ -61,8 +65,12 @@ _EXHAUSTIVE_DEFAULT_MAX_N = 4
 _EXHAUSTIVE_HUGE_MAX_N = 5
 _RANDOM_MAX_N = 16
 _WITNESS_CAP = 1000
-# sub-batch rows are capped so bits + spectrum matrices stay ~16 MB
+# sub-batch rows are capped at 2^21 spectrum cells: 4 MB of int16 or 8 MB of
+# int32 spectra, plus the squares the equivalence block takes
 _BATCH_CELLS = 1 << 21
+# one block of spectrum rows plus the butterfly's per-stage temporaries stay
+# in a core's L2 cache
+_BLOCK_BYTES = 1 << 18
 # spans submitted to a process pool at once, per worker
 _SPANS_IN_FLIGHT = 4
 
@@ -248,12 +256,20 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
 
 
 def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
-    """2^n-scaled spectra of the sub-batch, one row per table, norm-checked."""
+    """2^n-scaled spectra of the sub-batch, one row per table, built and
+    norm-checked a block of at most _BLOCK_BYTES at a time."""
     k = _chunk_arity(n)
-    coeffs = _level(k)[0][chunks].reshape(len(chunks), 1 << n)
-    coeffs = _butterfly(coeffs.astype(_spectrum_dtype(n)), half=1 << k)
-    if np.any((coeffs * coeffs).sum(axis=1, dtype=np.int64) != 1 << (2 * n)):
-        raise InvariantError("spectrum norm check failed during scan")
+    level = _level(k)[0]
+    coeffs = np.empty((len(chunks), 1 << n), dtype=_spectrum_dtype(n))
+    step = max(1, _BLOCK_BYTES // (coeffs.itemsize << n))
+    for start in range(0, len(chunks), step):
+        block = coeffs[start : start + step]
+        # the int8 level rows widen to the spectrum type on assignment
+        block.reshape(len(block), -1, 1 << k)[:] = level[chunks[start : start + step]]
+        _butterfly(block, half=1 << k)
+        norms = np.square(block, dtype=_spectrum_dtype(2 * n)).sum(axis=1, dtype=np.int64)
+        if np.any(norms != 1 << (2 * n)):
+            raise InvariantError("spectrum norm check failed during scan")
     return coeffs
 
 
@@ -276,10 +292,11 @@ def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 @functools.cache
 def _spectrum_dtype(n: int) -> type:
-    """The narrowest of int16, int32 and int64 that holds 4^n, the largest
-    square of an arity-n spectrum entry (entries are bounded by 2^n)."""
+    """The narrowest of int16, int32 and int64 that holds 2^n, the bound on
+    every entry and partial sum of an arity-n butterfly.  Squares of those
+    entries are taken in _spectrum_dtype(2 * n), the type that holds 4^n."""
     for dtype in (np.int16, np.int32, np.int64):
-        if 4 ** n <= np.iinfo(dtype).max:
+        if 1 << n <= np.iinfo(dtype).max:
             return dtype
     raise InvariantError(f"int64 spectra overflow at n = {n}")
 
@@ -336,7 +353,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
 
     failures = []
     if cfg.equivalence_d_range:
-        inf = _total_influences(coeffs, n)
+        inf = _total_influences(coeffs.astype(_spectrum_dtype(2 * n), copy=False), n)
         plus, minus = _derivative_counts(chunks, n)
         for d in cfg.equivalence_d_range:
             sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, plus, minus).values()]

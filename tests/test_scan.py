@@ -20,8 +20,11 @@ from boolfun import (
     InvariantError,
     ScanConfig,
     check_conjecture,
+    constant,
+    dictator,
     fwht,
     merge_results,
+    parity,
     run_scan,
     scan,
     scan_sample_range,
@@ -32,12 +35,15 @@ from boolfun.cli import _scan_payload
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.scan import (
+    _BLOCK_BYTES,
     _EXHAUSTIVE_HUGE_MAX_N,
     ConjectureWitness,
     EquivalenceWitness,
     ScanResult,
+    _accumulate,
     _batch_butterfly,
     _bits_matrix,
+    _build_consts,
     _derivative_counts,
     _level,
     _sample_table,
@@ -349,11 +355,19 @@ def test_allow_huge_gate_constructs_and_slices():
 
 # ------------------------------------------------- restriction decomposition
 
+def block_rows(n: int) -> int:
+    """Rows of arity-n spectra in one _batch_butterfly block."""
+    return max(1, _BLOCK_BYTES // (np.dtype(_spectrum_dtype(n)).itemsize << n))
+
+
 def test_chunked_route_matches_transform_and_counted_derivatives():
     rng = random.Random(4096)
-    for n in range(1, 17):
-        # 40 tables at n <= 2, down to 2 at n >= 12
-        tables = [rng.getrandbits(1 << n) for _ in range(max(2, 40 >> (n // 3)))]
+    # 40 tables at n <= 2, down to 2 at n >= 12
+    cases = [(n, max(2, 40 >> (n // 3))) for n in range(1, 17)]
+    # more rows than one butterfly block, the last block partial
+    cases += [(n, block_rows(n) + 3) for n in (10, 16)]
+    for n, count in cases:
+        tables = [rng.getrandbits(1 << n) for _ in range(count)]
         chunks = _bits_matrix(tables, n)
         coeffs = _batch_butterfly(chunks, n)
         plus, minus = _derivative_counts(chunks, n)
@@ -415,16 +429,50 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     scan_sample_range(cfg, 0, 1)  # sample 0 has no chunk equal to target
     with pytest.raises(InvariantError):
         scan_sample_range(cfg, 0, 2)
+    monkeypatch.undo()
+    # a chunk found only in the last table, which sits in a partial last block
+    n = 10
+    rng = random.Random(10)
+    chunks = _bits_matrix([rng.getrandbits(1 << n) for _ in range(block_rows(n) + 3)], n)
+    target = next(int(c) for c in chunks[-1] if c not in chunks[:-1])
+    bad = level[0].copy()
+    bad[target, 0] += 2
+    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    _batch_butterfly(chunks[:-1], n)
+    with pytest.raises(InvariantError):
+        _batch_butterfly(chunks, n)
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
     for n in range(1, _EXHAUSTIVE_HUGE_MAX_N + 1):
         assert _spectrum_dtype(n) is np.int16
-    # the narrowest integer type that holds 4^n
-    assert [_spectrum_dtype(n) for n in range(1, 17)] == \
-        [np.int16] * 7 + [np.int32] * 8 + [np.int64]
+    # the narrowest integer type that holds 2^n
+    assert [_spectrum_dtype(n) for n in range(1, 63)] == \
+        [np.int16] * 14 + [np.int32] * 16 + [np.int64] * 32
     with pytest.raises(InvariantError):
-        _spectrum_dtype(32)
+        _spectrum_dtype(63)
+    # squares are taken in the type that holds 4^n
+    assert [_spectrum_dtype(2 * n) for n in range(1, 17)] == \
+        [np.int16] * 7 + [np.int32] * 8 + [np.int64]
+
+
+def test_largest_coefficients_square_without_overflow():
+    # one coefficient of 2^n squares to 4^n, past the entry type from n = 8 on;
+    # random tables never have coefficients that large
+    for n in (7, 8, 14, 15, 16):
+        fns = [dictator(1, n), dictator(n, n), parity(n), constant(n, -1)]
+        tables = [f.table for f in fns]
+        cfg = ScanConfig(n=n, mode="random", sample_count=1, equivalence_check=True,
+                         equivalence_d_range=(1, n, n + 1)).resolved()
+        res = _accumulate(cfg, _build_consts(cfg), tables)
+        assert res.equivalence_failure_count == 0, n
+        reports = [check_conjecture(f) for f in fns]
+        assert {d: e.max_linear_sum for d, e in res.per_degree.items()} == \
+            {r.degree: max(q.linear_sum for q in reports if q.degree == r.degree)
+             for r in reports}, n
+        coeffs = _batch_butterfly(_bits_matrix(tables, n), n)
+        for row, f in zip(coeffs, fns):
+            assert row.tolist() == fwht(f).coeffs.tolist(), n
 
 
 def test_range_primitive_validation():
