@@ -4,8 +4,11 @@ Subcommands: analyze (one function), maj (majority profile), derivative
 (one coordinate's derivative distribution, both routes), equiv (the four
 inequalities at a chosen d), scan (bulk verification).  Output is plain
 text by default or a JSON document with --json; the document shape is
-{"schema_version": "1", "command": ..., "payload": ...} and every exact
-quantity is a {"num", "log2_den", "display"} triple, never a float.
+{"schema_version": "1", "command": ..., "payload": ...}.  Each result record
+(scan config, witnesses and per-degree extremals, majority profile,
+derivative distribution) is written field by field (_record), and every
+exact quantity is a {"num", "log2_den", "display"} triple, never a float.
+A scan's config leaves out worker_count and chunk_size.
 
 Exit codes: 0 for success (a conjecture violation found by a scan is a
 reported result, not an error), 1 for bad input or usage, 2 when an
@@ -16,6 +19,7 @@ a correct build can never produce).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -57,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _dy(x: DyadicRational) -> dict:
     return {"num": x.num, "log2_den": x.log2_den, "display": x.display}
+
+
+def _record(obj, omit=()) -> dict:
+    """A result dataclass as its JSON block: every field but those in omit,
+    by name, with exact values as _dy triples."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in omit}
+    return {k: _dy(v) if isinstance(v, DyadicRational) else v for k, v in values.items()}
 
 
 def _parse_fn(text: str) -> BooleanFunction:
@@ -115,15 +126,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_maj(args):
-    profile = majority_profile(args.d)
-    payload = {
-        "d": profile.d,
-        "linear_coefficient": _dy(profile.linear_coefficient),
-        "bound_M": _dy(profile.bound_M),
-        "total_influence": _dy(profile.total_influence),
-        "p_plus_per_coordinate": _dy(profile.p_plus_per_coordinate),
-        "expected_abs_sum": _dy(expected_abs_sum(profile.d)),
-    }
+    payload = {**_record(majority_profile(args.d)),
+               "expected_abs_sum": _dy(expected_abs_sum(args.d))}
     if args.table:
         if args.d > _MAJ_TABLE_MAX_D:
             raise InputError(f"--table supports d <= {_MAJ_TABLE_MAX_D}")
@@ -146,9 +150,7 @@ def _cmd_derivative(args):
         "table_hex": to_hex(f),
         "i": args.i,
         "counts": {"zero": zero, "plus": plus, "minus": minus},
-        "p_zero": _dy(counted.p_zero),
-        "p_plus": _dy(counted.p_plus),
-        "p_minus": _dy(counted.p_minus),
+        **_record(counted),
         "expectation": _dy(expect),
         "routes_agree": True,
     }
@@ -209,57 +211,16 @@ def _cmd_scan(args):
 
 
 def _scan_payload(result: ScanResult) -> dict:
-    cfg = result.config
-    # worker_count and chunk_size are deliberately not echoed: they cannot
-    # change any result byte, and the payload must not vary when they do
     return {
-        "config": {
-            "n": cfg.n,
-            "mode": cfg.mode,
-            "degree_filter": cfg.degree_filter,
-            "equivalence_check": cfg.equivalence_check,
-            "equivalence_d_range": list(cfg.equivalence_d_range or ()),
-            "sample_count": cfg.sample_count,
-            "seed": cfg.seed,
-            "allow_huge": cfg.allow_huge,
-        },
+        # worker_count and chunk_size are deliberately not echoed: they cannot
+        # change any result byte, and the payload must not vary when they do
+        "config": _record(result.config, omit=("worker_count", "chunk_size")),
         "functions_examined": result.functions_examined,
         "violation_count": result.violation_count,
-        "violations": [
-            {
-                "table_hex": w.table_hex,
-                "n": w.n,
-                "degree": w.degree,
-                "linear_sum": _dy(w.linear_sum),
-                "bound": _dy(w.bound),
-            }
-            for w in result.violations
-        ],
+        "violations": [_record(w) for w in result.violations],
         "equivalence_failure_count": result.equivalence_failure_count,
-        "equivalence_failures": [
-            {
-                "table_hex": w.table_hex,
-                "n": w.n,
-                "d": w.d,
-                "original": w.original,
-                "ineq_a": w.ineq_a,
-                "ineq_b": w.ineq_b,
-                "ineq_c": w.ineq_c,
-            }
-            for w in result.equivalence_failures
-        ],
-        "per_degree": {
-            str(d): {
-                "degree": ext.degree,
-                "function_count": ext.function_count,
-                "max_linear_sum": _dy(ext.max_linear_sum),
-                "witness": ext.witness,
-                "witness_count": ext.witness_count,
-                "bound": _dy(ext.bound),
-                "margin": _dy(ext.margin),
-            }
-            for d, ext in result.per_degree.items()
-        },
+        "equivalence_failures": [_record(w) for w in result.equivalence_failures],
+        "per_degree": {str(d): _record(ext) for d, ext in result.per_degree.items()},
         "wall_time_seconds": result.wall_time,
     }
 

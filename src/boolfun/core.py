@@ -17,6 +17,7 @@ norm identity reads ``sum of squared entries == 4**n``.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -147,7 +148,9 @@ def hex_digits(n: int) -> int:
 
 
 def from_hex(text: str, n: int) -> BooleanFunction:
-    """Parse the canonical hex truth-table form (optional 0x prefix, MSD first)."""
+    """Parse the canonical hex truth-table form: exactly ceil(2^n / 4) hex
+    digits of either case, most significant first, after an optional 0x or
+    0X prefix, and nothing else."""
     _check_arity(n)
     body = text[2:] if text[:2].lower() == "0x" else text
     want = hex_digits(n)
@@ -155,10 +158,10 @@ def from_hex(text: str, n: int) -> BooleanFunction:
         raise InputError(
             f"hex table for arity {n} needs exactly {want} digit(s), got {len(body)}"
         )
-    try:
-        table = int(body, 16)
-    except ValueError:
-        raise InputError(f"invalid hex digit in truth table {text!r}") from None
+    # int(body, 16) alone would also take a sign, underscores and whitespace
+    if not set(body) <= set(string.hexdigits):
+        raise InputError(f"invalid hex digit in truth table {text!r}")
+    table = int(body, 16)
     if table >> (1 << n):
         raise InputError(f"hex table {text!r} has set bits beyond 2^{n} points")
     return BooleanFunction(n, table)

@@ -112,8 +112,9 @@ class ScanConfig:
                 raise InputError("random mode requires an integer sample_count")
             if self.sample_count < 1:
                 raise InputError("sample_count must be at least 1")
-            if self.seed is not None and not 0 <= self.seed < 1 << 64:
-                raise InputError("seed must fit in 64 bits")
+            if self.seed is not None and not (isinstance(self.seed, int)
+                                              and 0 <= self.seed < 1 << 64):
+                raise InputError("seed must be an integer that fits in 64 bits")
         if self.degree_filter is not None and not 0 <= self.degree_filter <= self.n:
             raise InputError(f"degree filter must be in 0..{self.n}")
         if self.equivalence_d_range is not None:
@@ -401,29 +402,14 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
     if left.config != right.config:
         raise InputError("cannot merge results from different scan configs")
     per_degree = {}
-    for d in sorted(set(left.per_degree) | set(right.per_degree)):
-        a, b = left.per_degree.get(d), right.per_degree.get(d)
-        if a is None or b is None:
-            per_degree[d] = a if b is None else b
-            continue
-        count = a.function_count + b.function_count
-        if a.max_linear_sum != b.max_linear_sum:
-            keep = a if a.max_linear_sum > b.max_linear_sum else b
-            witness, hits = keep.witness, keep.witness_count
-            best = keep.max_linear_sum
-        else:
-            best = a.max_linear_sum
-            witness = min(a.witness, b.witness)
-            hits = a.witness_count + b.witness_count
+    for d in sorted(left.per_degree.keys() | right.per_degree.keys()):
+        exts = [r.per_degree[d] for r in (left, right) if d in r.per_degree]
+        best = max(e.max_linear_sum for e in exts)
+        top = [e for e in exts if e.max_linear_sum == best]
         per_degree[d] = DegreeExtremal(
-            degree=d,
-            function_count=count,
-            max_linear_sum=best,
-            witness=witness,
-            witness_count=hits,
-            bound=a.bound,
-            margin=a.bound - best,
-        )
+            degree=d, function_count=sum(e.function_count for e in exts), max_linear_sum=best,
+            witness=min(e.witness for e in top), witness_count=sum(e.witness_count for e in top),
+            bound=top[0].bound, margin=top[0].margin)
     return _finalize(
         left.config,
         left.functions_examined + right.functions_examined,

@@ -178,6 +178,7 @@ def test_usage_errors_exit_1(capsys):
         ["analyze", "--fn", "waffle:3"],
         ["analyze", "--fn", "maj:x"],
         ["analyze", "--hex", "0xe8"],
+        ["analyze", "--hex", "0x+f", "--n", "3"],
         ["analyze", "--nope"],
         ["scan", "--n", "3", "--mode", "upside-down"],
         ["scan", "--n", "5"],

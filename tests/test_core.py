@@ -159,6 +159,11 @@ def test_hex_errors():
         from_hex("0x4", 1)  # set bit beyond the 2 points
     with pytest.raises(InputError):
         from_hex("0x", 1)
+    # int(text, 16) would take each of these; none is a canonical table
+    for text, n in [("+f", 3), (" f", 3), ("f ", 3), ("0x+f", 3), ("f_ff", 4),
+                    ("-1", 3), ("0x0xff", 4), ("\u0663f", 3)]:
+        with pytest.raises(InputError, match="invalid hex digit"):
+            from_hex(text, n)
 
 
 # ---------------------------------------------------------------- transform

@@ -3,15 +3,20 @@
 Each case is a command's argv and the sha256 of its --json document,
 re-serialized with sorted keys; a refactor must leave these bytes unchanged.
 Scan documents are hashed without wall_time_seconds, the one value that
-varies from run to run.
+varies from run to run.  A correct build reports no violation and no
+equivalence failure, so the witness records are pinned through a
+hand-built ScanResult instead of a command.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from boolfun.cli import main
+from boolfun.cli import _scan_payload, main
+from boolfun.dyadic import DyadicRational
+from boolfun.scan import ConjectureWitness, EquivalenceWitness, ScanConfig, run_scan
 
 GOLDEN = {
     "analyze_maj9_spectrum": (
@@ -59,3 +64,25 @@ def test_cli_document_is_byte_identical(label, capsys):
         assert isinstance(doc["payload"].pop("wall_time_seconds"), float)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_scan_witness_records_are_byte_identical():
+    base = run_scan(ScanConfig(n=3, mode="exhaustive", equivalence_d_range=(1, 4)))
+    result = dataclasses.replace(
+        base,
+        violations=(
+            ConjectureWitness("0x17", 3, 3, DyadicRational(7, 2), DyadicRational(3, 2)),
+            ConjectureWitness("0xe8", 3, 2, DyadicRational(-5, 3), DyadicRational(1)),
+        ),
+        equivalence_failures=(
+            EquivalenceWitness("0x17", 3, 1, True, False, True, True),
+            EquivalenceWitness("0x96", 3, 4, False, True, False, False),
+        ),
+        violations_omitted=3,
+        equivalence_failures_omitted=11,
+    )
+    payload = _scan_payload(result)
+    assert isinstance(payload.pop("wall_time_seconds"), float)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "6af344a6150a04c24f747dbef60c47d0b5962ca561bbf6ba107dfe3ddc79a535"), text

@@ -324,6 +324,9 @@ def test_config_validation_errors():
         ScanConfig(n=3, mode="random", sample_count=0)
     with pytest.raises(InputError):
         ScanConfig(n=3, mode="random", sample_count=10, seed=1 << 64)
+    for seed in (1.5, "7", 7.0):
+        with pytest.raises(InputError, match="seed"):
+            ScanConfig(n=6, mode="random", sample_count=2, seed=seed)
     with pytest.raises(InputError):
         ScanConfig(n=3, mode="exhaustive", sample_count=10)
     with pytest.raises(InputError):
