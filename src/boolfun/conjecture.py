@@ -155,8 +155,8 @@ def equivalence_predicates(f: BooleanFunction, d: int) -> EquivalencePredicates:
         plus += p
         minus += m
     s = _scale(f.n, d)
-    sides = _sides(s, int(_linear_sums(coeffs, f.n)), int(_total_influences(coeffs, f.n)),
-                   plus, minus)
+    sides = _sides(s, int(_linear_sums(coeffs, f.n)),
+                   int(_total_influences(coeffs * coeffs, f.n)), plus, minus)
     truth = {name: lhs <= rhs for name, (lhs, rhs) in sides.items()}
     return EquivalencePredicates(
         n=f.n,

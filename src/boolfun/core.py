@@ -111,11 +111,19 @@ class FourierSpectrum:
 
 
 @lru_cache(maxsize=None)
-def popcounts(n: int) -> np.ndarray:
+def popcounts(n: int, dtype=np.int64) -> np.ndarray:
     """Read-only array of popcount(mask) for every mask below 2^n."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(dtype)
     pc.setflags(write=False)
     return pc
+
+
+def _int_type(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds bound."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise InvariantError(f"{bound} overflows int64")
 
 
 def _unpack_bits(tables: Sequence[int], points: int) -> np.ndarray:
@@ -250,17 +258,23 @@ def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
     return DyadicRational(int(spectrum.coeffs[mask]), spectrum.n)
 
 
-# The reductions below run over the last axis, so they serve one spectrum and
-# a matrix of spectra (one per row) alike.
+# The reductions below run along one axis of 2^n entries indexed by mask, the
+# last by default, so they serve one spectrum, a matrix of spectra one per
+# row, and a block of spectra one per column alike.
 
 
-def _degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return ((coeffs != 0) * popcounts(n).astype(np.int8)).max(axis=-1)
+def _along(weights: np.ndarray, coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """weights shaped to broadcast along the given axis of coeffs."""
+    return weights.reshape((-1,) + (1,) * (coeffs.ndim - 1 - axis % coeffs.ndim))
 
 
-def _linear_sums(coeffs: np.ndarray, n: int) -> np.ndarray:
+def _degrees(coeffs: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+    return ((coeffs != 0) * _along(popcounts(n, np.int8), coeffs, axis)).max(axis=axis)
+
+
+def _linear_sums(coeffs: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
     """2^n times the sum of the singleton coefficients."""
-    return coeffs[..., singleton_masks(n)].sum(axis=-1)
+    return np.take(coeffs, singleton_masks(n), axis=axis).sum(axis=axis)
 
 
 def degree(spectrum: FourierSpectrum) -> int:

@@ -25,6 +25,8 @@ from .core import (
     FourierSpectrum,
     InputError,
     InvariantError,
+    _along,
+    _int_type,
     _repeat_pattern,
     _unpack_bits,
     fourier_coefficient,
@@ -142,14 +144,19 @@ def influence(spectrum: FourierSpectrum, i: int) -> DyadicRational:
     return DyadicRational(int(np.dot(spectrum.coeffs * member, spectrum.coeffs)), 2 * spectrum.n)
 
 
-def _total_influences(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """4^n times the total influence, over the last axis of 2^n-scaled spectra."""
-    return (coeffs * coeffs) @ popcounts(n)
+def _total_influences(squares: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+    """4^n times the total influence, from the squared entries of 2^n-scaled
+    spectra along axis.  The squares of a spectrum sum to 4^n, so every
+    weighted square |S| * 4^n * fhat(S)^2 and every partial sum of them is at
+    most n * 4^n; they are taken in a type that holds that bound."""
+    acc = np.promote_types(squares.dtype, _int_type(n << 2 * n))
+    return (squares * _along(popcounts(n, acc), squares, axis)).sum(axis=axis, dtype=acc)
 
 
 def total_influence(spectrum: FourierSpectrum) -> DyadicRational:
     """Sum over all subsets of |S| * fhat(S)^2; equals the sum of the Inf_i."""
-    return DyadicRational(int(_total_influences(spectrum.coeffs, spectrum.n)), 2 * spectrum.n)
+    coeffs = spectrum.coeffs
+    return DyadicRational(int(_total_influences(coeffs * coeffs, spectrum.n)), 2 * spectrum.n)
 
 
 def influence_profile(spectrum: FourierSpectrum) -> InfluenceProfile:

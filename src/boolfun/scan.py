@@ -14,20 +14,34 @@ first (_bits_matrix); chunk c is f restricted to the points whose
 coordinates k+1..n spell c.  The 2^k-scaled spectra of every arity-k table
 are built once per process (_level), so a table's spectrum is its chunks'
 level rows followed by the butterfly stages for coordinates k+1..n
-(_batch_butterfly; O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
-The spectra are built and norm-checked one block of rows at a time, sized
-so that a block stays in a core's L2 cache through every stage.  Entries
-are stored in the narrowest type that holds 2^n, and their squares are
-taken in the narrowest type that holds 4^n (_spectrum_dtype).
-The level tables are built by this same route from arity k-1, starting at
-the arity-0 spectra [1] and [-1].  The bound and the four equivalence
-inequalities are the integer formulas of the conjecture module, applied
-elementwise (see there for their int64 headroom).  Derivative value counts
-for the equivalence check come from table bits, not from the spectrum: the
-chunks' level counts plus, along each coordinate above k, popcount(hi & ~lo)
-and popcount(lo & ~hi) over the chunk pairs (_derivative_counts).  Total
-influence comes from the spectrum, so the check exercises two genuinely
-different computation routes.
+(O'Donnell, Analysis of Boolean Functions, 2014, 3.3).  The spectra exist
+one block at a time (_spectrum_blocks).  A block is column-major, one row
+per mask and one column per table, with as many columns as keep it in a
+core's L2 cache; its chunks' level rows are gathered with np.take.  Entries
+are stored in the narrowest type that holds 2^n and squared once, in the
+narrowest type that holds 4^n (_spectrum_dtype).  While the block is in
+cache it is reduced along axis 0: its squares give the norm check and, for
+the equivalence check, the total influence, and its entries give the
+degree and the linear sum (_spectrum_reductions, by the core and
+derivatives formulas).  Each reduction adds or compares whole rows of the
+block.  The
+level tables are built by this same route from arity k-1, starting at the
+arity-0 spectra [1] and [-1].
+
+The bound and the four equivalence inequalities are the integer formulas
+of the conjecture module (see there for their int64 headroom).  Derivative
+value counts for the equivalence check come from table bits, not from the
+spectrum: the chunks' level counts plus, along each coordinate above k,
+popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk pairs
+(_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] = Inf_i
+(O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
+spectrum in two identities: 2 (plus - minus) is 2^n times the linear sum,
+and 2^(n+1) (plus + minus) is 4^n times the total influence.  Where both
+hold, each of the four inequalities becomes the original one, linear sum
+<= M(d), so they agree at every d.  Only a row that breaks an identity goes
+through the four inequalities at each d, so the witnesses are those that a
+check of every row at every d reports: a break that flips no inequality is
+not one of them.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -54,6 +68,7 @@ from .core import (
     InvariantError,
     _butterfly,
     _degrees,
+    _int_type,
     _linear_sums,
     to_hex,
 )
@@ -65,14 +80,20 @@ _EXHAUSTIVE_DEFAULT_MAX_N = 4
 _EXHAUSTIVE_HUGE_MAX_N = 5
 _RANDOM_MAX_N = 16
 _WITNESS_CAP = 1000
-# sub-batch rows are capped at 2^21 spectrum cells: 4 MB of int16 or 8 MB of
-# int32 spectra, plus the squares the equivalence block takes
+# sub-batch rows are capped at 2^21 table bits, which keeps the chunk matrix
+# and the derivative counts' temporaries to a few MB; spectra are held one
+# block at a time whatever the sub-batch size
 _BATCH_CELLS = 1 << 21
 # one block of spectrum rows plus the butterfly's per-stage temporaries stay
 # in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
 # spans submitted to a process pool at once, per worker
 _SPANS_IN_FLIGHT = 4
+
+
+def _is_int(value) -> bool:
+    """An int and not a bool, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -93,8 +114,12 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise InputError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InputError(f"arity must be a positive integer, got {self.n!r}")
+        if not (self.equivalence_check is None or isinstance(self.equivalence_check, bool)):
+            raise InputError(f"equivalence_check must be a bool, got {self.equivalence_check!r}")
+        if not isinstance(self.allow_huge, bool):
+            raise InputError(f"allow_huge must be a bool, got {self.allow_huge!r}")
         if self.mode == "exhaustive":
             if self.n > _EXHAUSTIVE_HUGE_MAX_N:
                 raise InputError(f"exhaustive scans support n <= {_EXHAUSTIVE_HUGE_MAX_N}")
@@ -108,25 +133,25 @@ class ScanConfig:
         else:
             if self.n > _RANDOM_MAX_N:
                 raise InputError(f"random scans support n <= {_RANDOM_MAX_N}")
-            if self.sample_count is None or not isinstance(self.sample_count, int):
+            if not _is_int(self.sample_count):
                 raise InputError("random mode requires an integer sample_count")
             if self.sample_count < 1:
                 raise InputError("sample_count must be at least 1")
-            if self.seed is not None and not (isinstance(self.seed, int)
-                                              and 0 <= self.seed < 1 << 64):
+            if self.seed is not None and not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
                 raise InputError("seed must be an integer that fits in 64 bits")
-        if self.degree_filter is not None and not 0 <= self.degree_filter <= self.n:
-            raise InputError(f"degree filter must be in 0..{self.n}")
+        if self.degree_filter is not None and not (_is_int(self.degree_filter)
+                                                   and 0 <= self.degree_filter <= self.n):
+            raise InputError(f"degree filter must be an integer in 0..{self.n}")
         if self.equivalence_d_range is not None:
+            for d in self.equivalence_d_range:
+                if not _is_int(d) or not 1 <= d <= MAX_ARITY:
+                    raise InputError(f"equivalence d values must be integers in 1..{MAX_ARITY}")
             ds = tuple(sorted(set(self.equivalence_d_range)))
-            for d in ds:
-                if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
-                    raise InputError(f"equivalence d values must be in 1..{MAX_ARITY}")
             object.__setattr__(self, "equivalence_d_range", ds)
-        if not isinstance(self.worker_count, int) or self.worker_count < 1:
-            raise InputError("worker_count must be at least 1")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise InputError("chunk_size must be at least 1")
+        if not _is_int(self.worker_count) or self.worker_count < 1:
+            raise InputError("worker_count must be an integer of at least 1")
+        if not _is_int(self.chunk_size) or self.chunk_size < 1:
+            raise InputError("chunk_size must be an integer of at least 1")
 
     @property
     def points(self) -> int:
@@ -256,22 +281,59 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
     return (ints[:, None] >> shifts) & ((1 << (1 << k)) - 1)
 
 
-def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
-    """2^n-scaled spectra of the sub-batch, one row per table, built and
-    norm-checked a block of at most _BLOCK_BYTES at a time."""
+def _spectrum_blocks(chunks: np.ndarray, n: int):
+    """The sub-batch's 2^n-scaled spectra, one L2-sized block at a time.
+
+    Yields (rows, block, squares): block is 2^n x m and column-major, one
+    column per table of chunks[rows] and one row per mask, and squares holds
+    its entries squared.  Each block is norm-checked before it is yielded.
+    The buffer behind block is reused, so a consumer is done with one block
+    before it asks for the next."""
     k = _chunk_arity(n)
     level = _level(k)[0]
-    coeffs = np.empty((len(chunks), 1 << n), dtype=_spectrum_dtype(n))
-    step = max(1, _BLOCK_BYTES // (coeffs.itemsize << n))
+    dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
+    # holds the sum of any 2^n values of square_type (up to int64), so the
+    # squares of a corrupt block do not wrap around to 4^n
+    norm_type = _int_type(min(np.iinfo(square_type).max << n, np.iinfo(np.int64).max))
+    step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
+    buf = np.empty(min(step, len(chunks)) << n, dtype=dtype)
     for start in range(0, len(chunks), step):
-        block = coeffs[start : start + step]
-        # the int8 level rows widen to the spectrum type on assignment
-        block.reshape(len(block), -1, 1 << k)[:] = level[chunks[start : start + step]]
-        _butterfly(block, half=1 << k)
-        norms = np.square(block, dtype=_spectrum_dtype(2 * n)).sum(axis=1, dtype=np.int64)
-        if np.any(norms != 1 << (2 * n)):
+        columns = chunks[start : start + step].T
+        width = columns.shape[1]
+        flat = buf[: width << n]
+        # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1; the
+        # int8 entries widen to the spectrum type on assignment
+        flat.reshape(1 << (n - k), 1 << k, width)[:] = \
+            np.take(level, columns, axis=0).transpose(0, 2, 1)
+        _butterfly(flat, half=width << k)
+        block = flat.reshape(1 << n, width)
+        squares = np.square(block, dtype=square_type)
+        if np.any(squares.sum(axis=0, dtype=norm_type) != 1 << (2 * n)):
             raise InvariantError("spectrum norm check failed during scan")
+        yield slice(start, start + width), block, squares
+
+
+def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
+    """2^n-scaled spectra of the sub-batch as a matrix, one row per table."""
+    coeffs = np.empty((len(chunks), 1 << n), dtype=_spectrum_dtype(n))
+    for rows, block, _ in _spectrum_blocks(chunks, n):
+        coeffs[rows] = block.T
     return coeffs
+
+
+def _spectrum_reductions(chunks: np.ndarray, n: int, influence: bool):
+    """Per table: degree, 2^n times the linear sum and, if influence is set,
+    4^n times the total influence (else None), reduced from each block while
+    it is in cache."""
+    deg = np.empty(len(chunks), dtype=np.int8)
+    lin = np.empty(len(chunks), dtype=np.int64)
+    inf = np.empty(len(chunks), dtype=np.int64) if influence else None
+    for rows, block, squares in _spectrum_blocks(chunks, n):
+        deg[rows] = _degrees(block, n, axis=0)
+        lin[rows] = _linear_sums(block, n, axis=0)
+        if influence:
+            inf[rows] = _total_influences(squares, n, axis=0)
+    return deg, lin, inf
 
 
 def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +342,8 @@ def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     _, level_plus, level_minus = _level(k)
     # chunk-major, so the counts below add whole contiguous rows of tables
     columns = np.ascontiguousarray(chunks.T)
-    plus = level_plus[columns].sum(axis=0)
-    minus = level_minus[columns].sum(axis=0)
+    plus = np.take(level_plus, columns).sum(axis=0)
+    minus = np.take(level_minus, columns).sum(axis=0)
     for i in range(k + 1, n + 1):
         # along x_i the derivative is +1 where only the high chunk has a set bit
         pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(chunks))
@@ -296,10 +358,7 @@ def _spectrum_dtype(n: int) -> type:
     """The narrowest of int16, int32 and int64 that holds 2^n, the bound on
     every entry and partial sum of an arity-n butterfly.  Squares of those
     entries are taken in _spectrum_dtype(2 * n), the type that holds 4^n."""
-    for dtype in (np.int16, np.int32, np.int64):
-        if 1 << n <= np.iinfo(dtype).max:
-            return dtype
-    raise InvariantError(f"int64 spectra overflow at n = {n}")
+    return _int_type(1 << n)
 
 
 @functools.cache
@@ -325,9 +384,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
     chunks = _bits_matrix(tables, n)
-    coeffs = _batch_butterfly(chunks, n)
-    deg = _degrees(coeffs, n)
-    lin = _linear_sums(coeffs, n)
+    deg, lin, inf = _spectrum_reductions(chunks, n, bool(cfg.equivalence_d_range))
     if cfg.degree_filter is None:
         mask = np.ones(len(tables), dtype=bool)
     else:
@@ -354,13 +411,17 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
 
     failures = []
     if cfg.equivalence_d_range:
-        inf = _total_influences(coeffs.astype(_spectrum_dtype(2 * n), copy=False), n)
         plus, minus = _derivative_counts(chunks, n)
+        # the identities of the module docstring; where both hold, each of the
+        # four inequalities reads (plus - minus) * s.prob <= s.maj at every d
+        broken = np.nonzero(mask & ((2 * (plus - minus) != lin)
+                                    | ((plus + minus) << (n + 1) != inf)))[0]
         for d in cfg.equivalence_d_range:
-            sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, plus, minus).values()]
+            sides = _sides(consts[d], lin[broken], inf[broken], plus[broken], minus[broken])
+            sat = [lhs <= rhs for lhs, rhs in sides.values()]
             agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-            failures += [EquivalenceWitness(hex_of(j), n, d, *(bool(x[j]) for x in sat))
-                         for j in np.nonzero(mask & ~agree)[0]]
+            failures += [EquivalenceWitness(hex_of(broken[i]), n, d, *(bool(x[i]) for x in sat))
+                         for i in np.nonzero(~agree)[0]]
     return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 

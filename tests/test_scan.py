@@ -23,6 +23,7 @@ from boolfun import (
     constant,
     dictator,
     fwht,
+    majority,
     merge_results,
     parity,
     run_scan,
@@ -30,8 +31,10 @@ from boolfun import (
     scan_sample_range,
     scan_table_range,
     to_hex,
+    total_influence,
 )
 from boolfun.cli import _scan_payload
+from boolfun.conjecture import _sides
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.scan import (
@@ -48,6 +51,7 @@ from boolfun.scan import (
     _level,
     _sample_table,
     _spectrum_dtype,
+    _spectrum_reductions,
 )
 from oracles import frac_bound, frac_side, oracle_predicates
 
@@ -337,6 +341,19 @@ def test_config_validation_errors():
         ScanConfig(n=3, mode="exhaustive", worker_count=0)
     with pytest.raises(InputError):
         ScanConfig(n=3, mode="exhaustive", chunk_size=0)
+    # a bool is an int to isinstance, and a float fails no range check
+    for kwargs in (dict(n=True, mode="exhaustive"),
+                   dict(n=3, mode="exhaustive", degree_filter=1.5),
+                   dict(n=3, mode="exhaustive", degree_filter=True),
+                   dict(n=3, mode="random", sample_count=True),
+                   dict(n=3, mode="random", sample_count=2, seed=True),
+                   dict(n=3, mode="exhaustive", worker_count=True),
+                   dict(n=3, mode="exhaustive", chunk_size=True),
+                   dict(n=3, mode="exhaustive", equivalence_d_range=(2, True)),
+                   dict(n=3, mode="exhaustive", equivalence_check=1),
+                   dict(n=5, mode="exhaustive", allow_huge=1)):
+        with pytest.raises(InputError):
+            ScanConfig(**kwargs)
 
 
 def test_allow_huge_gate_constructs_and_slices():
@@ -444,6 +461,65 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     _batch_butterfly(chunks[:-1], n)
     with pytest.raises(InvariantError):
         _batch_butterfly(chunks, n)
+
+
+def test_block_reductions_match_single_function_api():
+    rng = random.Random(77)
+    # several blocks at n = 5, a partial last block at n = 10, one row a block at
+    # n = 16; parity has 4^n at |S| = n, and n * 4^n passes int16 at n = 7 and
+    # int32 at n = 15, where 4^n does not
+    for n, count in ((5, 2 * block_rows(5) + 5), (7, 3), (10, block_rows(10) + 3),
+                     (15, 1), (16, 3)):
+        fns = [parity(n), dictator(n, n), constant(n, -1)]
+        fns += [BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(count)]
+        deg, lin, inf = _spectrum_reductions(_bits_matrix([f.table for f in fns], n), n, True)
+        for row, f in enumerate(fns):
+            report = check_conjecture(f)
+            assert deg[row] == report.degree, (n, row)
+            assert DyadicRational(int(lin[row]), n) == report.linear_sum, (n, row)
+            assert DyadicRational(int(inf[row]), 2 * n) == total_influence(fwht(f)), (n, row)
+    assert _spectrum_reductions(_bits_matrix([0], 3), 3, False)[2] is None
+
+
+def every_row_failures(cfg: ScanConfig, tables, plus, minus):
+    """The four inequalities of every row the degree filter keeps, at every d,
+    from the given derivative counts; one record per disagreement."""
+    consts = _build_consts(cfg)
+    records = []
+    for t, p, m in zip(tables, plus.tolist(), minus.tolist()):
+        f = BooleanFunction(cfg.n, t)
+        report = check_conjecture(f)
+        if cfg.degree_filter not in (None, report.degree):
+            continue
+        lin = int(report.linear_sum.as_fraction() * f.points)
+        inf = int(total_influence(fwht(f)).as_fraction() * f.points ** 2)
+        for d in cfg.equivalence_d_range:
+            sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], lin, inf, p, m).values()]
+            if len(set(sat)) > 1:
+                records.append(EquivalenceWitness(to_hex(f), cfg.n, d, *sat))
+    return sorted(records, key=lambda w: (w.table_hex, w.d))
+
+
+def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
+    tables = range(256)
+    original = scan._derivative_counts
+    # Maj_3 meets M(3) and M(4) exactly, so one more +1 derivative value flips
+    # ineq_b and ineq_c there; the constant has room to spare at every d
+    for row, flips in ((majority(3).table, True), (0, False)):
+        def perturbed(chunks, n, row=row):
+            plus, minus = original(chunks, n)
+            plus[row] += 1
+            return plus, minus
+
+        monkeypatch.setattr(scan, "_derivative_counts", perturbed)
+        plus, minus = perturbed(_bits_matrix(tables, 3), 3)
+        for degree_filter in (None, 3, 2):
+            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter).resolved()
+            got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
+            want = every_row_failures(cfg, tables, plus, minus)
+            assert list(got) == want, (row, degree_filter)
+            assert bool(want) == (flips and degree_filter != 2), (row, degree_filter)
+            assert all(w.table_hex == to_hex(BooleanFunction(3, row)) for w in want)
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
