@@ -148,15 +148,15 @@ def equivalence_predicates(f: BooleanFunction, d: int) -> EquivalencePredicates:
     """
     if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
         raise InputError(f"comparison arity must be in 1..{MAX_ARITY}, got {d!r}")
-    coeffs = fwht(f).coeffs
+    spectrum = fwht(f)
     plus = minus = 0
     for i in range(1, f.n + 1):
         _, p, m = derivative_value_counts(f, i)
         plus += p
         minus += m
     s = _scale(f.n, d)
-    sides = _sides(s, int(_linear_sums(coeffs, f.n)),
-                   int(_total_influences(coeffs * coeffs, f.n)), plus, minus)
+    sides = _sides(s, int(_linear_sums(spectrum.coeffs, f.n)),
+                   int(_total_influences(spectrum.squares, f.n)), plus, minus)
     truth = {name: lhs <= rhs for name, (lhs, rhs) in sides.items()}
     return EquivalencePredicates(
         n=f.n,

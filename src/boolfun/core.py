@@ -13,13 +13,18 @@ fixtures):
 Spectra are stored as the 2^n integers ``2**n * fhat(S)``; with that scaling
 every quantity in the package is an exact integer or dyadic rational, and the
 norm identity reads ``sum of squared entries == 4**n``.
+
+A function's spectrum is built and validated once, on first use, and ``fwht``
+returns that same read-only object on every later call; a spectrum likewise
+squares its entries once.  The caches are invisible: equality, hashing, repr
+and pickling see only ``(n, table)`` and ``(n, coeffs)``.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -77,9 +82,25 @@ class BooleanFunction:
 
     def values(self) -> np.ndarray:
         """The full +-1 value table as a read-only int64 array of length 2^n."""
-        vals = 1 - 2 * _unpack_bits((self.table,), self.points)[0].astype(np.int64)
+        vals = self._signs()
         vals.setflags(write=False)
         return vals
+
+    def _signs(self) -> np.ndarray:
+        """A fresh, writable +-1 value table."""
+        vals = _unpack_bits((self.table,), self.points)[0].astype(np.int64)
+        vals *= -2
+        vals += 1
+        return vals
+
+    @cached_property
+    def _spectrum(self) -> FourierSpectrum:
+        # not a dataclass field, so eq, hash and repr never see it
+        return FourierSpectrum(self.n, _butterfly(self._signs()))
+
+    def __reduce__(self):
+        # a pickle carries (n, table) only; the spectrum is rebuilt on demand
+        return type(self), (self.n, self.table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +109,8 @@ class FourierSpectrum:
 
     Construction checks the three structural invariants of a spectrum that
     came from a Boolean-valued function: entry parity matches 2^n, entries are
-    bounded by 2^n, and the squared entries sum to exactly 4^n.
+    bounded by 2^n, and the squared entries sum to exactly 4^n.  Entries must
+    come in an integer type that int64 holds; nothing is cast or rounded.
     """
 
     n: int
@@ -96,18 +118,35 @@ class FourierSpectrum:
 
     def __post_init__(self):
         _check_arity(self.n)
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.int64)
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.dtype.kind not in "iu" or not np.can_cast(coeffs.dtype, np.int64):
+            raise InputError(f"spectrum entries must be integers, got dtype {coeffs.dtype}")
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
         if coeffs.shape != (1 << self.n,):
             raise InputError(f"spectrum must have exactly 2^{self.n} entries")
         scale = 1 << self.n
         if np.any((coeffs - scale) & 1):
             raise InvariantError("spectrum entry parity differs from 2^n")
-        if np.any(np.abs(coeffs) > scale):
+        # not abs(), which leaves -2^63 negative
+        if np.any((coeffs < -scale) | (coeffs > scale)):
             raise InvariantError("spectrum entry exceeds 2^n in magnitude")
-        if int(np.dot(coeffs, coeffs)) != scale * scale:
+        # each part's squares sum to at most 2^62, so no int64 dot wraps
+        parts = coeffs.reshape(-1, 1 << min(self.n, 62 - 2 * self.n))
+        if sum(int(np.dot(c, c)) for c in parts) != scale * scale:
             raise InvariantError("squared spectrum entries do not sum to 4^n")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """The read-only squared entries 4^n * fhat(S)^2, built on first use."""
+        squares = self.coeffs * self.coeffs
+        squares.setflags(write=False)
+        return squares
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so the entries come back read-only
+        return type(self), (self.n, self.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +265,13 @@ def _butterfly(mat: np.ndarray, half: int = 1) -> np.ndarray:
 def fwht(f: BooleanFunction) -> FourierSpectrum:
     """Exact integer spectrum of f: entry at mask m is sum_x f(x)*prod_{i in S_m} x_i.
 
-    The butterfly runs on a private copy in O(n * 2^n) integer additions; with
-    the encoding contract, prod_{i in S} x_i = (-1)^popcount(mask & idx), so
-    this is the plain Walsh-Hadamard transform of the value table.
+    The butterfly runs on a private copy of the value table in O(n * 2^n)
+    integer additions; with the encoding contract,
+    prod_{i in S} x_i = (-1)^popcount(mask & idx), so this is the plain
+    Walsh-Hadamard transform of the value table.  It runs once per function:
+    every call returns the same spectrum object.
     """
-    return FourierSpectrum(f.n, _butterfly(f.values().copy()))
+    return f._spectrum
 
 
 def function_from_spectrum(spectrum: FourierSpectrum) -> BooleanFunction:

@@ -12,6 +12,12 @@ independent routes: direct counting over the truth table, and the spectral
 formulas p_zero = 1 - Inf_i, p_plus = (Inf_i + fhat(i))/2,
 p_minus = (Inf_i - fhat(i))/2.  Their exact agreement on every function is a
 tested identity, not an assumption; neither route calls the other.
+
+The influences read the spectrum's cached squares (``FourierSpectrum.squares``)
+and never touch the truth table, so they stay on the spectral side.  Inf_i
+sums the squares over the masks that contain i, while the total influence
+weights every square by |S|; the profile's total is the sum of the Inf_i, so
+the two totals are two different formulas and their agreement is tested.
 """
 
 from __future__ import annotations
@@ -137,11 +143,16 @@ def derivative_distribution_spectral(
     )
 
 
+def _influence_sum(squares: np.ndarray, i: int) -> int:
+    """4^n * Inf_i: the squares in the high half of every block of 2^i masks,
+    which are the masks that contain i."""
+    return int(squares.reshape(-1, 2, 1 << (i - 1))[:, 1].sum())
+
+
 def influence(spectrum: FourierSpectrum, i: int) -> DyadicRational:
     """Inf_i = sum of squared coefficients over subsets containing i."""
     _check_coordinate(i, spectrum.n)
-    member = (np.arange(1 << spectrum.n, dtype=np.int64) >> (i - 1)) & 1
-    return DyadicRational(int(np.dot(spectrum.coeffs * member, spectrum.coeffs)), 2 * spectrum.n)
+    return DyadicRational(_influence_sum(spectrum.squares, i), 2 * spectrum.n)
 
 
 def _total_influences(squares: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
@@ -155,16 +166,15 @@ def _total_influences(squares: np.ndarray, n: int, axis: int = -1) -> np.ndarray
 
 def total_influence(spectrum: FourierSpectrum) -> DyadicRational:
     """Sum over all subsets of |S| * fhat(S)^2; equals the sum of the Inf_i."""
-    coeffs = spectrum.coeffs
-    return DyadicRational(int(_total_influences(coeffs * coeffs, spectrum.n)), 2 * spectrum.n)
+    return DyadicRational(int(_total_influences(spectrum.squares, spectrum.n)), 2 * spectrum.n)
 
 
 def influence_profile(spectrum: FourierSpectrum) -> InfluenceProfile:
-    influences = tuple(influence(spectrum, i) for i in range(1, spectrum.n + 1))
-    total = ZERO
-    for inf_i in influences:
-        total = total + inf_i
-    return InfluenceProfile(influences, total)
+    """Every Inf_i, and their sum as the total (not total_influence's formula)."""
+    scaled = [_influence_sum(spectrum.squares, i) for i in range(1, spectrum.n + 1)]
+    k = 2 * spectrum.n
+    return InfluenceProfile(tuple(DyadicRational(v, k) for v in scaled),
+                            DyadicRational(sum(scaled), k))
 
 
 def expectation_of_derivative(table: DerivativeTable) -> DyadicRational:

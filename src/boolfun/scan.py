@@ -56,7 +56,7 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -425,12 +425,16 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 
-def _analyze_chunk(cfg: ScanConfig, consts: dict[int, _Scale], tables: Sequence[int],
-                   begin: float) -> ScanResult:
-    """Analyze tables in sub-batches; wall time counts from begin."""
+def _analyze_chunk(cfg: ScanConfig, consts: dict[int, _Scale], keys: range,
+                   tables_of: Callable[[range], Sequence[int]], begin: float) -> ScanResult:
+    """Analyze the tables of keys in sub-batches; wall time counts from begin.
+
+    tables_of maps a slice of keys to its tables, and runs only when the
+    sub-batch is reached, so at most one sub-batch of tables exists at once.
+    """
     step = max(1, _BATCH_CELLS // cfg.points)
-    pieces = (_accumulate(cfg, consts, tables[off : off + step])
-              for off in range(0, len(tables), step))
+    pieces = (_accumulate(cfg, consts, tables_of(keys[off : off + step]))
+              for off in range(0, len(keys), step))
     merged = functools.reduce(merge_results, pieces, _finalize(cfg, 0, (), (), {}))
     return replace(merged, wall_time=time.perf_counter() - begin)
 
@@ -443,7 +447,7 @@ def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
     if not 0 <= start <= stop <= 1 << cfg.points:
         raise InputError(f"table range [{start}, {stop}) out of bounds for n = {cfg.n}")
     begin = time.perf_counter()
-    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), begin)
+    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), lambda ks: ks, begin)
 
 
 def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -454,8 +458,11 @@ def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
     if not 0 <= start <= stop <= cfg.sample_count:
         raise InputError(f"sample range [{start}, {stop}) out of bounds")
     begin = time.perf_counter()
-    tables = [_sample_table(cfg.seed, k, cfg.points) for k in range(start, stop)]
-    return _analyze_chunk(cfg, _build_consts(cfg), tables, begin)
+
+    def tables_of(ks: range) -> list[int]:
+        return [_sample_table(cfg.seed, k, cfg.points) for k in ks]
+
+    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), tables_of, begin)
 
 
 def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:

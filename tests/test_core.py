@@ -5,11 +5,14 @@ and subsets, written from the definitions with no shared code beyond
 evaluate(); the fast in-place transform must reproduce it exactly.
 """
 
+import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import boolfun.core as core
 from boolfun import (
     MAX_ARITY,
     BooleanFunction,
@@ -17,11 +20,13 @@ from boolfun import (
     InputError,
     InvariantError,
     builtin,
+    check_conjecture,
     conjunction,
     constant,
     degree,
     dictator,
     disjunction,
+    equivalence_predicates,
     evaluate,
     fourier_coefficient,
     from_hex,
@@ -30,6 +35,7 @@ from boolfun import (
     fwht,
     hex_digits,
     index_to_point,
+    influence_profile,
     linear_sum,
     parity,
     point_to_index,
@@ -225,6 +231,41 @@ def test_spectrum_invariant_rejections():
         FourierSpectrum(1, [2, 0, 0])
 
 
+@pytest.mark.parametrize("coeffs", [
+    [2.7, 0.1],                                    # floats are not truncated
+    np.array([2.0, 0.0]),                          # nor integral floats cast
+    np.array([True, False]),
+    np.array([2 + 0j, 0j]),
+    np.array([Fraction(2), 0], dtype=object),
+    np.array([2, 0], dtype=object),                # object arrays, even of ints
+    np.array([2, 0], dtype=np.uint64),             # int64 does not hold uint64
+    [2**70, 0],
+])
+def test_spectrum_refuses_non_integer_entries(coeffs):
+    with pytest.raises(InputError):
+        FourierSpectrum(1, coeffs)
+
+
+def test_spectrum_takes_narrow_integer_types():
+    for dtype in (np.int8, np.int16, np.int32, np.uint8, np.uint32):
+        spectrum = FourierSpectrum(1, np.array([2, 0], dtype=dtype))
+        assert spectrum.coeffs.dtype == np.int64
+        assert function_from_spectrum(spectrum) == constant(1, 1)
+
+
+def test_spectrum_checks_do_not_wrap():
+    # abs(-2^63) is still -2^63 in int64, and (-2^63)^2 wraps to 0
+    with pytest.raises(InvariantError):
+        FourierSpectrum(1, [-(2**63), 2])
+    # 2^20 + 1 entries of 2^22 square to 4^22 + 2^64, which an int64 sum
+    # reads as 4^22
+    n = 22
+    coeffs = np.zeros(1 << n, dtype=np.int64)
+    coeffs[: (1 << 20) + 1] = 1 << n
+    with pytest.raises(InvariantError):
+        FourierSpectrum(n, coeffs)
+
+
 def test_function_from_spectrum_rejects_non_boolean():
     # norm and parity pass but the inverse transform is not +-1 valued
     spectrum = FourierSpectrum(2, [2, 2, 2, 2])
@@ -304,3 +345,65 @@ def test_builtin_dispatch():
         builtin("constant", ("?", 2))
     with pytest.raises(InputError):
         builtin("dictator", (5, 3))
+
+
+# ---------------------------------------------------------------- spectrum cache
+
+def test_one_butterfly_per_function(monkeypatch):
+    runs = []
+    butterfly = core._butterfly
+
+    def counted(mat, *args):
+        runs.append(mat.shape)
+        return butterfly(mat, *args)
+
+    monkeypatch.setattr(core, "_butterfly", counted)
+    f = BooleanFunction(4, 0x6996 ^ 0x0180)
+    spectrum = fwht(f)
+    check_conjecture(f)
+    equivalence_predicates(f, 3)
+    influence_profile(spectrum)
+    assert fwht(f) is spectrum
+    assert runs == [(16,)]
+    # an equal but distinct function has its own cache
+    fwht(BooleanFunction(4, f.table))
+    assert len(runs) == 2
+
+
+def test_cache_is_invisible_to_equality_hash_and_repr():
+    a, b = BooleanFunction(3, 0xE8), BooleanFunction(3, 0xE8)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    fwht(a)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert len({a, b}) == 1
+    fwht(b)
+    assert a == b and hash(a) == hash(b)
+    assert a != BooleanFunction(3, 0xE9)
+
+
+def test_cached_arrays_are_read_only():
+    f = BooleanFunction(3, 0xE8)
+    spectrum = fwht(f)
+    with pytest.raises(ValueError):
+        spectrum.coeffs[0] = 0
+    assert spectrum.squares is spectrum.squares
+    assert spectrum.squares.tolist() == [c * c for c in spectrum.coeffs.tolist()]
+    with pytest.raises(ValueError):
+        spectrum.squares[0] = 0
+
+
+def test_pickle_drops_the_cache():
+    f = BooleanFunction(5, 0x8E3A61F0)
+    spectrum = fwht(f)
+    spectrum.squares
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone == f and hash(clone) == hash(f)
+    assert "_spectrum" not in vars(clone)
+    coeffs = fwht(clone).coeffs
+    assert coeffs.tolist() == spectrum.coeffs.tolist()
+    assert not coeffs.flags.writeable
+    # a spectrum pickled on its own is rebuilt and checked, not restored
+    copy = pickle.loads(pickle.dumps(spectrum))
+    assert copy.coeffs.tolist() == spectrum.coeffs.tolist()
+    assert not copy.coeffs.flags.writeable
+    assert "squares" not in vars(copy)

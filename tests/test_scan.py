@@ -192,6 +192,36 @@ def test_sample_values_distinct_by_index():
     assert len(seen) == 50
 
 
+def test_samples_are_drawn_one_sub_batch_at_a_time(monkeypatch):
+    # an n = 16 table is an 8 KiB int, so a span must not draw all of its
+    # tables before the first sub-batch runs
+    n, count = 16, 70
+    step = max(1, scan._BATCH_CELLS >> n)
+    drawn, handed = [], []
+    sample, accumulate = scan._sample_table, scan._accumulate
+
+    def counted_sample(*args):
+        drawn.append(args[1])
+        return sample(*args)
+
+    def counted_accumulate(cfg, consts, tables):
+        handed.append((len(tables), len(drawn)))
+        return accumulate(cfg, consts, tables)
+
+    monkeypatch.setattr(scan, "_sample_table", counted_sample)
+    monkeypatch.setattr(scan, "_accumulate", counted_accumulate)
+    cfg = ScanConfig(n=n, mode="random", sample_count=count, seed=3)
+    res = scan_sample_range(cfg, 0, count)
+    # no sub-batch exceeds the cap, and each one's tables are drawn only
+    # once the earlier sub-batches are done
+    assert len(handed) > 2
+    assert handed == [(min(step, count - off), min(off + step, count))
+                      for off in range(0, count, step)]
+    assert drawn == list(range(count))
+    monkeypatch.undo()
+    assert strip_time(res) == strip_time(scan_sample_range(cfg, 0, count))
+
+
 # ---------------------------------------------------------------- merging
 
 def test_merge_reassembles_ragged_partition():
