@@ -250,15 +250,29 @@ def _butterfly(mat: np.ndarray, half: int = 1) -> np.ndarray:
     The stages start at the one that pairs entries half apart: with half = 2^k
     only the stages for coordinates k+1..n run, which completes the transform
     of a row whose blocks of 2^k entries are already transformed.  The dtype
-    must hold every partial sum (|entries| <= 2^n for a +-1 row)."""
+    must hold every partial sum (|entries| <= 2^n for a +-1 row).
+
+    Stages run two per pass over memory while two remain: the quarters a, b,
+    c, d of each group of 4 * half entries become (a+b)+(c+d), (a-b)+(c-d),
+    (a+b)-(c+d) and (a-b)-(c-d), exactly what the stages at half and 2 * half
+    give, with the same partial sums.  A lone last stage pairs low and high
+    halves."""
     *lead, width = mat.shape
-    while half < width:
+    while 4 * half <= width:
+        view = mat.reshape(*lead, width // (4 * half), 4, half)
+        a, b, c, d = (view[..., j, :] for j in range(4))
+        s, t, u, v = a + b, a - b, c + d, c - d
+        view[..., 0, :] = s + u
+        view[..., 1, :] = t + v
+        view[..., 2, :] = s - u
+        view[..., 3, :] = t - v
+        half <<= 2
+    if half < width:
         view = mat.reshape(*lead, width // (2 * half), 2, half)
         low = view[..., 0, :].copy()
         high = view[..., 1, :]
         view[..., 0, :] = low + high
         view[..., 1, :] = low - high
-        half <<= 1
     return mat
 
 

@@ -35,10 +35,9 @@ from .core import (
     _int_type,
     _repeat_pattern,
     _unpack_bits,
-    fourier_coefficient,
     popcounts,
 )
-from .dyadic import HALF, ONE, ZERO, DyadicRational
+from .dyadic import DyadicRational
 
 
 def _check_coordinate(i: int, n: int) -> None:
@@ -74,11 +73,13 @@ class DerivativeDistribution:
     p_minus: DyadicRational
 
     def __post_init__(self):
-        if self.p_zero + self.p_plus + self.p_minus != ONE:
+        # numerators over the common denominator 2^k
+        k = max(p.log2_den for p in self.as_triple())
+        nums = [p.num << (k - p.log2_den) for p in self.as_triple()]
+        if sum(nums) != 1 << k:
             raise InvariantError("derivative value probabilities must sum to 1")
-        for p in (self.p_zero, self.p_plus, self.p_minus):
-            if p < ZERO or p > ONE:
-                raise InvariantError("derivative value probability outside [0, 1]")
+        if not all(0 <= num <= 1 << k for num in nums):
+            raise InvariantError("derivative value probability outside [0, 1]")
 
     def as_triple(self) -> tuple[DyadicRational, DyadicRational, DyadicRational]:
         return (self.p_zero, self.p_plus, self.p_minus)
@@ -135,12 +136,18 @@ def derivative_distribution_counted(f: BooleanFunction, i: int) -> DerivativeDis
 def derivative_distribution_spectral(
     spectrum: FourierSpectrum, i: int
 ) -> DerivativeDistribution:
-    """Distribution from Inf_i and fhat(i) alone; no truth-table counting."""
-    inf_i = influence(spectrum, i)
-    coef = fourier_coefficient(spectrum, 1 << (i - 1))
-    return DerivativeDistribution(
-        ONE - inf_i, (inf_i + coef) * HALF, (inf_i - coef) * HALF
-    )
+    """Distribution from Inf_i and fhat(i) alone; no truth-table counting.
+
+    At the common scale 2^(2n+1), with 4^n Inf_i = inf and 2^n fhat(i) = coef,
+    p_zero = 1 - Inf_i, p_plus = (Inf_i + fhat(i)) / 2 and
+    p_minus = (Inf_i - fhat(i)) / 2 have the numerators below."""
+    _check_coordinate(i, spectrum.n)
+    n = spectrum.n
+    inf = _influence_sum(spectrum.squares, i)
+    coef = int(spectrum.coeffs[1 << (i - 1)]) << n
+    k = 2 * n + 1
+    return DerivativeDistribution(DyadicRational((2 << 2 * n) - 2 * inf, k),
+                                  DyadicRational(inf + coef, k), DyadicRational(inf - coef, k))
 
 
 def _influence_sum(squares: np.ndarray, i: int) -> int:

@@ -17,16 +17,18 @@ level rows followed by the butterfly stages for coordinates k+1..n
 (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).  The spectra exist
 one block at a time (_spectrum_blocks).  A block is column-major, one row
 per mask and one column per table, with as many columns as keep it in a
-core's L2 cache; its chunks' level rows are gathered with np.take.  Entries
-are stored in the narrowest type that holds 2^n and squared once, in the
-narrowest type that holds 4^n (_spectrum_dtype).  While the block is in
-cache it is reduced along axis 0: its squares give the norm check and, for
-the equivalence check, the total influence, and its entries give the
-degree and the linear sum (_spectrum_reductions, by the core and
-derivatives formulas).  Each reduction adds or compares whole rows of the
-block.  The
-level tables are built by this same route from arity k-1, starting at the
-arity-0 spectra [1] and [-1].
+core's L2 cache; its chunks' level rows are gathered with np.take.  After
+the stage for coordinate j every partial sum is at most 2^j, so the stages
+through coordinate 14 run in int16 (_INT16_STAGES); above n = 14 the block
+then widens once to the type that holds 2^n for the remaining stages.  The
+entries are squared once, in the narrowest type that holds 4^n
+(_spectrum_dtype).  While the block is in cache it is reduced along axis 0:
+its squares give the norm check and, for the equivalence check, the total
+influence, and its entries give the degree and the linear sum
+(_spectrum_reductions, by the core and derivatives formulas).  Each
+reduction adds or compares whole rows of the block.  The level tables are
+built by this same route from arity k-1, starting at the arity-0 spectra
+[1] and [-1].
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -89,6 +91,10 @@ _BATCH_CELLS = 1 << 21
 _BLOCK_BYTES = 1 << 18
 # spans submitted to a process pool at once, per worker
 _SPANS_IN_FLIGHT = 4
+# after the butterfly stage for coordinate j every partial sum is at most
+# 2^j, so the stages for coordinates up to this one (14) fit in int16 at any n;
+# a wrapped entry of +-2^15 squares to 4^15, so no norm check would catch it
+_INT16_STAGES = np.iinfo(np.int16).max.bit_length() - 1
 
 
 def _is_int(value) -> bool:
@@ -273,10 +279,13 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
         nbytes = 1 << (n - 3)
         buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
         return np.frombuffer(buf, dtype="<u2").reshape(len(tables), -1)
+    dtype = "<u4" if n == 5 else np.int64
     if isinstance(tables, range):
-        ints = np.arange(tables.start, tables.stop, dtype=np.int64)
+        ints = np.arange(tables.start, tables.stop, dtype=dtype)
     else:
-        ints = np.array(tables, dtype=np.int64)
+        ints = np.array(tables, dtype=dtype)
+    if n == 5:  # the two 16-bit chunks, through a little-endian view
+        return ints.view("<u2").reshape(-1, 2)
     shifts = np.arange(1 << (n - k)) << k
     return (ints[:, None] >> shifts) & ((1 << (1 << k)) - 1)
 
@@ -292,20 +301,27 @@ def _spectrum_blocks(chunks: np.ndarray, n: int):
     k = _chunk_arity(n)
     level = _level(k)[0]
     dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
+    narrow = min(n, _INT16_STAGES)
     # holds the sum of any 2^n values of square_type (up to int64), so the
     # squares of a corrupt block do not wrap around to 4^n
     norm_type = _int_type(min(np.iinfo(square_type).max << n, np.iinfo(np.int64).max))
     step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
-    buf = np.empty(min(step, len(chunks)) << n, dtype=dtype)
+    staged_buf = np.empty(min(step, len(chunks)) << n, dtype=np.int16)
+    buf = staged_buf if narrow == n else np.empty(len(staged_buf), dtype=dtype)
     for start in range(0, len(chunks), step):
         columns = chunks[start : start + step].T
         width = columns.shape[1]
-        flat = buf[: width << n]
+        staged, flat = staged_buf[: width << n], buf[: width << n]
         # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1; the
-        # int8 entries widen to the spectrum type on assignment
-        flat.reshape(1 << (n - k), 1 << k, width)[:] = \
+        # int8 entries widen to int16 on assignment
+        staged.reshape(1 << (n - k), 1 << k, width)[:] = \
             np.take(level, columns, axis=0).transpose(0, 2, 1)
-        _butterfly(flat, half=width << k)
+        # each run of 2^narrow masks is transformed through coordinate narrow
+        # in int16, then the block widens once for the stages above it
+        _butterfly(staged.reshape(-1, width << narrow), half=width << k)
+        if narrow < n:
+            flat[:] = staged
+            _butterfly(flat, half=width << narrow)
         block = flat.reshape(1 << n, width)
         squares = np.square(block, dtype=square_type)
         if np.any(squares.sum(axis=0, dtype=norm_type) != 1 << (2 * n)):
@@ -395,9 +411,9 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
 
     per_degree = {}
     violations = []
-    for dval in np.unique(deg[mask]):
-        d = int(dval)
-        idx = np.nonzero(mask & (deg == dval))[0]
+    # the degrees present, ascending
+    for d in np.flatnonzero(np.bincount(deg[mask], minlength=n + 1)).tolist():
+        idx = np.nonzero(mask & (deg == d))[0]
         sums = lin[idx]
         best = int(sums.max())
         attain = idx[sums == best]

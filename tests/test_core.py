@@ -220,6 +220,36 @@ def test_parseval_random():
             assert int(np.dot(c, c)) == 1 << (2 * n)
 
 
+def sylvester(m: int) -> list[list[int]]:
+    """The 2^m x 2^m Sylvester-Hadamard matrix, H_2a = [[H_a, H_a], [H_a, -H_a]]."""
+    h = [[1]]
+    for _ in range(m):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_butterfly_matches_sylvester_hadamard():
+    # started at half, the butterfly applies H_(width/half) to the entries
+    # q * half + r for each r; every stage count from 0 to 10 is covered, odd
+    # and even, on batched rows and a single row of each integer type
+    rng = random.Random(2718)
+    for m in range(11):
+        width = 1 << m
+        for s in range(m + 1):
+            half, h = 1 << s, sylvester(m - s)
+            # every partial sum of these entries fits in int16
+            bound = np.iinfo(np.int16).max >> (m - s)
+            rows = [[rng.randint(-bound, bound) for _ in range(width)] for _ in range(3)]
+            want = [[sum(hq[p] * row[p * half + r] for p in range(len(h)))
+                     for hq in h for r in range(half)] for row in rows]
+            for dtype in (np.int16, np.int32, np.int64):
+                mat = np.array(rows, dtype=dtype)
+                assert core._butterfly(mat, half) is mat
+                assert mat.dtype == dtype and mat.tolist() == want, (m, s, dtype)
+                row = np.array(rows[0], dtype=dtype)
+                assert core._butterfly(row, half).tolist() == want[0], (m, s, dtype)
+
+
 def test_spectrum_invariant_rejections():
     with pytest.raises(InvariantError):
         FourierSpectrum(1, [1, 0])  # parity differs from 2^n

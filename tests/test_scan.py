@@ -567,9 +567,11 @@ def test_int16_spectra_hold_every_exhaustive_arity():
 
 def test_largest_coefficients_square_without_overflow():
     # one coefficient of 2^n squares to 4^n, past the entry type from n = 8 on;
-    # random tables never have coefficients that large
+    # random tables never have coefficients that large.  Constant +1 has the
+    # entry +2^15 at n = 15, one past int16, where constant -1's -2^15 fits,
+    # and a wrapped -2^15 would still square to 4^15
     for n in (7, 8, 14, 15, 16):
-        fns = [dictator(1, n), dictator(n, n), parity(n), constant(n, -1)]
+        fns = [dictator(1, n), dictator(n, n), parity(n), constant(n, -1), constant(n, 1)]
         tables = [f.table for f in fns]
         cfg = ScanConfig(n=n, mode="random", sample_count=1, equivalence_check=True,
                          equivalence_d_range=(1, n, n + 1)).resolved()
