@@ -25,13 +25,13 @@ import sys
 
 from .conjecture import check_conjecture, equivalence_predicates
 from .core import (
-    MAX_ARITY,
     BooleanFunction,
     InputError,
     InvariantError,
     builtin,
     from_hex,
     fwht,
+    majority,
     to_hex,
 )
 from .derivatives import (
@@ -43,7 +43,7 @@ from .derivatives import (
     influence_profile,
 )
 from .dyadic import DyadicRational
-from .majority import expected_abs_sum, majority, majority_profile
+from .majority import expected_abs_sum, majority_profile
 from .scan import ScanConfig, ScanResult, run_scan
 
 _MAJ_TABLE_MAX_D = 16
@@ -70,26 +70,12 @@ def _record(obj, omit=()) -> dict:
     return {k: _dy(v) if isinstance(v, DyadicRational) else v for k, v in values.items()}
 
 
-def _parse_fn(text: str) -> BooleanFunction:
-    family, *params = text.split(":")
-    if family.lower() != "maj":
-        return builtin(family, params)
-    if len(params) != 1:
-        raise UsageError(f"maj takes one parameter, got {len(params)} in {text!r}")
-    # only the conversion itself may map to a usage error; range errors from
-    # majority carry better messages and must pass through
-    try:
-        d = int(params[0])
-    except ValueError:
-        raise UsageError(f"non-integer parameter in --fn value {text!r}") from None
-    return majority(d)
-
-
 def _resolve_function(args) -> BooleanFunction:
     if args.fn is not None and args.hex is not None:
         raise UsageError("give either --fn or --hex, not both")
     if args.fn is not None:
-        return _parse_fn(args.fn)
+        family, *params = args.fn.split(":")
+        return builtin(family, params)
     if args.hex is not None:
         if args.n is None:
             raise UsageError("--hex requires --n")

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    MAX_ARITY,
     BooleanFunction,
-    InputError,
     InvariantError,
+    _check_arity,
     _linear_sums,
     degree,
     fwht,
@@ -146,8 +145,7 @@ def equivalence_predicates(f: BooleanFunction, d: int) -> EquivalencePredicates:
     D = max(n, d) embedding coordinates; only 1..n contribute for f and only
     1..d for Maj_d.
     """
-    if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
-        raise InputError(f"comparison arity must be in 1..{MAX_ARITY}, got {d!r}")
+    _check_arity(d, "comparison arity")
     spectrum = fwht(f)
     plus = minus = 0
     for i in range(1, f.n + 1):

@@ -9,6 +9,9 @@ fixtures):
 * The stored table bit is ``t_idx = (1 - f(x)) / 2``, so an all-zero table is
   the constant +1 function.
 * A subset S of coordinates is the mask with bit i-1 set iff i is in S.
+* As bytes, table bit idx is bit idx % 8 of byte idx // 8 (little-endian).
+  Only the codec here (_table_bytes, _unpack_bits, _pack_bits) converts
+  between a table integer and its bits.
 
 Spectra are stored as the 2^n integers ``2**n * fhat(S)``; with that scaling
 every quantity in the package is an exact integer or dyadic rational, and the
@@ -22,9 +25,10 @@ and pickling see only ``(n, table)`` and ``(n, coeffs)``.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +50,15 @@ class InvariantError(BoolfunError):
     """An internal consistency check failed; always a bug, never user error."""
 
 
-def _check_arity(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_ARITY:
-        raise InputError(f"arity must be an integer in [1, {MAX_ARITY}], got {n!r}")
+def _is_int(value) -> bool:
+    """An int and not a bool, though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_arity(value, what: str = "arity") -> None:
+    """The one range check for an arity, a majority d or a comparison d."""
+    if not _is_int(value) or not 1 <= value <= MAX_ARITY:
+        raise InputError(f"{what} must be in 1..{MAX_ARITY}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ class BooleanFunction:
 
     def _signs(self) -> np.ndarray:
         """A fresh, writable +-1 value table."""
-        vals = _unpack_bits((self.table,), self.points)[0].astype(np.int64)
+        vals = _unpack_bits((self.table,), self.n)[0].astype(np.int64)
         vals *= -2
         vals += 1
         return vals
@@ -165,12 +175,27 @@ def _int_type(bound: int) -> type:
     raise InvariantError(f"{bound} overflows int64")
 
 
-def _unpack_bits(tables: Sequence[int], points: int) -> np.ndarray:
-    """uint8 matrix whose row r holds the first `points` table bits of tables[r]."""
-    nbytes = (points + 7) // 8
+# -- table codec --------------------------------------------------------------
+
+
+def _table_bytes(tables: Sequence[int], n: int, dtype=np.uint8) -> np.ndarray:
+    """Matrix whose row r holds the arity-n table tables[r] as little-endian
+    words of dtype, low word first; a table under 8 bits takes one byte."""
+    nbytes = ((1 << n) + 7) // 8
     buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(tables), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :points]
+    return np.frombuffer(buf, dtype=dtype).reshape(len(tables), -1)
+
+
+def _unpack_bits(tables: Sequence[int], n: int) -> np.ndarray:
+    """uint8 matrix whose row r holds the 2^n table bits of tables[r]."""
+    bits = np.unpackbits(_table_bytes(tables, n), axis=1, bitorder="little")
+    return bits[:, : 1 << n]
+
+
+def _pack_bits(bits) -> int:
+    """The table integer whose bit idx is bits[idx]; inverse of _unpack_bits."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 # -- construction and encoding ------------------------------------------------
@@ -181,12 +206,10 @@ def from_truth_table(bits: Sequence[int], n: int) -> BooleanFunction:
     _check_arity(n)
     if len(bits) != 1 << n:
         raise InputError(f"expected 2^{n} = {1 << n} table bits, got {len(bits)}")
-    table = 0
     for idx, b in enumerate(bits):
         if b not in (0, 1):
             raise InputError(f"table bit at index {idx} is {b!r}, expected 0 or 1")
-        table |= b << idx
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _pack_bits(bits))
 
 
 def hex_digits(n: int) -> int:
@@ -299,11 +322,7 @@ def function_from_spectrum(spectrum: FourierSpectrum) -> BooleanFunction:
     values, rem = np.divmod(scaled, 1 << spectrum.n)
     if np.any(rem) or not np.all(np.abs(values) == 1):
         raise InvariantError("spectrum does not reconstruct to a +-1 value table")
-    bits = (1 - values) // 2
-    table = int.from_bytes(
-        np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little"
-    )
-    return BooleanFunction(spectrum.n, table)
+    return BooleanFunction(spectrum.n, _pack_bits(values < 0))
 
 
 def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
@@ -368,20 +387,17 @@ def constant(n: int, sign: int) -> BooleanFunction:
 def dictator(i: int, n: int) -> BooleanFunction:
     """f(x) = x_i."""
     _check_arity(n)
-    if not 1 <= i <= n:
-        raise InputError(f"dictator coordinate {i} out of range for arity {n}")
+    if not _is_int(i) or not 1 <= i <= n:
+        raise InputError(f"dictator coordinate {i!r} out of range for arity {n}")
     h = 1 << (i - 1)
     return BooleanFunction(n, _repeat_pattern(((1 << h) - 1) << h, 2 * h, 1 << n))
 
 
 def parity(n: int) -> BooleanFunction:
-    """f(x) = x_1 * x_2 * ... * x_n."""
+    """f(x) = x_1 * x_2 * ... * x_n: table bits add mod 2 under the product."""
     _check_arity(n)
-    pattern, width = 0b10, 2
-    while width < (1 << n):
-        pattern |= (pattern ^ ((1 << width) - 1)) << width
-        width <<= 1
-    return BooleanFunction(n, pattern)
+    tables = (dictator(i, n).table for i in range(1, n + 1))
+    return BooleanFunction(n, reduce(operator.xor, tables))
 
 
 def conjunction(n: int) -> BooleanFunction:
@@ -396,12 +412,16 @@ def disjunction(n: int) -> BooleanFunction:
     return BooleanFunction(n, 1 << ((1 << n) - 1))
 
 
-def builtin(family: str, params: Sequence[int | str]) -> BooleanFunction:
-    """Dispatch on a family name: constant/const, dictator, parity, and, or.
+def majority(d: int) -> BooleanFunction:
+    """Maj_d, the sign of x_1 + ... + x_d; ties on even d evaluate to -1."""
+    _check_arity(d, "majority arity")
+    # index bit 1 means x = -1, so the sign sum is d - 2 * popcount
+    return BooleanFunction(d, _pack_bits(2 * popcounts(d, np.int8) >= d))
 
-    Majority is intentionally not handled here; it lives in the majority
-    module with its tie rule.
-    """
+
+def builtin(family: str, params: Sequence[int | str]) -> BooleanFunction:
+    """Dispatch on a family name, as in the CLI's --fn family:params specs:
+    constant/const, dictator, parity, and, or, maj."""
 
     def ints(count: int) -> list[int]:
         if len(params) != count:
@@ -411,7 +431,9 @@ def builtin(family: str, params: Sequence[int | str]) -> BooleanFunction:
         try:
             return [int(p) for p in params]
         except (TypeError, ValueError):
-            raise InputError(f"parameters for {family!r} must be integers") from None
+            raise InputError(
+                f"non-integer parameter for family {family!r} in {list(params)!r}"
+            ) from None
 
     name = family.lower()
     if name in ("constant", "const"):
@@ -434,4 +456,6 @@ def builtin(family: str, params: Sequence[int | str]) -> BooleanFunction:
         return conjunction(ints(1)[0])
     if name == "or":
         return disjunction(ints(1)[0])
+    if name == "maj":
+        return majority(ints(1)[0])
     raise InputError(f"unknown function family {family!r}")

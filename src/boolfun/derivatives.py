@@ -33,6 +33,7 @@ from .core import (
     InvariantError,
     _along,
     _int_type,
+    _is_int,
     _repeat_pattern,
     _unpack_bits,
     popcounts,
@@ -41,7 +42,7 @@ from .dyadic import DyadicRational
 
 
 def _check_coordinate(i: int, n: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= n:
+    if not _is_int(i) or not 1 <= i <= n:
         raise InputError(f"coordinate {i!r} out of range for arity {n}")
 
 
@@ -102,7 +103,7 @@ def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
     over the restrictions in order.
     """
     _check_coordinate(i, f.n)
-    bits = _unpack_bits((f.table,), f.points)[0].astype(np.int8)
+    bits = _unpack_bits((f.table,), f.n)[0].astype(np.int8)
     blocks = bits.reshape(-1, 2, 1 << (i - 1))
     return DerivativeTable(f.n, i, (blocks[:, 1] - blocks[:, 0]).reshape(-1))
 

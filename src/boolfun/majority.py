@@ -1,4 +1,4 @@
-"""The majority family and its linear-coefficient bound.
+"""The majority family's profile and its linear-coefficient bound.
 
 Maj_d is the sign of x_1 + ... + x_d with ties (even d, zero sum) sent to -1.
 Its d linear coefficients are all equal by symmetry; M(d) denotes their sum,
@@ -7,7 +7,9 @@ of the coordinate sum of d uniform signs, which gives an independent
 binomial-sum route to the same number.
 
 Profiles come from a closed form in a few big-integer operations; no
-truth table or transform of Maj_d is built to compare against it.
+truth table or transform of Maj_d is built to compare against it.  The
+table itself (majority) is built in core, beside the other named families,
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -16,21 +18,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import MAX_ARITY, BooleanFunction, InputError
+from .core import _check_arity, majority  # majority is re-exported
 from .dyadic import ZERO, DyadicRational
-
-
-def majority(d: int) -> BooleanFunction:
-    """Maj_d as a BooleanFunction; ties on even d evaluate to -1."""
-    if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
-        raise InputError(f"majority arity must be in 1..{MAX_ARITY}, got {d!r}")
-    idx = np.arange(1 << d, dtype=np.uint32)
-    # index bit 1 means x = -1, so the sign sum is d - 2*popcount
-    ties_down = (2 * np.bitwise_count(idx).astype(np.int64) >= d).astype(np.uint8)
-    table = int.from_bytes(np.packbits(ties_down, bitorder="little").tobytes(), "little")
-    return BooleanFunction(d, table)
 
 
 @dataclass(frozen=True)
@@ -55,8 +44,7 @@ def majority_profile(d: int) -> MajorityProfile:
     there and never -1, and Pr[+1] = Inf_i = fhat(i).  Summing over the d
     coordinates gives M(d) and the total influence.
     """
-    if not isinstance(d, int) or not 1 <= d <= MAX_ARITY:
-        raise InputError(f"majority arity must be in 1..{MAX_ARITY}, got {d!r}")
+    _check_arity(d, "majority arity")
     coef = DyadicRational(math.comb(d - 1, (d - 1) // 2), d - 1)
     return MajorityProfile(
         d=d,
@@ -81,7 +69,6 @@ def maj_bound(d: int) -> DyadicRational:
 
 def expected_abs_sum(n: int) -> DyadicRational:
     """E|x_1 + ... + x_n| for uniform signs, as an exact binomial sum."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_ARITY:
-        raise InputError(f"arity must be in 1..{MAX_ARITY}, got {n!r}")
+    _check_arity(n)
     total = sum(math.comb(n, k) * abs(n - 2 * k) for k in range(n + 1))
     return DyadicRational(total, n)

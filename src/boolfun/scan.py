@@ -64,14 +64,16 @@ import numpy as np
 
 from .conjecture import _bound_sides, _scale, _Scale, _sides
 from .core import (
-    MAX_ARITY,
     BooleanFunction,
     InputError,
     InvariantError,
     _butterfly,
+    _check_arity,
     _degrees,
     _int_type,
+    _is_int,
     _linear_sums,
+    _table_bytes,
     to_hex,
 )
 from .derivatives import _total_influences
@@ -95,11 +97,6 @@ _SPANS_IN_FLIGHT = 4
 # 2^j, so the stages for coordinates up to this one (14) fit in int16 at any n;
 # a wrapped entry of +-2^15 squares to 4^15, so no norm check would catch it
 _INT16_STAGES = np.iinfo(np.int16).max.bit_length() - 1
-
-
-def _is_int(value) -> bool:
-    """An int and not a bool, though bool subclasses int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,7 @@ class ScanConfig:
             raise InputError(f"degree filter must be an integer in 0..{self.n}")
         if self.equivalence_d_range is not None:
             for d in self.equivalence_d_range:
-                if not _is_int(d) or not 1 <= d <= MAX_ARITY:
-                    raise InputError(f"equivalence d values must be integers in 1..{MAX_ARITY}")
+                _check_arity(d, "equivalence d value")
             ds = tuple(sorted(set(self.equivalence_d_range)))
             object.__setattr__(self, "equivalence_d_range", ds)
         if not _is_int(self.worker_count) or self.worker_count < 1:
@@ -276,9 +272,7 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
     """The sub-batch's tables as rows of 2^(n-k) arity-k chunks, low chunk first."""
     k = _chunk_arity(n)
     if n > 5:  # 16-bit chunks, straight from the table bytes
-        nbytes = 1 << (n - 3)
-        buf = b"".join(t.to_bytes(nbytes, "little") for t in tables)
-        return np.frombuffer(buf, dtype="<u2").reshape(len(tables), -1)
+        return _table_bytes(tables, n, "<u2")
     dtype = "<u4" if n == 5 else np.int64
     if isinstance(tables, range):
         ints = np.arange(tables.start, tables.stop, dtype=dtype)

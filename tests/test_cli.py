@@ -177,6 +177,8 @@ def test_usage_errors_exit_1(capsys):
         ["analyze", "--fn", "maj:3", "--hex", "0xe8", "--n", "3"],
         ["analyze", "--fn", "waffle:3"],
         ["analyze", "--fn", "maj:x"],
+        ["analyze", "--fn", "maj:1:2"],
+        ["analyze", "--fn", "maj:"],
         ["analyze", "--hex", "0xe8"],
         ["analyze", "--hex", "0x+f", "--n", "3"],
         ["analyze", "--nope"],

@@ -5,6 +5,7 @@ and subsets, written from the definitions with no shared code beyond
 evaluate(); the fast in-place transform must reproduce it exactly.
 """
 
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -37,13 +38,17 @@ from boolfun import (
     index_to_point,
     influence_profile,
     linear_sum,
+    majority,
     parity,
     point_to_index,
     singleton_masks,
     to_hex,
 )
-from boolfun.core import popcounts
+from boolfun.core import _pack_bits, _unpack_bits, popcounts
+from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational
+from boolfun.majority import expected_abs_sum, majority_profile
+from boolfun.scan import ScanConfig
 
 
 def naive_spectrum(f: BooleanFunction) -> list[int]:
@@ -105,8 +110,28 @@ def test_from_truth_table():
     assert f.table == 0b0110
     with pytest.raises(InputError):
         from_truth_table([0, 1], 2)
-    with pytest.raises(InputError):
-        from_truth_table([0, 2, 0, 0], 2)
+    for bad in (2, None):
+        with pytest.raises(InputError, match="index 1"):
+            from_truth_table([0, bad, 0, 0], 2)
+
+
+def test_from_truth_table_roundtrip():
+    rng = random.Random(19)
+    for n in range(1, 21):
+        f = random_function(rng, n)
+        assert from_truth_table([(1 - v) // 2 for v in f.values()], n) == f, n
+    for n in (1, 5, 12):
+        assert from_truth_table([0] * (1 << n), n) == constant(n, 1)
+        assert from_truth_table([1] * (1 << n), n) == constant(n, -1)
+
+
+def test_table_codec_roundtrip():
+    rng = random.Random(16)
+    for n in range(1, 17):
+        tables = [0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)]
+        bits = _unpack_bits(tables, n)
+        assert bits.shape == (3, 1 << n)
+        assert [_pack_bits(row) for row in bits] == tables, n
 
 
 def test_function_validation():
@@ -118,6 +143,24 @@ def test_function_validation():
         BooleanFunction(1, -1)
     with pytest.raises(InputError):
         BooleanFunction(1, 1 << 4)  # bits beyond the 2 table points
+
+
+# neither a bool (though bool subclasses int) nor a non-int is an arity, a d
+# or a coordinate
+@pytest.mark.parametrize("call", [
+    lambda: BooleanFunction(True, 1),
+    lambda: majority(True),
+    lambda: majority_profile(True),
+    lambda: expected_abs_sum(True),
+    lambda: equivalence_predicates(majority(3), True),
+    lambda: ScanConfig(n=2, mode="exhaustive", equivalence_d_range=(True,)),
+    lambda: derivative_value_counts(majority(3), True),
+    lambda: dictator("2", 3),
+    lambda: dictator(1.0, 3),
+])
+def test_bools_and_non_ints_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_values_read_only():
@@ -341,6 +384,13 @@ def test_family_tables():
     assert to_hex(disjunction(2)) == "0x8"
     assert to_hex(constant(2, 1)) == "0x0"
     assert to_hex(constant(2, -1)) == "0xf"
+    # sha256 of the hex tables at arity 24, so a rebuilt family keeps its bytes
+    digests = {
+        parity: "1413c9ee8bddb46c2c44d55f721a4431722739a7806f6001e6b12f5893b1d22f",
+        majority: "6e75d2f39afdd0a96f518fa2704102825f261b158c80fdae6ce7c69e30317ac4",
+    }
+    for family, digest in digests.items():
+        assert hashlib.sha256(to_hex(family(24)).encode()).hexdigest() == digest
 
 
 def test_family_semantics():
@@ -367,8 +417,10 @@ def test_builtin_dispatch():
     assert builtin("constant", ("+", 2)) == constant(2, 1)
     assert builtin("const", ("-", 2)) == constant(2, -1)
     assert builtin("constant", (1, 2)) == constant(2, 1)
+    assert builtin("maj", (5,)) == majority(5)
+    assert builtin("MAJ", ("3",)) == majority(3)
     with pytest.raises(InputError):
-        builtin("majority", (3,))  # lives in its own module, not here
+        builtin("majority", (3,))  # the family is spelled maj, as in --fn
     with pytest.raises(InputError):
         builtin("parity", ())
     with pytest.raises(InputError):
