@@ -28,6 +28,7 @@ from .core import (
     BooleanFunction,
     InputError,
     InvariantError,
+    _parse_int,
     builtin,
     from_hex,
     fwht,
@@ -95,13 +96,7 @@ def _cmd_analyze(args):
         "linear_sum": _dy(report.linear_sum),
         "total_influence": _dy(profile.total),
         "influences": [_dy(v) for v in profile.influences],
-        "conjecture": {
-            "degree": report.degree,
-            "bound": _dy(report.bound),
-            "linear_sum": _dy(report.linear_sum),
-            "gap": _dy(report.gap),
-            "satisfied": report.satisfied,
-        },
+        "conjecture": _record(report, omit=("n",)),
     }
     if args.spectrum:
         payload["spectrum"] = {
@@ -147,14 +142,9 @@ def _cmd_equiv(args):
     f = _resolve_function(args)
     preds = equivalence_predicates(f, args.d)
     payload = {
-        "n": f.n,
+        **_record(preds, omit=("sides",)),
         "table_hex": to_hex(f),
-        "d": preds.d,
         "embedding_coordinates": max(f.n, preds.d),
-        "original": preds.original,
-        "ineq_a": preds.ineq_a,
-        "ineq_b": preds.ineq_b,
-        "ineq_c": preds.ineq_c,
         "agreement": preds.agreement,
         "sides": {
             name: {"lhs": _dy(lhs), "rhs": _dy(rhs), "holds": getattr(preds, name)}
@@ -169,13 +159,7 @@ def _parse_equiv_d(text: str | None) -> tuple[bool | None, tuple[int, ...] | Non
         return None, None
     if text.strip().lower() == "none":
         return False, None
-    try:
-        ds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--equiv-d expects comma-separated integers or 'none', got {text!r}")
-    if not ds:
-        raise UsageError("--equiv-d got an empty list")
-    return True, ds
+    return True, tuple(_parse_int(part) for part in text.split(","))
 
 
 def _cmd_scan(args):
@@ -348,7 +332,7 @@ def build_parser() -> _Parser:
                            help="named function: maj:d, parity:n, dictator:i:n, "
                                 "and:n, or:n, const:+:n, const:-:n")
     fn_common.add_argument("--hex", metavar="HEX", help="truth table as hex")
-    fn_common.add_argument("--n", type=int, help="arity for --hex")
+    fn_common.add_argument("--n", type=_parse_int, help="arity for --hex")
 
     parser = _Parser(prog="boolfun",
                      description="exact Fourier analysis of Boolean-valued functions")
@@ -360,29 +344,29 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_analyze)
 
     p = subs.add_parser("maj", parents=[common], help="majority profile at arity d")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_parse_int, required=True)
     p.add_argument("--table", action="store_true",
                    help=f"include the truth table (d <= {_MAJ_TABLE_MAX_D})")
     p.set_defaults(handler=_cmd_maj)
 
     p = subs.add_parser("derivative", parents=[common, fn_common],
                         help="derivative value distribution along one coordinate")
-    p.add_argument("--i", type=int, required=True, help="coordinate, 1-based")
+    p.add_argument("--i", type=_parse_int, required=True, help="coordinate, 1-based")
     p.set_defaults(handler=_cmd_derivative)
 
     p = subs.add_parser("equiv", parents=[common, fn_common],
                         help="the four inequalities for one function at a chosen d")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_parse_int, required=True)
     p.set_defaults(handler=_cmd_equiv)
 
     p = subs.add_parser("scan", parents=[common], help="bulk verification")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--degree", type=int, default=None, help="restrict to one degree")
-    p.add_argument("--samples", type=int, default=None, help="sample count (random)")
-    p.add_argument("--seed", type=int, default=None, help="stream seed (random)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--chunk-size", type=int, default=1 << 14)
+    p.add_argument("--degree", type=_parse_int, default=None, help="restrict to one degree")
+    p.add_argument("--samples", type=_parse_int, default=None, help="sample count (random)")
+    p.add_argument("--seed", type=_parse_int, default=None, help="stream seed (random)")
+    p.add_argument("--jobs", type=_parse_int, default=1, help="worker processes")
+    p.add_argument("--chunk-size", type=_parse_int, default=1 << 14)
     p.add_argument("--equiv-d", metavar="LIST", default=None,
                    help="comma-separated d values for the equivalence check, "
                         "or 'none' to disable it")

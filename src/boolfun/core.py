@@ -50,15 +50,36 @@ class InvariantError(BoolfunError):
     """An internal consistency check failed; always a bug, never user error."""
 
 
-def _is_int(value) -> bool:
-    """An int and not a bool, though bool subclasses int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_int(value, lo: int, hi: int | None, what: str) -> None:
+    """The one integer gate: value must be an int but not a bool (though bool
+    subclasses int), in lo..hi, with no upper limit if hi is None.
+
+    what is the error message, a str.format template that may name value, lo
+    and hi.  It is formatted only when the check fails, since the check runs
+    on every single-function request."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (
+            hi is not None and value > hi):
+        raise InputError(what.format(value=value, lo=lo, hi=hi))
 
 
 def _check_arity(value, what: str = "arity") -> None:
-    """The one range check for an arity, a majority d or a comparison d."""
-    if not _is_int(value) or not 1 <= value <= MAX_ARITY:
-        raise InputError(f"{what} must be in 1..{MAX_ARITY}, got {value!r}")
+    """The range check for an arity, a majority d or a comparison d."""
+    _check_int(value, 1, MAX_ARITY, what + " must be in {lo}..{hi}, got {value!r}")
+
+
+def _parse_int(value) -> int:
+    """An int unchanged, or the int a str spells in ASCII digits with an
+    optional leading '-'; int() alone would also take '+', '_', whitespace
+    and non-ASCII digits.  The range is the caller's to check."""
+    if isinstance(value, int):
+        return value
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputError(f"non-integer parameter {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +95,7 @@ class BooleanFunction:
 
     def __post_init__(self):
         _check_arity(self.n)
-        if not isinstance(self.table, int) or self.table < 0:
-            raise InputError("truth table must be a non-negative integer")
+        _check_int(self.table, 0, None, "truth table must be a non-negative integer")
         if self.table >> self.points:
             raise InputError(f"truth table has set bits beyond 2^{self.n} points")
 
@@ -327,28 +347,27 @@ def function_from_spectrum(spectrum: FourierSpectrum) -> BooleanFunction:
 
 def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
     """The exact coefficient fhat(S_mask) = coeffs[mask] / 2^n."""
-    if not isinstance(mask, int) or not 0 <= mask < (1 << spectrum.n):
-        raise InputError(f"subset mask {mask!r} out of range for arity {spectrum.n}")
+    _check_int(mask, 0, (1 << spectrum.n) - 1, "subset mask {value!r} out of range 0..{hi}")
     return DyadicRational(int(spectrum.coeffs[mask]), spectrum.n)
 
 
-# The reductions below run along one axis of 2^n entries indexed by mask, the
-# last by default, so they serve one spectrum, a matrix of spectra one per
-# row, and a block of spectra one per column alike.
+# The reductions below run along axis 0, 2^n entries indexed by mask, so they
+# serve one spectrum and a column-major block of spectra, one per column,
+# alike.
 
 
-def _along(weights: np.ndarray, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """weights shaped to broadcast along the given axis of coeffs."""
-    return weights.reshape((-1,) + (1,) * (coeffs.ndim - 1 - axis % coeffs.ndim))
+def _along(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """weights shaped to broadcast along axis 0 of coeffs."""
+    return weights.reshape((-1,) + (1,) * (coeffs.ndim - 1))
 
 
-def _degrees(coeffs: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
-    return ((coeffs != 0) * _along(popcounts(n, np.int8), coeffs, axis)).max(axis=axis)
+def _degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
+    return ((coeffs != 0) * _along(popcounts(n, np.int8), coeffs)).max(axis=0)
 
 
-def _linear_sums(coeffs: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+def _linear_sums(coeffs: np.ndarray, n: int) -> np.ndarray:
     """2^n times the sum of the singleton coefficients."""
-    return np.take(coeffs, singleton_masks(n), axis=axis).sum(axis=axis)
+    return np.take(coeffs, singleton_masks(n), axis=0).sum(axis=0)
 
 
 def degree(spectrum: FourierSpectrum) -> int:
@@ -387,8 +406,7 @@ def constant(n: int, sign: int) -> BooleanFunction:
 def dictator(i: int, n: int) -> BooleanFunction:
     """f(x) = x_i."""
     _check_arity(n)
-    if not _is_int(i) or not 1 <= i <= n:
-        raise InputError(f"dictator coordinate {i!r} out of range for arity {n}")
+    _check_int(i, 1, n, "dictator coordinate {value!r} out of range for arity {hi}")
     h = 1 << (i - 1)
     return BooleanFunction(n, _repeat_pattern(((1 << h) - 1) << h, 2 * h, 1 << n))
 
@@ -419,43 +437,30 @@ def majority(d: int) -> BooleanFunction:
     return BooleanFunction(d, _pack_bits(2 * popcounts(d, np.int8) >= d))
 
 
+# --fn families: name -> (constructor, parameter count).  Every parameter is
+# an integer, but for a constant's sign, which comes first.
+_FAMILIES = {
+    "constant": (constant, 2),
+    "const": (constant, 2),
+    "dictator": (dictator, 2),
+    "parity": (parity, 1),
+    "and": (conjunction, 1),
+    "or": (disjunction, 1),
+    "maj": (majority, 1),
+}
+_SIGNS = {"+": 1, "-": -1, "+1": 1, "-1": -1}
+
+
 def builtin(family: str, params: Sequence[int | str]) -> BooleanFunction:
     """Dispatch on a family name, as in the CLI's --fn family:params specs:
-    constant/const, dictator, parity, and, or, maj."""
-
-    def ints(count: int) -> list[int]:
-        if len(params) != count:
-            raise InputError(
-                f"family {family!r} takes {count} parameter(s), got {len(params)}"
-            )
-        try:
-            return [int(p) for p in params]
-        except (TypeError, ValueError):
-            raise InputError(
-                f"non-integer parameter for family {family!r} in {list(params)!r}"
-            ) from None
-
-    name = family.lower()
-    if name in ("constant", "const"):
-        if len(params) != 2:
-            raise InputError("constant takes a sign and an arity")
-        sign_raw, n_raw = params
-        sign = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}.get(sign_raw)
-        if sign is None:
-            raise InputError(f"constant sign must be '+' or '-', got {sign_raw!r}")
-        try:
-            return constant(int(n_raw), sign)
-        except (TypeError, ValueError):
-            raise InputError("constant arity must be an integer") from None
-    if name == "dictator":
-        i, n = ints(2)
-        return dictator(i, n)
-    if name == "parity":
-        return parity(ints(1)[0])
-    if name == "and":
-        return conjunction(ints(1)[0])
-    if name == "or":
-        return disjunction(ints(1)[0])
-    if name == "maj":
-        return majority(ints(1)[0])
-    raise InputError(f"unknown function family {family!r}")
+    constant/const, dictator, parity, and, or, maj.  Parameters are ints or
+    strict decimal strings (_parse_int); a constant's sign is +, -, +1 or -1."""
+    if family.lower() not in _FAMILIES:
+        raise InputError(f"unknown function family {family!r}")
+    make, count = _FAMILIES[family.lower()]
+    if len(params) != count:
+        raise InputError(f"family {family!r} takes {count} parameter(s), got {len(params)}")
+    if make is constant:
+        sign, n = params
+        return constant(_parse_int(n), _SIGNS.get(sign, sign))
+    return make(*map(_parse_int, params))

@@ -32,8 +32,8 @@ from .core import (
     InputError,
     InvariantError,
     _along,
+    _check_int,
     _int_type,
-    _is_int,
     _repeat_pattern,
     _unpack_bits,
     popcounts,
@@ -41,9 +41,7 @@ from .core import (
 from .dyadic import DyadicRational
 
 
-def _check_coordinate(i: int, n: int) -> None:
-    if not _is_int(i) or not 1 <= i <= n:
-        raise InputError(f"coordinate {i!r} out of range for arity {n}")
+_COORDINATE = "coordinate {value!r} out of range for arity {hi}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +53,7 @@ class DerivativeTable:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_coordinate(self.i, self.n)
+        _check_int(self.i, 1, self.n, _COORDINATE)
         values = np.ascontiguousarray(self.values, dtype=np.int8)
         if values.shape != (1 << (self.n - 1),):
             raise InputError(f"derivative table must have 2^{self.n - 1} entries")
@@ -102,7 +100,7 @@ def discrete_derivative(f: BooleanFunction, i: int) -> DerivativeTable:
     so the derivative is high half minus low half; flattened, the blocks run
     over the restrictions in order.
     """
-    _check_coordinate(i, f.n)
+    _check_int(i, 1, f.n, _COORDINATE)
     bits = _unpack_bits((f.table,), f.n)[0].astype(np.int8)
     blocks = bits.reshape(-1, 2, 1 << (i - 1))
     return DerivativeTable(f.n, i, (blocks[:, 1] - blocks[:, 0]).reshape(-1))
@@ -115,7 +113,7 @@ def derivative_value_counts(f: BooleanFunction, i: int) -> tuple[int, int, int]:
     coordinate i is +1, the +1 side bits are table & lo and the -1 side bits
     are (table >> 2^(i-1)) & lo, aligned pairwise.
     """
-    _check_coordinate(i, f.n)
+    _check_int(i, 1, f.n, _COORDINATE)
     h = 1 << (i - 1)
     lo = _repeat_pattern((1 << h) - 1, 2 * h, f.points)
     t_plus = f.table & lo
@@ -142,7 +140,7 @@ def derivative_distribution_spectral(
     At the common scale 2^(2n+1), with 4^n Inf_i = inf and 2^n fhat(i) = coef,
     p_zero = 1 - Inf_i, p_plus = (Inf_i + fhat(i)) / 2 and
     p_minus = (Inf_i - fhat(i)) / 2 have the numerators below."""
-    _check_coordinate(i, spectrum.n)
+    _check_int(i, 1, spectrum.n, _COORDINATE)
     n = spectrum.n
     inf = _influence_sum(spectrum.squares, i)
     coef = int(spectrum.coeffs[1 << (i - 1)]) << n
@@ -159,17 +157,17 @@ def _influence_sum(squares: np.ndarray, i: int) -> int:
 
 def influence(spectrum: FourierSpectrum, i: int) -> DyadicRational:
     """Inf_i = sum of squared coefficients over subsets containing i."""
-    _check_coordinate(i, spectrum.n)
+    _check_int(i, 1, spectrum.n, _COORDINATE)
     return DyadicRational(_influence_sum(spectrum.squares, i), 2 * spectrum.n)
 
 
-def _total_influences(squares: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+def _total_influences(squares: np.ndarray, n: int) -> np.ndarray:
     """4^n times the total influence, from the squared entries of 2^n-scaled
-    spectra along axis.  The squares of a spectrum sum to 4^n, so every
+    spectra along axis 0.  The squares of a spectrum sum to 4^n, so every
     weighted square |S| * 4^n * fhat(S)^2 and every partial sum of them is at
     most n * 4^n; they are taken in a type that holds that bound."""
     acc = np.promote_types(squares.dtype, _int_type(n << 2 * n))
-    return (squares * _along(popcounts(n, acc), squares, axis)).sum(axis=axis, dtype=acc)
+    return (squares * _along(popcounts(n, acc), squares)).sum(axis=0, dtype=acc)
 
 
 def total_influence(spectrum: FourierSpectrum) -> DyadicRational:

@@ -58,7 +58,7 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,9 +69,9 @@ from .core import (
     InvariantError,
     _butterfly,
     _check_arity,
+    _check_int,
     _degrees,
     _int_type,
-    _is_int,
     _linear_sums,
     _table_bytes,
     to_hex,
@@ -101,7 +101,13 @@ _INT16_STAGES = np.iinfo(np.int16).max.bit_length() - 1
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Immutable description of one scan; merging requires equal configs."""
+    """Immutable description of one scan; merging requires equal configs.
+
+    Construction fills in the defaults that depend on n: the equivalence
+    check runs by default for n <= 3, at d = 1..n+1 unless equivalence_d_range
+    names other d values (sorted, without repeats, and () when the check is
+    off), and a random scan's seed defaults to 0.  So two configs that scan
+    alike compare equal."""
 
     n: int
     mode: str
@@ -117,15 +123,14 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise InputError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
-        if not _is_int(self.n) or self.n < 1:
-            raise InputError(f"arity must be a positive integer, got {self.n!r}")
         if not (self.equivalence_check is None or isinstance(self.equivalence_check, bool)):
             raise InputError(f"equivalence_check must be a bool, got {self.equivalence_check!r}")
         if not isinstance(self.allow_huge, bool):
             raise InputError(f"allow_huge must be a bool, got {self.allow_huge!r}")
-        if self.mode == "exhaustive":
-            if self.n > _EXHAUSTIVE_HUGE_MAX_N:
-                raise InputError(f"exhaustive scans support n <= {_EXHAUSTIVE_HUGE_MAX_N}")
+        exhaustive = self.mode == "exhaustive"
+        _check_int(self.n, 1, _EXHAUSTIVE_HUGE_MAX_N if exhaustive else _RANDOM_MAX_N,
+                   self.mode + " scans support n in {lo}..{hi}, got {value!r}")
+        if exhaustive:
             if self.n > _EXHAUSTIVE_DEFAULT_MAX_N and not self.allow_huge:
                 raise InputError(
                     f"exhaustive n = {self.n} exceeds the default ceiling "
@@ -134,48 +139,31 @@ class ScanConfig:
             if self.sample_count is not None or self.seed is not None:
                 raise InputError("sample_count and seed only apply to random mode")
         else:
-            if self.n > _RANDOM_MAX_N:
-                raise InputError(f"random scans support n <= {_RANDOM_MAX_N}")
-            if not _is_int(self.sample_count):
-                raise InputError("random mode requires an integer sample_count")
-            if self.sample_count < 1:
-                raise InputError("sample_count must be at least 1")
-            if self.seed is not None and not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
-                raise InputError("seed must be an integer that fits in 64 bits")
-        if self.degree_filter is not None and not (_is_int(self.degree_filter)
-                                                   and 0 <= self.degree_filter <= self.n):
-            raise InputError(f"degree filter must be an integer in 0..{self.n}")
-        if self.equivalence_d_range is not None:
-            for d in self.equivalence_d_range:
-                _check_arity(d, "equivalence d value")
-            ds = tuple(sorted(set(self.equivalence_d_range)))
-            object.__setattr__(self, "equivalence_d_range", ds)
-        if not _is_int(self.worker_count) or self.worker_count < 1:
-            raise InputError("worker_count must be an integer of at least 1")
-        if not _is_int(self.chunk_size) or self.chunk_size < 1:
-            raise InputError("chunk_size must be an integer of at least 1")
+            _check_int(self.sample_count, 1, None,
+                       "random mode requires a sample_count of at least {lo}, got {value!r}")
+            if self.seed is None:
+                object.__setattr__(self, "seed", 0)
+            _check_int(self.seed, 0, (1 << 64) - 1, "seed must be in {lo}..{hi}, got {value!r}")
+        if self.degree_filter is not None:
+            _check_int(self.degree_filter, 0, self.n,
+                       "degree filter must be in {lo}..{hi}, got {value!r}")
+        for d in self.equivalence_d_range or ():
+            _check_arity(d, "equivalence d value")
+        check = self.n <= 3 if self.equivalence_check is None else self.equivalence_check
+        d_range = tuple(sorted(set(self.equivalence_d_range or ()))) or tuple(range(1, self.n + 2))
+        object.__setattr__(self, "equivalence_check", check)
+        object.__setattr__(self, "equivalence_d_range", d_range if check else ())
+        _check_int(self.worker_count, 1, None, "worker_count must be at least {lo}, got {value!r}")
+        _check_int(self.chunk_size, 1, None, "chunk_size must be at least {lo}, got {value!r}")
 
     @property
     def points(self) -> int:
         return 1 << self.n
 
-    def resolved(self) -> "ScanConfig":
-        """Fill the defaults that depend on n; idempotent."""
-        check = self.equivalence_check
-        if check is None:
-            check = self.n <= 3
-        d_range = self.equivalence_d_range if check else ()
-        if check and not d_range:
-            d_range = tuple(range(1, self.n + 2))
-        seed = self.seed
-        if self.mode == "random" and seed is None:
-            seed = 0
-        return replace(
-            self,
-            equivalence_check=check,
-            equivalence_d_range=d_range,
-            seed=seed,
-        )
+    @property
+    def total(self) -> int:
+        """Size of the index space: every table, or every sample."""
+        return 1 << self.points if self.mode == "exhaustive" else self.sample_count
 
 
 @dataclass(frozen=True)
@@ -339,10 +327,10 @@ def _spectrum_reductions(chunks: np.ndarray, n: int, influence: bool):
     lin = np.empty(len(chunks), dtype=np.int64)
     inf = np.empty(len(chunks), dtype=np.int64) if influence else None
     for rows, block, squares in _spectrum_blocks(chunks, n):
-        deg[rows] = _degrees(block, n, axis=0)
-        lin[rows] = _linear_sums(block, n, axis=0)
+        deg[rows] = _degrees(block, n)
+        lin[rows] = _linear_sums(block, n)
         if influence:
-            inf[rows] = _total_influences(squares, n, axis=0)
+            inf[rows] = _total_influences(squares, n)
     return deg, lin, inf
 
 
@@ -435,44 +423,42 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 
-def _analyze_chunk(cfg: ScanConfig, consts: dict[int, _Scale], keys: range,
-                   tables_of: Callable[[range], Sequence[int]], begin: float) -> ScanResult:
-    """Analyze the tables of keys in sub-batches; wall time counts from begin.
+def _tables(cfg: ScanConfig, keys: range) -> Sequence[int]:
+    """The tables at keys: the keys themselves in exhaustive mode, else the
+    samples they number."""
+    if cfg.mode == "exhaustive":
+        return keys
+    return [_sample_table(cfg.seed, k, cfg.points) for k in keys]
 
-    tables_of maps a slice of keys to its tables, and runs only when the
-    sub-batch is reached, so at most one sub-batch of tables exists at once.
-    """
+
+def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
+    """Analyze indices [start, stop) of cfg's index space in sub-batches.
+
+    A sub-batch's tables are drawn only when it is reached, so at most one
+    sub-batch of tables exists at once."""
+    begin = time.perf_counter()
+    _check_int(start, 0, cfg.total, "range start {value!r} out of bounds {lo}..{hi}")
+    _check_int(stop, start, cfg.total, "range stop {value!r} out of bounds {lo}..{hi}")
+    consts = _build_consts(cfg)
     step = max(1, _BATCH_CELLS // cfg.points)
-    pieces = (_accumulate(cfg, consts, tables_of(keys[off : off + step]))
-              for off in range(0, len(keys), step))
+    pieces = (_accumulate(cfg, consts, _tables(cfg, range(off, min(off + step, stop))))
+              for off in range(start, stop, step))
     merged = functools.reduce(merge_results, pieces, _finalize(cfg, 0, (), (), {}))
     return replace(merged, wall_time=time.perf_counter() - begin)
 
 
 def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
     """Analyze truth-table integers in [start, stop); exhaustive-mode primitive."""
-    cfg = config.resolved()
-    if cfg.mode != "exhaustive":
+    if config.mode != "exhaustive":
         raise InputError("scan_table_range requires an exhaustive-mode config")
-    if not 0 <= start <= stop <= 1 << cfg.points:
-        raise InputError(f"table range [{start}, {stop}) out of bounds for n = {cfg.n}")
-    begin = time.perf_counter()
-    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), lambda ks: ks, begin)
+    return _analyze_chunk(config, start, stop)
 
 
 def scan_sample_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
     """Analyze sample indices in [start, stop); random-mode primitive."""
-    cfg = config.resolved()
-    if cfg.mode != "random":
+    if config.mode != "random":
         raise InputError("scan_sample_range requires a random-mode config")
-    if not 0 <= start <= stop <= cfg.sample_count:
-        raise InputError(f"sample range [{start}, {stop}) out of bounds")
-    begin = time.perf_counter()
-
-    def tables_of(ks: range) -> list[int]:
-        return [_sample_table(cfg.seed, k, cfg.points) for k in ks]
-
-    return _analyze_chunk(cfg, _build_consts(cfg), range(start, stop), tables_of, begin)
+    return _analyze_chunk(config, start, stop)
 
 
 def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
@@ -501,23 +487,19 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
 
 
 def _range_worker(args: tuple[ScanConfig, int, int]) -> ScanResult:
-    cfg, start, stop = args
-    primitive = scan_table_range if cfg.mode == "exhaustive" else scan_sample_range
-    return primitive(cfg, start, stop)
+    return _analyze_chunk(*args)
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
     """Full scan: chunk the index range, fan out if asked, merge, stamp time."""
-    cfg = config.resolved()
     begin = time.perf_counter()
-    total = (1 << cfg.points) if cfg.mode == "exhaustive" else cfg.sample_count
-    spans = ((cfg, s, min(s + cfg.chunk_size, total))
-             for s in range(0, total, cfg.chunk_size))
-    if cfg.worker_count == 1:
+    spans = ((config, s, min(s + config.chunk_size, config.total))
+             for s in range(0, config.total, config.chunk_size))
+    if config.worker_count == 1:
         merged = functools.reduce(merge_results, map(_range_worker, spans))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            depth = _SPANS_IN_FLIGHT * cfg.worker_count
+        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+            depth = _SPANS_IN_FLIGHT * config.worker_count
             merged = functools.reduce(merge_results, _bounded_map(pool, spans, depth))
     return replace(merged, wall_time=time.perf_counter() - begin)
 

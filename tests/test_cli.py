@@ -212,6 +212,22 @@ def test_fn_range_errors_keep_specific_messages(capsys):
         assert fragment in captured.err, (argv, captured.err)
 
 
+def test_integer_arguments_are_strict(capsys):
+    # int() would read a number from each of these
+    cases = [
+        ["analyze", "--fn", "maj:1_1"],
+        ["scan", "--n", "1_2", "--mode", "random", "--samples", "1"],
+        ["scan", "--n", "3", "--equiv-d", "1_0"],
+        ["scan", "--n", "3", "--equiv-d", "1, 2"],
+        ["scan", "--n", " 2"],
+    ]
+    for argv in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.err.strip() and captured.out == "", argv
+
+
 def test_internal_failure_exits_2(capsys, monkeypatch):
     base = run_scan(ScanConfig(n=2, mode="exhaustive"))
     doctored = dataclasses.replace(

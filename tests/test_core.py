@@ -44,7 +44,7 @@ from boolfun import (
     singleton_masks,
     to_hex,
 )
-from boolfun.core import _pack_bits, _unpack_bits, popcounts
+from boolfun.core import _check_int, _pack_bits, _parse_int, _unpack_bits, popcounts
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational
 from boolfun.majority import expected_abs_sum, majority_profile
@@ -161,6 +161,37 @@ def test_function_validation():
 def test_bools_and_non_ints_are_input_errors(call):
     with pytest.raises(InputError):
         call()
+
+
+# a bool table or mask, and parameters that int() would coerce to another
+# function than the one asked for
+@pytest.mark.parametrize("call", [
+    lambda: BooleanFunction(1, True),
+    lambda: fourier_coefficient(fwht(majority(3)), True),
+    lambda: builtin("maj", (3.5,)),
+    lambda: builtin("maj", ("1_1",)),
+    lambda: builtin("maj", (" +3",)),
+    lambda: builtin("dictator", (1.9, 2.7)),
+])
+def test_inputs_are_checked_not_coerced(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_parse_int_is_strict():
+    for text, value in (("0", 0), ("17", 17), ("-3", -3), ("007", 7), (5, 5)):
+        assert _parse_int(text) == value
+    for bad in ("+3", "1_0", " 2", "2 ", "", "-", "--1", "3.0", "\u0663", "\u00b2", 3.5, None):
+        with pytest.raises(InputError, match="non-integer parameter"):
+            _parse_int(bad)
+    with pytest.raises(InputError):
+        _parse_int("9" * 5000)  # past int()'s digit limit
+
+
+def test_check_int_formats_only_on_failure():
+    _check_int(3, 1, None, "{no_such_field}")
+    with pytest.raises(InputError, match="^x 0 not in 1..2$"):
+        _check_int(0, 1, 2, "x {value} not in {lo}..{hi}")
 
 
 def test_values_read_only():

@@ -69,7 +69,6 @@ def strip_time(result: ScanResult):
 
 def oracle_scan(cfg: ScanConfig, tables):
     """Fraction oracle, one function at a time, aggregated by hand."""
-    cfg = cfg.resolved()
     per_degree = {}
     violations = []
     equiv_failures = []
@@ -324,15 +323,33 @@ def test_parallel_random_scan_matches_serial():
 # ------------------------------------------------------------- validation
 
 def test_config_defaults_resolution():
-    cfg = ScanConfig(n=3, mode="exhaustive").resolved()
+    cfg = ScanConfig(n=3, mode="exhaustive")
     assert cfg.equivalence_check is True
     assert cfg.equivalence_d_range == (1, 2, 3, 4)
-    cfg = ScanConfig(n=4, mode="exhaustive").resolved()
+    cfg = ScanConfig(n=4, mode="exhaustive")
     assert cfg.equivalence_check is False
     assert cfg.equivalence_d_range == ()
-    cfg = ScanConfig(n=4, mode="random", sample_count=5).resolved()
+    cfg = ScanConfig(n=4, mode="random", sample_count=5)
     assert cfg.seed == 0
-    assert cfg.resolved() == cfg
+
+
+def test_config_defaults_are_filled_on_construction():
+    cfg = ScanConfig(n=3, mode="exhaustive")
+    same = ScanConfig(n=3, mode="exhaustive", equivalence_check=True,
+                      equivalence_d_range=(4, 3, 2, 1))
+    assert cfg == same
+    merged = merge_results(scan_table_range(cfg, 0, 100), scan_table_range(same, 100, 256))
+    assert strip_time(merged) == strip_time(scan_table_range(cfg, 0, 256))
+
+
+def test_range_bounds_must_be_integers():
+    exh = ScanConfig(n=3, mode="exhaustive")
+    rnd = ScanConfig(n=3, mode="random", sample_count=4)
+    for call in (lambda: scan_table_range(exh, True, 3),
+                 lambda: scan_table_range(exh, 0.5, 3),
+                 lambda: scan_sample_range(rnd, 0, 2.0)):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_equivalence_d_range_normalized():
@@ -544,7 +561,7 @@ def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
         monkeypatch.setattr(scan, "_derivative_counts", perturbed)
         plus, minus = perturbed(_bits_matrix(tables, 3), 3)
         for degree_filter in (None, 3, 2):
-            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter).resolved()
+            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
             got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
             want = every_row_failures(cfg, tables, plus, minus)
             assert list(got) == want, (row, degree_filter)
@@ -574,7 +591,7 @@ def test_largest_coefficients_square_without_overflow():
         fns = [dictator(1, n), dictator(n, n), parity(n), constant(n, -1), constant(n, 1)]
         tables = [f.table for f in fns]
         cfg = ScanConfig(n=n, mode="random", sample_count=1, equivalence_check=True,
-                         equivalence_d_range=(1, n, n + 1)).resolved()
+                         equivalence_d_range=(1, n, n + 1))
         res = _accumulate(cfg, _build_consts(cfg), tables)
         assert res.equivalence_failure_count == 0, n
         reports = [check_conjecture(f) for f in fns]
