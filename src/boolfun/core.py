@@ -395,10 +395,15 @@ def _repeat_pattern(block: int, width: int, total: int) -> int:
     return block
 
 
+_SIGN = "constant sign must be +1 or -1, got {value!r}"
+
+
 def constant(n: int, sign: int) -> BooleanFunction:
     _check_arity(n)
-    if sign not in (1, -1):
-        raise InputError(f"constant sign must be +1 or -1, got {sign!r}")
+    # the gate refuses bools and non-ints, which "in (1, -1)" alone lets by
+    _check_int(sign, -1, 1, _SIGN)
+    if sign == 0:
+        raise InputError(_SIGN.format(value=sign))
     table = 0 if sign == 1 else (1 << (1 << n)) - 1
     return BooleanFunction(n, table)
 

@@ -32,6 +32,7 @@ from .core import (
     InputError,
     InvariantError,
     _along,
+    _check_arity,
     _check_int,
     _int_type,
     _repeat_pattern,
@@ -53,6 +54,7 @@ class DerivativeTable:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_arity(self.n)
         _check_int(self.i, 1, self.n, _COORDINATE)
         values = np.ascontiguousarray(self.values, dtype=np.int8)
         if values.shape != (1 << (self.n - 1),):

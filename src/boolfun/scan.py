@@ -8,42 +8,59 @@ associative and commutative, and witness selection always prefers the
 numerically smallest table, so the final report is byte-for-byte identical
 (wall_time aside) no matter how the range was partitioned.
 
-The per-batch analysis is integer-only, and both modes take one route.  Each
-table is read as 2^(n-k) chunks of 2^k bits, k = min(n - 1, 4), low chunk
-first (_bits_matrix); chunk c is f restricted to the points whose
-coordinates k+1..n spell c.  The 2^k-scaled spectra of every arity-k table
-are built once per process (_level), so a table's spectrum is its chunks'
-level rows followed by the butterfly stages for coordinates k+1..n
-(O'Donnell, Analysis of Boolean Functions, 2014, 3.3).  The spectra exist
-one block at a time (_spectrum_blocks).  A block is column-major, one row
-per mask and one column per table, with as many columns as keep it in a
-core's L2 cache; its chunks' level rows are gathered with np.take.  After
-the stage for coordinate j every partial sum is at most 2^j, so the stages
-through coordinate 14 run in int16 (_INT16_STAGES); above n = 14 the block
-then widens once to the type that holds 2^n for the remaining stages.  The
-entries are squared once, in the narrowest type that holds 4^n
-(_spectrum_dtype).  While the block is in cache it is reduced along axis 0:
-its squares give the norm check and, for the equivalence check, the total
-influence, and its entries give the degree and the linear sum
-(_spectrum_reductions, by the core and derivatives formulas).  Each
-reduction adds or compares whole rows of the block.  The level tables are
-built by this same route from arity k-1, starting at the arity-0 spectra
-[1] and [-1].
+The per-batch analysis is integer-only.  Each table is read as 2^(n-k)
+chunks of 2^k bits, k = min(n - 1, 4), low chunk first; chunk c is f
+restricted to the points whose coordinates k+1..n spell c.  The 2^k-scaled
+spectra of every arity-k table are built once per process (_level), so a
+table's spectrum is its chunks' level spectra followed by the butterfly
+stages for coordinates k+1..n (O'Donnell, Analysis of Boolean Functions,
+2014, 3.3).  The spectra exist one block at a time (_spectrum_blocks).  A
+block is column-major, one row per mask and one column per table, with as
+many columns as keep it in a core's L2 cache.  It is filled in one of two
+ways; everything after the fill is shared.
+
+- Slices, for a range of consecutive tables of arity n <= 5 (every
+  exhaustive sub-batch).  There k = n - 1, so a table is two chunks,
+  f = (lo, hi), table = hi * 2^(2^k) + lo, and its spectrum is
+  [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
+  integers, so a range is at most three rectangles of (hi, lo) pairs: a
+  partial first high half, whole high halves, and a partial last one
+  (_rectangles).  Each is one broadcast add and one broadcast subtract of
+  column slices of _level(k)'s column-major int16 copy (_level_columns,
+  _fill_from_level): no unpacking, no gather and no butterfly pass.
+- Gather, for any other sub-batch (random samples, or a list of tables).
+  The tables are unpacked into chunks (_bits_matrix), the chunks' level rows
+  are gathered with np.take, and the butterfly stages for coordinates
+  k+1..n run on the block.  After the stage for coordinate j every partial
+  sum is at most 2^j, so the stages through coordinate 14 run in int16
+  (_INT16_STAGES); above n = 14 the block then widens once to the type that
+  holds 2^n for the remaining stages.
+
+The entries are squared once, in the narrowest type that holds 4^n
+(_spectrum_dtype), and every block, however filled, is norm-checked.  While
+the block is in cache it is reduced along axis 0: its squares give the
+total influence for the equivalence check, and its entries give the degree
+and the linear sum (_spectrum_reductions, by the core and derivatives
+formulas).  Each reduction adds or compares whole rows of the block.  The
+level tables are built by the gather route from arity k-1, starting at the
+arity-0 spectra [1] and [-1].
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
 value counts for the equivalence check come from table bits, not from the
 spectrum: the chunks' level counts plus, along each coordinate above k,
 popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk pairs
-(_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] = Inf_i
-(O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
-spectrum in two identities: 2 (plus - minus) is 2^n times the linear sum,
-and 2^(n+1) (plus + minus) is 4^n times the total influence.  Where both
-hold, each of the four inequalities becomes the original one, linear sum
-<= M(d), so they agree at every d.  Only a row that breaks an identity goes
-through the four inequalities at each d, so the witnesses are those that a
-check of every row at every d reports: a break that flips no inequality is
-not one of them.
+(_derivative_counts).  A range reads them from slices too: over a
+rectangle, plus is plus[lo] + plus[hi] + popcount(hi & ~lo), with lo and hi
+the halves' table integers, and minus likewise.  As E[D_i f] = fhat(i) and
+Pr[D_i f != 0] = Inf_i (O'Donnell 2014, 2.2), the counts plus and minus of a
+table meet its spectrum in two identities: 2 (plus - minus) is 2^n times
+the linear sum, and 2^(n+1) (plus + minus) is 4^n times the total
+influence.  Where both hold, each of the four inequalities becomes the
+original one, linear sum <= M(d), so they agree at every d.  Only a row
+that breaks an identity goes through the four inequalities at each d, so
+the witnesses are those that a check of every row at every d reports: a
+break that flips no inequality is not one of them.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -261,54 +278,90 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
     k = _chunk_arity(n)
     if n > 5:  # 16-bit chunks, straight from the table bytes
         return _table_bytes(tables, n, "<u2")
-    dtype = "<u4" if n == 5 else np.int64
-    if isinstance(tables, range):
-        ints = np.arange(tables.start, tables.stop, dtype=dtype)
-    else:
-        ints = np.array(tables, dtype=dtype)
+    ints = np.asarray(tables, dtype="<u4" if n == 5 else np.int64)
     if n == 5:  # the two 16-bit chunks, through a little-endian view
         return ints.view("<u2").reshape(-1, 2)
     shifts = np.arange(1 << (n - k)) << k
     return (ints[:, None] >> shifts) & ((1 << (1 << k)) - 1)
 
 
-def _spectrum_blocks(chunks: np.ndarray, n: int):
+def _spectrum_blocks(source, n: int):
     """The sub-batch's 2^n-scaled spectra, one L2-sized block at a time.
 
-    Yields (rows, block, squares): block is 2^n x m and column-major, one
-    column per table of chunks[rows] and one row per mask, and squares holds
-    its entries squared.  Each block is norm-checked before it is yielded.
-    The buffer behind block is reused, so a consumer is done with one block
+    source is a range of consecutive tables of arity n <= 5, filled from
+    level slices (_fill_from_level), or a chunk matrix from _bits_matrix,
+    whose chunks' level rows are gathered and then butterflied.  Yields
+    (rows, block, squares): block is 2^n x m and column-major, one column
+    per table of source[rows] and one row per mask, and squares holds its
+    entries squared.  Each block is norm-checked before it is yielded.  The
+    buffer behind block is reused, so a consumer is done with one block
     before it asks for the next."""
     k = _chunk_arity(n)
-    level = _level(k)[0]
     dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
     narrow = min(n, _INT16_STAGES)
     # holds the sum of any 2^n values of square_type (up to int64), so the
     # squares of a corrupt block do not wrap around to 4^n
     norm_type = _int_type(min(np.iinfo(square_type).max << n, np.iinfo(np.int64).max))
     step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
-    staged_buf = np.empty(min(step, len(chunks)) << n, dtype=np.int16)
+    staged_buf = np.empty(min(step, len(source)) << n, dtype=np.int16)
     buf = staged_buf if narrow == n else np.empty(len(staged_buf), dtype=dtype)
-    for start in range(0, len(chunks), step):
-        columns = chunks[start : start + step].T
-        width = columns.shape[1]
+    for start in range(0, len(source), step):
+        width = min(step, len(source) - start)
         staged, flat = staged_buf[: width << n], buf[: width << n]
-        # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1; the
-        # int8 entries widen to int16 on assignment
-        staged.reshape(1 << (n - k), 1 << k, width)[:] = \
-            np.take(level, columns, axis=0).transpose(0, 2, 1)
-        # each run of 2^narrow masks is transformed through coordinate narrow
-        # in int16, then the block widens once for the stages above it
-        _butterfly(staged.reshape(-1, width << narrow), half=width << k)
-        if narrow < n:
-            flat[:] = staged
-            _butterfly(flat, half=width << narrow)
+        if isinstance(source, range):  # n <= 5, so staged is flat
+            _fill_from_level(staged.reshape(1 << n, width), source[start : start + width], n)
+        else:
+            # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1;
+            # the int8 entries widen to int16 on assignment
+            staged.reshape(1 << (n - k), 1 << k, width)[:] = np.take(
+                _level(k)[0], source[start : start + width].T, axis=0).transpose(0, 2, 1)
+            # each run of 2^narrow masks is transformed through coordinate
+            # narrow in int16, then the block widens once for the stages above
+            _butterfly(staged.reshape(-1, width << narrow), half=width << k)
+            if narrow < n:
+                flat[:] = staged
+                _butterfly(flat, half=width << narrow)
         block = flat.reshape(1 << n, width)
         squares = np.square(block, dtype=square_type)
         if np.any(squares.sum(axis=0, dtype=norm_type) != 1 << (2 * n)):
             raise InvariantError("spectrum norm check failed during scan")
         yield slice(start, start + width), block, squares
+
+
+def _rectangles(tables: range, n: int):
+    """Consecutive arity-n tables (n <= 5) as at most three rectangles of
+    (hi, lo) pairs, where table = hi * 2^(2^(n-1)) + lo: a partial first high
+    half, whole high halves, and a partial last high half.  Yields (cells,
+    his, los), three slices: the rectangle's places in tables, hi-major, and
+    its hi and lo values."""
+    per_hi = 1 << (1 << (n - 1))
+    first = tables.start
+    while first < tables.stop:
+        hi, lo = divmod(first, per_hi)
+        left = tables.stop - first
+        if lo or left < per_hi:
+            his, los = slice(hi, hi + 1), slice(lo, min(per_hi, lo + left))
+        else:
+            his, los = slice(hi, hi + left // per_hi), slice(0, per_hi)
+        size = (his.stop - his.start) * (los.stop - los.start)
+        yield slice(first - tables.start, first - tables.start + size), his, los
+        first += size
+
+
+def _fill_from_level(block: np.ndarray, tables: range, n: int) -> None:
+    """Write the 2^n-scaled spectra of consecutive arity-n tables (n <= 5)
+    into the columns of block.  Such a table is two chunks, f = (lo, hi), and
+    its spectrum is [A_lo + A_hi, A_lo - A_hi] in terms of the chunks' level
+    spectra, so each rectangle of _rectangles is one broadcast add and one
+    broadcast subtract of level columns: no gather and no butterfly pass."""
+    columns = _level_columns(n - 1)
+    half = 1 << (n - 1)
+    for cells, his, los in _rectangles(tables, n):
+        lo, hi = columns[:, None, los], columns[:, his, None]
+        shape = (half, hi.shape[1], lo.shape[2])
+        # splitting the column axis of a block slice is always a view
+        np.add(lo, hi, out=block[:half, cells].reshape(shape))
+        np.subtract(lo, hi, out=block[half:, cells].reshape(shape))
 
 
 def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
@@ -319,14 +372,14 @@ def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
     return coeffs
 
 
-def _spectrum_reductions(chunks: np.ndarray, n: int, influence: bool):
+def _spectrum_reductions(source, n: int, influence: bool):
     """Per table: degree, 2^n times the linear sum and, if influence is set,
     4^n times the total influence (else None), reduced from each block while
     it is in cache."""
-    deg = np.empty(len(chunks), dtype=np.int8)
-    lin = np.empty(len(chunks), dtype=np.int64)
-    inf = np.empty(len(chunks), dtype=np.int64) if influence else None
-    for rows, block, squares in _spectrum_blocks(chunks, n):
+    deg = np.empty(len(source), dtype=np.int8)
+    lin = np.empty(len(source), dtype=np.int64)
+    inf = np.empty(len(source), dtype=np.int64) if influence else None
+    for rows, block, squares in _spectrum_blocks(source, n):
         deg[rows] = _degrees(block, n)
         lin[rows] = _linear_sums(block, n)
         if influence:
@@ -334,17 +387,32 @@ def _spectrum_reductions(chunks: np.ndarray, n: int, influence: bool):
     return deg, lin, inf
 
 
-def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative values +1 and -1 per table, summed over coordinates, from bits."""
+def _derivative_counts(source, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative values +1 and -1 per table, summed over coordinates, from
+    bits; source is a range of tables of arity n <= 5 or a chunk matrix, as
+    for _spectrum_blocks."""
     k = _chunk_arity(n)
     _, level_plus, level_minus = _level(k)
+    if isinstance(source, range):
+        # the level counts of lo and hi, plus popcount(hi & ~lo) and
+        # popcount(lo & ~hi) along x_n, one broadcast per rectangle
+        plus = np.empty(len(source), dtype=np.int64)
+        minus = np.empty(len(source), dtype=np.int64)
+        for cells, his, los in _rectangles(source, n):
+            hi = np.arange(his.start, his.stop)[:, None]
+            lo = np.arange(los.start, los.stop)
+            plus[cells] = (level_plus[los] + level_plus[his, None]
+                           + np.bitwise_count(hi & ~lo)).ravel()
+            minus[cells] = (level_minus[los] + level_minus[his, None]
+                            + np.bitwise_count(lo & ~hi)).ravel()
+        return plus, minus
     # chunk-major, so the counts below add whole contiguous rows of tables
-    columns = np.ascontiguousarray(chunks.T)
+    columns = np.ascontiguousarray(source.T)
     plus = np.take(level_plus, columns).sum(axis=0)
     minus = np.take(level_minus, columns).sum(axis=0)
     for i in range(k + 1, n + 1):
         # along x_i the derivative is +1 where only the high chunk has a set bit
-        pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(chunks))
+        pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(source))
         lo, hi = pairs[:, 0], pairs[:, 1]
         plus += np.bitwise_count(hi & ~lo).sum(axis=(0, 1), dtype=np.int64)
         minus += np.bitwise_count(lo & ~hi).sum(axis=(0, 1), dtype=np.int64)
@@ -366,8 +434,23 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k == 0:
         zero = np.zeros(2, dtype=np.int64)
         return np.array([[1], [-1]], dtype=np.int8), zero, zero
-    chunks = _bits_matrix(range(1 << (1 << k)), k)
+    chunks = _bits_matrix(np.arange(1 << (1 << k)), k)
     return (_batch_butterfly(chunks, k).astype(np.int8), *_derivative_counts(chunks, k))
+
+
+# per k, the _level(k) spectra last seen and their column-major int16 copy
+_columns_held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _level_columns(k: int) -> np.ndarray:
+    """_level(k)'s spectra as a 2^k x 2^(2^k) int16 matrix, one column per
+    arity-k table, so consecutive tables are a slice of columns.  It is
+    derived from whatever _level(k) returns, and rebuilt when that changes."""
+    rows = _level(k)[0]
+    held = _columns_held.get(k)
+    if held is None or held[0] is not rows:
+        held = _columns_held[k] = rows, np.ascontiguousarray(rows.T, dtype=np.int16)
+    return held[1]
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -381,8 +464,13 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
-    chunks = _bits_matrix(tables, n)
-    deg, lin, inf = _spectrum_reductions(chunks, n, bool(cfg.equivalence_d_range))
+    # consecutive tables of two chunks each are read by slicing the level
+    # under each high half; any other sub-batch is unpacked into chunks
+    if isinstance(tables, range) and _chunk_arity(n) == n - 1:
+        source = tables
+    else:
+        source = _bits_matrix(tables, n)
+    deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
     if cfg.degree_filter is None:
         mask = np.ones(len(tables), dtype=bool)
     else:
@@ -409,7 +497,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
 
     failures = []
     if cfg.equivalence_d_range:
-        plus, minus = _derivative_counts(chunks, n)
+        plus, minus = _derivative_counts(source, n)
         # the identities of the module docstring; where both hold, each of the
         # four inequalities reads (plus - minus) * s.prob <= s.maj at every d
         broken = np.nonzero(mask & ((2 * (plus - minus) != lin)

@@ -157,6 +157,9 @@ def test_function_validation():
     lambda: derivative_value_counts(majority(3), True),
     lambda: dictator("2", 3),
     lambda: dictator(1.0, 3),
+    lambda: constant(2, True),
+    lambda: constant(2, 1.0),
+    lambda: builtin("constant", (True, 2)),
 ])
 def test_bools_and_non_ints_are_input_errors(call):
     with pytest.raises(InputError):

@@ -201,3 +201,7 @@ def test_derivative_table_validation():
         DerivativeTable(2, 1, [0])
     with pytest.raises(InputError):
         DerivativeTable(2, 3, [0, 0])
+    # the arity is checked before the coordinate: 1 <= 1 <= True would pass
+    for n in (True, 0, 25, 2.0):
+        with pytest.raises(InputError, match="arity"):
+            DerivativeTable(n, 1, [0])

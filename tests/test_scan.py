@@ -480,10 +480,30 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     bad[5, 0] += 2
     monkeypatch.setattr(scan, "_level", lambda k: (bad, plus, minus))
     cfg = ScanConfig(n=3, mode="exhaustive")
+    # table = hi * 16 + lo; ranges are filled from level slices, so the
+    # corrupt row must reach them as lo and as hi
     scan_table_range(cfg, 0, 5)  # neither half is table 5 yet
     with pytest.raises(InvariantError):
         scan_table_range(cfg, 0, 6)
+    scan_table_range(cfg, 64, 69)  # hi 4
+    with pytest.raises(InvariantError):
+        scan_table_range(cfg, 80, 85)  # hi 5, lo 0..4
     monkeypatch.undo()
+    scan_table_range(cfg, 0, 256)  # the clean level again
+    # n = 5: table = hi * 2^16 + lo, with a corrupt arity-4 row
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    level, target = _level(4), 12345
+    bad = level[0].copy()
+    bad[target, 7] += 2
+    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    below, at = (7 << 16) + target, target << 16
+    scan_table_range(cfg, below - 3000, below)
+    scan_table_range(cfg, at - 3000, at)  # the last tables under hi target - 1
+    for start, stop in ((below - 3000, below + 1), (below, below + 1), (at, at + 3)):
+        with pytest.raises(InvariantError):
+            scan_table_range(cfg, start, stop)
+    monkeypatch.undo()
+    scan_table_range(cfg, below - 3000, below + 1)
     # a random n = 6 scan reads every sample as four arity-4 chunks
     cfg = ScanConfig(n=6, mode="random", sample_count=2, seed=5)
     chunks = _bits_matrix([_sample_table(5, k, 64) for k in range(2)], 6)
@@ -548,25 +568,78 @@ def every_row_failures(cfg: ScanConfig, tables, plus, minus):
 
 
 def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
-    tables = range(256)
     original = scan._derivative_counts
     # Maj_3 meets M(3) and M(4) exactly, so one more +1 derivative value flips
     # ineq_b and ineq_c there; the constant has room to spare at every d
     for row, flips in ((majority(3).table, True), (0, False)):
-        def perturbed(chunks, n, row=row):
-            plus, minus = original(chunks, n)
+        def perturbed(source, n, row=row):
+            plus, minus = original(source, n)
             plus[row] += 1
             return plus, minus
 
         monkeypatch.setattr(scan, "_derivative_counts", perturbed)
-        plus, minus = perturbed(_bits_matrix(tables, 3), 3)
-        for degree_filter in (None, 3, 2):
-            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
-            got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
-            want = every_row_failures(cfg, tables, plus, minus)
-            assert list(got) == want, (row, degree_filter)
-            assert bool(want) == (flips and degree_filter != 2), (row, degree_filter)
-            assert all(w.table_hex == to_hex(BooleanFunction(3, row)) for w in want)
+        # a range's counts come from level slices, a list's from its chunks
+        for tables, source in ((range(256), range(256)),
+                               (list(range(256)), _bits_matrix(range(256), 3))):
+            plus, minus = perturbed(source, 3)
+            for degree_filter in (None, 3, 2):
+                cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
+                got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
+                want = every_row_failures(cfg, tables, plus, minus)
+                assert list(got) == want, (row, degree_filter, type(tables))
+                assert bool(want) == (flips and degree_filter != 2), (row, degree_filter)
+                assert all(w.table_hex == to_hex(BooleanFunction(3, row)) for w in want)
+
+
+def test_level_counts_reach_both_count_routes(monkeypatch):
+    # one more +1 value in the level counts of arity-2 table 8, Maj_3's low
+    # half, adds one to the counts of every n = 3 table per half equal to 8
+    coeffs, plus, minus = _level(2)
+    bad = plus.copy()
+    bad[8] += 1
+    monkeypatch.setattr(scan, "_level", lambda k: (coeffs, bad, minus) if k == 2 else _level(k))
+    tables = range(256)
+    counts = [[derivative_value_counts(BooleanFunction(3, t), i) for i in (1, 2, 3)]
+              for t in tables]
+    want_plus = np.array([sum(c[1] for c in row) + (t & 15 == 8) + (t >> 4 == 8)
+                          for t, row in zip(tables, counts)])
+    want_minus = np.array([sum(c[2] for c in row) for row in counts])
+    cfg = ScanConfig(n=3, mode="exhaustive")
+    want = every_row_failures(cfg, tables, want_plus, want_minus)
+    assert any(w.table_hex == to_hex(majority(3)) for w in want)
+    for routed in (tables, list(tables)):
+        got = _accumulate(cfg, _build_consts(cfg), routed).equivalence_failures
+        assert list(got) == want, type(routed)
+
+
+def test_range_and_gather_fills_agree(monkeypatch):
+    # a range of tables of arity n <= 5 is filled from level slices, with no
+    # unpacking; a list of the same tables is unpacked and gathered
+    def unpack_refused(tables, n):
+        raise AssertionError("a range was unpacked")
+
+    cases = [(ScanConfig(n=n, mode="exhaustive", equivalence_check=check, degree_filter=df),
+              range(1 << (1 << n)))
+             for n in range(1, 5) for check in (True, False) for df in (None, *range(n + 1))]
+    # one high half spans 2^(2^(n-1)) tables: partial first, whole and partial last
+    cases += [(ScanConfig(n=4, mode="exhaustive"), range(300, 40000)),
+              (ScanConfig(n=3, mode="exhaustive"), range(5, 11))]
+    a = random.Random(512).randrange((1 << 32) - 3000)
+    for check, df in ((True, None), (False, 3)):
+        cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+                         equivalence_d_range=tuple(range(1, 7)), degree_filter=df)
+        cases += [(cfg, tables) for tables in (
+            range(77 << 14, 78 << 14), range(a, a + 3000),
+            range((1 << 16) - 100, (1 << 16) + 100), range((1 << 32) - 700, 1 << 32),
+            range(a, a + 1))]
+    for cfg, tables in cases:
+        consts = _build_consts(cfg)
+        gathered = _accumulate(cfg, consts, list(tables))
+        monkeypatch.setattr(scan, "_bits_matrix", unpack_refused)
+        sliced = _accumulate(cfg, consts, tables)
+        monkeypatch.undo()
+        assert strip_time(sliced) == strip_time(gathered), (cfg, tables)
+        assert sliced.functions_examined == len(tables)
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
