@@ -9,25 +9,27 @@ numerically smallest table, so the final report is byte-for-byte identical
 (wall_time aside) no matter how the range was partitioned.
 
 The per-batch analysis is integer-only.  Each table is read as 2^(n-k)
-chunks of 2^k bits, k = min(n - 1, 4), low chunk first; chunk c is f
-restricted to the points whose coordinates k+1..n spell c.  The 2^k-scaled
-spectra of every arity-k table are built once per process (_level), so a
-table's spectrum is its chunks' level spectra followed by the butterfly
-stages for coordinates k+1..n (O'Donnell, Analysis of Boolean Functions,
-2014, 3.3).  The spectra exist one block at a time (_spectrum_blocks).  A
-block is column-major, one row per mask and one column per table, with as
-many columns as keep it in a core's L2 cache.  It is filled in one of two
-ways; everything after the fill is shared.
+chunks of 2^k bits, low chunk first; chunk c is f restricted to the points
+whose coordinates k+1..n spell c.  The chunks are the table's 16-bit words,
+or below n = 4 one byte holding the whole table, so k = min(n, 4), and they
+are read through core's table codec (_bits_matrix).  The 2^k-scaled spectra
+of every arity-k table are built once per process (_level), so a table's
+spectrum is its chunks' level spectra followed by the butterfly stages for
+coordinates k+1..n (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
+The spectra exist one block at a time (_spectrum_blocks).  A block is
+column-major, one row per mask and one column per table, with as many
+columns as keep it in a core's L2 cache.  It is filled in one of two ways;
+everything after the fill is shared.
 
 - Slices, for a range of consecutive tables of arity n <= 5 (every
-  exhaustive sub-batch).  There k = n - 1, so a table is two chunks,
-  f = (lo, hi), table = hi * 2^(2^k) + lo, and its spectrum is
-  [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
+  exhaustive sub-batch, and every level).  Such a table is two halves of
+  arity n - 1, f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum
+  is [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
   integers, so a range is at most three rectangles of (hi, lo) pairs: a
   partial first high half, whole high halves, and a partial last one
   (_rectangles).  Each is one broadcast add and one broadcast subtract of
-  column slices of _level(k)'s column-major int16 copy (_level_columns,
-  _fill_from_level): no unpacking, no gather and no butterfly pass.
+  column slices of _level(n - 1)'s column-major int16 copy
+  (_fill_from_level): no unpacking, no gather and no butterfly pass.
 - Gather, for any other sub-batch (random samples, or a list of tables).
   The tables are unpacked into chunks (_bits_matrix), the chunks' level rows
   are gathered with np.take, and the butterfly stages for coordinates
@@ -41,9 +43,10 @@ The entries are squared once, in the narrowest type that holds 4^n
 the block is in cache it is reduced along axis 0: its squares give the
 total influence for the equivalence check, and its entries give the degree
 and the linear sum (_spectrum_reductions, by the core and derivatives
-formulas).  Each reduction adds or compares whole rows of the block.  The
-level tables are built by the gather route from arity k-1, starting at the
-arity-0 spectra [1] and [-1].
+formulas).  Each reduction adds or compares whole rows of the block.  Each
+level is the slice fill of every arity-k table from _level(k - 1), starting
+at the arity-0 spectra [1] and [-1], so no level is unpacked, gathered or
+butterflied.
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -268,21 +271,11 @@ def _build_consts(cfg: ScanConfig) -> dict[int, _Scale]:
     return {d: _scale(cfg.n, d) for d in {*range(cfg.n + 1), *cfg.equivalence_d_range}}
 
 
-def _chunk_arity(n: int) -> int:
-    """Arity k of the chunks an arity-n table is read as; _level(k) is cached."""
-    return min(n - 1, 4)
-
-
 def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
-    """The sub-batch's tables as rows of 2^(n-k) arity-k chunks, low chunk first."""
-    k = _chunk_arity(n)
-    if n > 5:  # 16-bit chunks, straight from the table bytes
-        return _table_bytes(tables, n, "<u2")
-    ints = np.asarray(tables, dtype="<u4" if n == 5 else np.int64)
-    if n == 5:  # the two 16-bit chunks, through a little-endian view
-        return ints.view("<u2").reshape(-1, 2)
-    shifts = np.arange(1 << (n - k)) << k
-    return (ints[:, None] >> shifts) & ((1 << (1 << k)) - 1)
+    """The sub-batch's tables as rows of 2^(n-k) arity-k chunks, low chunk
+    first: 16-bit words (k = 4), or below n = 4 one byte holding the whole
+    table (k = n).  Readers take k from a row's width, 2^(n-k)."""
+    return _table_bytes(tables, n, "<u2" if n >= 4 else np.uint8)
 
 
 def _spectrum_blocks(source, n: int):
@@ -296,7 +289,6 @@ def _spectrum_blocks(source, n: int):
     entries squared.  Each block is norm-checked before it is yielded.  The
     buffer behind block is reused, so a consumer is done with one block
     before it asks for the next."""
-    k = _chunk_arity(n)
     dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
     narrow = min(n, _INT16_STAGES)
     # holds the sum of any 2^n values of square_type (up to int64), so the
@@ -313,8 +305,9 @@ def _spectrum_blocks(source, n: int):
         else:
             # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1;
             # the int8 entries widen to int16 on assignment
+            k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
             staged.reshape(1 << (n - k), 1 << k, width)[:] = np.take(
-                _level(k)[0], source[start : start + width].T, axis=0).transpose(0, 2, 1)
+                _level(k).rows, source[start : start + width].T, axis=0).transpose(0, 2, 1)
             # each run of 2^narrow masks is transformed through coordinate
             # narrow in int16, then the block widens once for the stages above
             _butterfly(staged.reshape(-1, width << narrow), half=width << k)
@@ -350,11 +343,11 @@ def _rectangles(tables: range, n: int):
 
 def _fill_from_level(block: np.ndarray, tables: range, n: int) -> None:
     """Write the 2^n-scaled spectra of consecutive arity-n tables (n <= 5)
-    into the columns of block.  Such a table is two chunks, f = (lo, hi), and
-    its spectrum is [A_lo + A_hi, A_lo - A_hi] in terms of the chunks' level
-    spectra, so each rectangle of _rectangles is one broadcast add and one
+    into the columns of block.  Such a table is two halves of arity n - 1,
+    f = (lo, hi), and its spectrum is [A_lo + A_hi, A_lo - A_hi] in terms of
+    the halves' level spectra, so each rectangle of _rectangles is one broadcast add and one
     broadcast subtract of level columns: no gather and no butterfly pass."""
-    columns = _level_columns(n - 1)
+    columns = _level(n - 1).columns
     half = 1 << (n - 1)
     for cells, his, los in _rectangles(tables, n):
         lo, hi = columns[:, None, los], columns[:, his, None]
@@ -364,10 +357,11 @@ def _fill_from_level(block: np.ndarray, tables: range, n: int) -> None:
         np.subtract(lo, hi, out=block[half:, cells].reshape(shape))
 
 
-def _batch_butterfly(chunks: np.ndarray, n: int) -> np.ndarray:
-    """2^n-scaled spectra of the sub-batch as a matrix, one row per table."""
-    coeffs = np.empty((len(chunks), 1 << n), dtype=_spectrum_dtype(n))
-    for rows, block, _ in _spectrum_blocks(chunks, n):
+def _batch_butterfly(source, n: int) -> np.ndarray:
+    """2^n-scaled spectra of the sub-batch as a matrix, one row per table;
+    source is as for _spectrum_blocks."""
+    coeffs = np.empty((len(source), 1 << n), dtype=_spectrum_dtype(n))
+    for rows, block, _ in _spectrum_blocks(source, n):
         coeffs[rows] = block.T
     return coeffs
 
@@ -391,25 +385,26 @@ def _derivative_counts(source, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Derivative values +1 and -1 per table, summed over coordinates, from
     bits; source is a range of tables of arity n <= 5 or a chunk matrix, as
     for _spectrum_blocks."""
-    k = _chunk_arity(n)
-    _, level_plus, level_minus = _level(k)
     if isinstance(source, range):
         # the level counts of lo and hi, plus popcount(hi & ~lo) and
         # popcount(lo & ~hi) along x_n, one broadcast per rectangle
+        level = _level(n - 1)
         plus = np.empty(len(source), dtype=np.int64)
         minus = np.empty(len(source), dtype=np.int64)
         for cells, his, los in _rectangles(source, n):
             hi = np.arange(his.start, his.stop)[:, None]
             lo = np.arange(los.start, los.stop)
-            plus[cells] = (level_plus[los] + level_plus[his, None]
+            plus[cells] = (level.plus[los] + level.plus[his, None]
                            + np.bitwise_count(hi & ~lo)).ravel()
-            minus[cells] = (level_minus[los] + level_minus[his, None]
+            minus[cells] = (level.minus[los] + level.minus[his, None]
                             + np.bitwise_count(lo & ~hi)).ravel()
         return plus, minus
+    k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
+    level = _level(k)
     # chunk-major, so the counts below add whole contiguous rows of tables
     columns = np.ascontiguousarray(source.T)
-    plus = np.take(level_plus, columns).sum(axis=0)
-    minus = np.take(level_minus, columns).sum(axis=0)
+    plus = np.take(level.plus, columns).sum(axis=0)
+    minus = np.take(level.minus, columns).sum(axis=0)
     for i in range(k + 1, n + 1):
         # along x_i the derivative is +1 where only the high chunk has a set bit
         pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(source))
@@ -427,30 +422,39 @@ def _spectrum_dtype(n: int) -> type:
     return _int_type(1 << n)
 
 
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """Every arity-k table, indexed by table integer: its 2^k-scaled spectrum
+    (rows, int8, one row per table) and its derivative +1 and -1 counts summed
+    over coordinates 1..k.  One record serves the whole process, so every
+    array is read-only."""
+
+    rows: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.rows, self.plus, self.minus):
+            values.setflags(write=False)
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """rows as a 2^k x 2^(2^k) int16 matrix, one column per table, so
+        consecutive tables are a slice of columns; built on first use."""
+        columns = np.ascontiguousarray(self.rows.T, dtype=np.int16)
+        columns.setflags(write=False)
+        return columns
+
+
 @functools.cache
-def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2^k-scaled spectra (int8) and summed derivative +1 and -1 counts over
-    coordinates 1..k of every arity-k table, indexed by table integer."""
+def _level(k: int) -> _Level:
+    """The level record of arity k: the spectra [1] and [-1] at k = 0, and
+    above that the slice fill of every arity-k table from _level(k - 1)."""
     if k == 0:
         zero = np.zeros(2, dtype=np.int64)
-        return np.array([[1], [-1]], dtype=np.int8), zero, zero
-    chunks = _bits_matrix(np.arange(1 << (1 << k)), k)
-    return (_batch_butterfly(chunks, k).astype(np.int8), *_derivative_counts(chunks, k))
-
-
-# per k, the _level(k) spectra last seen and their column-major int16 copy
-_columns_held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _level_columns(k: int) -> np.ndarray:
-    """_level(k)'s spectra as a 2^k x 2^(2^k) int16 matrix, one column per
-    arity-k table, so consecutive tables are a slice of columns.  It is
-    derived from whatever _level(k) returns, and rebuilt when that changes."""
-    rows = _level(k)[0]
-    held = _columns_held.get(k)
-    if held is None or held[0] is not rows:
-        held = _columns_held[k] = rows, np.ascontiguousarray(rows.T, dtype=np.int16)
-    return held[1]
+        return _Level(np.array([[1], [-1]], dtype=np.int8), zero, zero)
+    tables = range(1 << (1 << k))
+    return _Level(_batch_butterfly(tables, k).astype(np.int8), *_derivative_counts(tables, k))
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -464,12 +468,9 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once, as rows of a matrix."""
     n = cfg.n
-    # consecutive tables of two chunks each are read by slicing the level
-    # under each high half; any other sub-batch is unpacked into chunks
-    if isinstance(tables, range) and _chunk_arity(n) == n - 1:
-        source = tables
-    else:
-        source = _bits_matrix(tables, n)
+    # a range is an exhaustive sub-batch, so n <= 5, and is read by slicing
+    # the level under each high half; any other sub-batch is unpacked
+    source = tables if isinstance(tables, range) else _bits_matrix(tables, n)
     deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
     if cfg.degree_filter is None:
         mask = np.ones(len(tables), dtype=bool)
@@ -502,7 +503,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
         # four inequalities reads (plus - minus) * s.prob <= s.maj at every d
         broken = np.nonzero(mask & ((2 * (plus - minus) != lin)
                                     | ((plus + minus) << (n + 1) != inf)))[0]
-        for d in cfg.equivalence_d_range:
+        for d in cfg.equivalence_d_range if broken.size else ():
             sides = _sides(consts[d], lin[broken], inf[broken], plus[broken], minus[broken])
             sat = [lhs <= rhs for lhs, rhs in sides.values()]
             agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
@@ -574,17 +575,13 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
     )
 
 
-def _range_worker(args: tuple[ScanConfig, int, int]) -> ScanResult:
-    return _analyze_chunk(*args)
-
-
 def run_scan(config: ScanConfig) -> ScanResult:
     """Full scan: chunk the index range, fan out if asked, merge, stamp time."""
     begin = time.perf_counter()
     spans = ((config, s, min(s + config.chunk_size, config.total))
              for s in range(0, config.total, config.chunk_size))
     if config.worker_count == 1:
-        merged = functools.reduce(merge_results, map(_range_worker, spans))
+        merged = functools.reduce(merge_results, itertools.starmap(_analyze_chunk, spans))
     else:
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             depth = _SPANS_IN_FLIGHT * config.worker_count
@@ -593,12 +590,12 @@ def run_scan(config: ScanConfig) -> ScanResult:
 
 
 def _bounded_map(pool: ProcessPoolExecutor, spans, depth: int):
-    """Results of _range_worker over spans, in span order, with at most depth
+    """Results of _analyze_chunk over spans, in span order, with at most depth
     spans submitted at a time (pool.map would submit every span up front)."""
     spans = iter(spans)
-    pending = collections.deque(pool.submit(_range_worker, span)
+    pending = collections.deque(pool.submit(_analyze_chunk, *span)
                                 for span in itertools.islice(spans, depth))
     while pending:
         result = pending.popleft().result()
-        pending.extend(pool.submit(_range_worker, span) for span in itertools.islice(spans, 1))
+        pending.extend(pool.submit(_analyze_chunk, *span) for span in itertools.islice(spans, 1))
         yield result

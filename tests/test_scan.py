@@ -298,10 +298,10 @@ def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
     class Pool:  # resolves each span at once to its start index
         submitted = 0
 
-        def submit(self, fn, span):
+        def submit(self, fn, cfg, start, stop):
             self.submitted += 1
             future = Future()
-            future.set_result(span[1])
+            future.set_result(start)
             return future
 
     pool = Pool()
@@ -447,18 +447,58 @@ def test_chunked_route_matches_transform_and_counted_derivatives():
             assert minus[row] == sum(c[2] for c in counts), (n, t)
 
 
+def assert_level_row(level, k: int, t: int):
+    """Row t of an arity-k level record against fwht and counted derivatives."""
+    f = BooleanFunction(k, t)
+    assert level.rows[t].tolist() == fwht(f).coeffs.tolist(), (k, t)
+    assert level.columns[:, t].tolist() == level.rows[t].tolist(), (k, t)
+    counts = [derivative_value_counts(f, i) for i in range(1, k + 1)]
+    assert level.plus[t] == sum(c[1] for c in counts), (k, t)
+    assert level.minus[t] == sum(c[2] for c in counts), (k, t)
+
+
+def patch_level(monkeypatch, k: int, **arrays):
+    """Make scan._level(k) return _level(k) with the given arrays replaced.
+    Every level is built first, so none is built from the patched one."""
+    _level(4)
+    patched = dataclasses.replace(_level(k), **arrays)
+    monkeypatch.setattr(scan, "_level", lambda j: patched if j == k else _level(j))
+
+
 def test_level_matches_transform_and_counted_derivatives():
     rng = random.Random(2024)
     cases = [(k, t) for k in (1, 2, 3) for t in range(1 << (1 << k))]
     cases += [(4, rng.randrange(1 << 16)) for _ in range(2000)]
     for k, t in cases:
-        coeffs, plus, minus = _level(k)
-        f = BooleanFunction(k, t)
-        assert coeffs[t].tolist() == fwht(f).coeffs.tolist(), (k, t)
-        counts = [derivative_value_counts(f, i) for i in range(1, k + 1)]
-        assert plus[t] == sum(c[1] for c in counts) and minus[t] == sum(c[2] for c in counts)
-    coeffs, plus, minus = _level(0)
-    assert coeffs.tolist() == [[1], [-1]] and plus.tolist() == minus.tolist() == [0, 0]
+        assert_level_row(_level(k), k, t)
+    level = _level(0)
+    assert level.rows.tolist() == [[1], [-1]]
+    assert level.plus.tolist() == level.minus.tolist() == [0, 0]
+
+
+def test_levels_are_built_by_the_range_join_without_unpacking(monkeypatch):
+    def unpack_refused(tables, n):
+        raise AssertionError("a level table was unpacked")
+
+    _level.cache_clear()
+    monkeypatch.setattr(scan, "_bits_matrix", unpack_refused)
+    try:
+        level = _level(4)
+    finally:
+        monkeypatch.undo()
+        _level.cache_clear()
+    rng = random.Random(4)
+    for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(500))):
+        assert_level_row(level, 4, t)
+
+
+def test_level_tables_are_read_only():
+    # one record per arity serves the whole process
+    level = _level(3)
+    for values in (level.rows, level.plus, level.minus, level.columns):
+        with pytest.raises(ValueError):
+            values[0] += 1
+    assert_level_row(level, 3, 0)
 
 
 def test_exhaustive_n5_slices_match_oracle():
@@ -475,10 +515,9 @@ def test_exhaustive_n5_slices_match_oracle():
 
 
 def test_corrupted_level_row_fails_norm_check(monkeypatch):
-    coeffs, plus, minus = _level(2)
-    bad = coeffs.copy()
+    bad = _level(2).rows.copy()
     bad[5, 0] += 2
-    monkeypatch.setattr(scan, "_level", lambda k: (bad, plus, minus))
+    patch_level(monkeypatch, 2, rows=bad)
     cfg = ScanConfig(n=3, mode="exhaustive")
     # table = hi * 16 + lo; ranges are filled from level slices, so the
     # corrupt row must reach them as lo and as hi
@@ -492,10 +531,10 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     scan_table_range(cfg, 0, 256)  # the clean level again
     # n = 5: table = hi * 2^16 + lo, with a corrupt arity-4 row
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
-    level, target = _level(4), 12345
-    bad = level[0].copy()
+    target = 12345
+    bad = _level(4).rows.copy()
     bad[target, 7] += 2
-    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    patch_level(monkeypatch, 4, rows=bad)
     below, at = (7 << 16) + target, target << 16
     scan_table_range(cfg, below - 3000, below)
     scan_table_range(cfg, at - 3000, at)  # the last tables under hi target - 1
@@ -504,15 +543,25 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
             scan_table_range(cfg, start, stop)
     monkeypatch.undo()
     scan_table_range(cfg, below - 3000, below + 1)
+    # a random n = 3 scan reads every sample whole, as a row of _level(3)
+    cfg = ScanConfig(n=3, mode="random", sample_count=2, seed=3)
+    first, target = (_sample_table(3, k, 8) for k in range(2))
+    assert first != target
+    bad = _level(3).rows.copy()
+    bad[target, 6] -= 2
+    patch_level(monkeypatch, 3, rows=bad)
+    scan_sample_range(cfg, 0, 1)  # sample 0 is another table
+    with pytest.raises(InvariantError):
+        scan_sample_range(cfg, 0, 2)
+    monkeypatch.undo()
     # a random n = 6 scan reads every sample as four arity-4 chunks
     cfg = ScanConfig(n=6, mode="random", sample_count=2, seed=5)
     chunks = _bits_matrix([_sample_table(5, k, 64) for k in range(2)], 6)
     target = int(chunks[1, 2])
     assert target not in chunks[0]
-    level = _level(4)
-    bad = level[0].copy()
+    bad = _level(4).rows.copy()
     bad[target, 3] -= 2
-    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    patch_level(monkeypatch, 4, rows=bad)
     scan_sample_range(cfg, 0, 1)  # sample 0 has no chunk equal to target
     with pytest.raises(InvariantError):
         scan_sample_range(cfg, 0, 2)
@@ -522,9 +571,9 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     rng = random.Random(10)
     chunks = _bits_matrix([rng.getrandbits(1 << n) for _ in range(block_rows(n) + 3)], n)
     target = next(int(c) for c in chunks[-1] if c not in chunks[:-1])
-    bad = level[0].copy()
+    bad = _level(4).rows.copy()
     bad[target, 0] += 2
-    monkeypatch.setattr(scan, "_level", lambda k: (bad, *level[1:]) if k == 4 else _level(k))
+    patch_level(monkeypatch, 4, rows=bad)
     _batch_butterfly(chunks[:-1], n)
     with pytest.raises(InvariantError):
         _batch_butterfly(chunks, n)
@@ -592,23 +641,26 @@ def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
 
 
 def test_level_counts_reach_both_count_routes(monkeypatch):
-    # one more +1 value in the level counts of arity-2 table 8, Maj_3's low
-    # half, adds one to the counts of every n = 3 table per half equal to 8
-    coeffs, plus, minus = _level(2)
-    bad = plus.copy()
-    bad[8] += 1
-    monkeypatch.setattr(scan, "_level", lambda k: (coeffs, bad, minus) if k == 2 else _level(k))
+    # a range of n = 3 tables reads its halves' counts from _level(2), and a
+    # list reads each table whole from _level(3).  One more +1 value in the
+    # level counts of arity-2 table 8, Maj_3's low half, adds one to the
+    # counts of every n = 3 table per half equal to 8; the list route gets
+    # that same bump per table in _level(3)
     tables = range(256)
+    bump = np.array([(t & 15 == 8) + (t >> 4 == 8) for t in tables])
     counts = [[derivative_value_counts(BooleanFunction(3, t), i) for i in (1, 2, 3)]
               for t in tables]
-    want_plus = np.array([sum(c[1] for c in row) + (t & 15 == 8) + (t >> 4 == 8)
-                          for t, row in zip(tables, counts)])
+    want_plus = np.array([sum(c[1] for c in row) for row in counts]) + bump
     want_minus = np.array([sum(c[2] for c in row) for row in counts])
     cfg = ScanConfig(n=3, mode="exhaustive")
     want = every_row_failures(cfg, tables, want_plus, want_minus)
     assert any(w.table_hex == to_hex(majority(3)) for w in want)
-    for routed in (tables, list(tables)):
+    half_bump = np.zeros(16, dtype=np.int64)
+    half_bump[8] = 1
+    for k, routed, extra in ((2, tables, half_bump), (3, list(tables), bump)):
+        patch_level(monkeypatch, k, plus=_level(k).plus + extra)
         got = _accumulate(cfg, _build_consts(cfg), routed).equivalence_failures
+        monkeypatch.undo()
         assert list(got) == want, type(routed)
 
 
