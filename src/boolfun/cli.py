@@ -8,7 +8,7 @@ text by default or a JSON document with --json; the document shape is
 (scan config, witnesses and per-degree extremals, majority profile,
 derivative distribution) is written field by field (_record), and every
 exact quantity is a {"num", "log2_den", "display"} triple, never a float.
-A scan's config leaves out worker_count and chunk_size.
+Run settings are not part of a scan's identity, so its config omits them.
 
 Exit codes: 0 for success (a conjecture violation found by a scan is a
 reported result, not an error), 1 for bad input or usage, 2 when an
@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from .conjecture import check_conjecture, equivalence_predicates
 from .core import (
@@ -65,9 +66,10 @@ def _dy(x: DyadicRational) -> dict:
 
 
 def _record(obj, omit=()) -> dict:
-    """A result dataclass as its JSON block: every field but those in omit,
-    by name, with exact values as _dy triples."""
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in omit}
+    """A result dataclass as its JSON block: every field that takes part in
+    equality but those in omit, by name, with exact values as _dy triples."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+              if f.compare and f.name not in omit}
     return {k: _dy(v) if isinstance(v, DyadicRational) else v for k, v in values.items()}
 
 
@@ -176,22 +178,21 @@ def _cmd_scan(args):
         chunk_size=args.chunk_size,
         allow_huge=args.allow_huge,
     )
+    begin = time.perf_counter()
     result = run_scan(config)
-    return "scan", _scan_payload(result), 2 if result.equivalence_failure_count else 0
+    payload = {**_scan_payload(result), "wall_time_seconds": time.perf_counter() - begin}
+    return "scan", payload, 2 if result.equivalence_failure_count else 0
 
 
 def _scan_payload(result: ScanResult) -> dict:
     return {
-        # worker_count and chunk_size are deliberately not echoed: they cannot
-        # change any result byte, and the payload must not vary when they do
-        "config": _record(result.config, omit=("worker_count", "chunk_size")),
+        "config": _record(result.config),
         "functions_examined": result.functions_examined,
         "violation_count": result.violation_count,
         "violations": [_record(w) for w in result.violations],
         "equivalence_failure_count": result.equivalence_failure_count,
         "equivalence_failures": [_record(w) for w in result.equivalence_failures],
         "per_degree": {str(d): _record(ext) for d, ext in result.per_degree.items()},
-        "wall_time_seconds": result.wall_time,
     }
 
 

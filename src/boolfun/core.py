@@ -265,14 +265,16 @@ def to_hex(f: BooleanFunction) -> str:
 def point_to_index(x: Sequence[int]) -> int:
     idx = 0
     for i, xi in enumerate(x):
-        if xi == -1:
+        if xi == -1 and isinstance(xi, int):
             idx |= 1 << i
-        elif xi != 1:
-            raise InputError(f"coordinate {i + 1} is {xi!r}, expected +1 or -1")
+        else:  # the int +1, not True or 1.0
+            _check_int(xi, 1, 1, f"coordinate {i + 1} is {{value!r}}, expected +1 or -1")
     return idx
 
 
 def index_to_point(idx: int, n: int) -> tuple[int, ...]:
+    _check_arity(n)
+    _check_int(idx, 0, (1 << n) - 1, "point index must be in {lo}..{hi}, got {value!r}")
     return tuple(1 - 2 * ((idx >> i) & 1) for i in range(n))
 
 

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import _check_arity, majority  # majority is re-exported
+from .core import MAX_ARITY, _check_arity, _check_int, majority  # majority is re-exported
 from .dyadic import ZERO, DyadicRational
 
 
@@ -62,9 +62,8 @@ def maj_linear_coefficient(d: int) -> DyadicRational:
 
 def maj_bound(d: int) -> DyadicRational:
     """M(d): the sum of the linear coefficients of Maj_d, with M(0) = 0."""
-    if d == 0:
-        return ZERO
-    return majority_profile(d).bound_M
+    _check_int(d, 0, MAX_ARITY, "majority arity must be in {lo}..{hi}, got {value!r}")
+    return majority_profile(d).bound_M if d else ZERO
 
 
 def expected_abs_sum(n: int) -> DyadicRational:

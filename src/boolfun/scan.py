@@ -6,7 +6,7 @@ range primitives over a contiguous index interval, so a scan can be split
 into chunks, run on several processes, and merged.  merge_results is
 associative and commutative, and witness selection always prefers the
 numerically smallest table, so the final report is byte-for-byte identical
-(wall_time aside) no matter how the range was partitioned.
+no matter how the range was partitioned.
 
 The per-batch analysis is integer-only.  Each table is read as 2^(n-k)
 chunks of 2^k bits, low chunk first; chunk c is f restricted to the points
@@ -43,10 +43,7 @@ The entries are squared once, in the narrowest type that holds 4^n
 the block is in cache it is reduced along axis 0: its squares give the
 total influence for the equivalence check, and its entries give the degree
 and the linear sum (_spectrum_reductions, by the core and derivatives
-formulas).  Each reduction adds or compares whole rows of the block.  Each
-level is the slice fill of every arity-k table from _level(k - 1), starting
-at the arity-0 spectra [1] and [-1], so no level is unpacked, gathered or
-butterflied.
+formulas).  Each reduction adds or compares whole rows of the block.
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -75,9 +72,8 @@ import collections
 import functools
 import hashlib
 import itertools
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -126,8 +122,9 @@ class ScanConfig:
     Construction fills in the defaults that depend on n: the equivalence
     check runs by default for n <= 3, at d = 1..n+1 unless equivalence_d_range
     names other d values (sorted, without repeats, and () when the check is
-    off), and a random scan's seed defaults to 0.  So two configs that scan
-    alike compare equal."""
+    off), and a random scan's seed defaults to 0.  worker_count and chunk_size
+    say how a scan is run, not what it scans, and take no part in equality.
+    So two configs that scan alike compare equal."""
 
     n: int
     mode: str
@@ -136,8 +133,8 @@ class ScanConfig:
     equivalence_d_range: tuple[int, ...] | None = None
     sample_count: int | None = None
     seed: int | None = None
-    worker_count: int = 1
-    chunk_size: int = 1 << 14
+    worker_count: int = field(default=1, compare=False)
+    chunk_size: int = field(default=1 << 14, compare=False)
     allow_huge: bool = False
 
     def __post_init__(self):
@@ -167,10 +164,15 @@ class ScanConfig:
         if self.degree_filter is not None:
             _check_int(self.degree_filter, 0, self.n,
                        "degree filter must be in {lo}..{hi}, got {value!r}")
-        for d in self.equivalence_d_range or ():
+        try:
+            d_values = tuple(self.equivalence_d_range or ())
+        except TypeError:
+            raise InputError("equivalence_d_range must be an iterable of d values, "
+                             f"got {self.equivalence_d_range!r}") from None
+        for d in d_values:
             _check_arity(d, "equivalence d value")
         check = self.n <= 3 if self.equivalence_check is None else self.equivalence_check
-        d_range = tuple(sorted(set(self.equivalence_d_range or ()))) or tuple(range(1, self.n + 2))
+        d_range = tuple(sorted(set(d_values))) or tuple(range(1, self.n + 2))
         object.__setattr__(self, "equivalence_check", check)
         object.__setattr__(self, "equivalence_d_range", d_range if check else ())
         _check_int(self.worker_count, 1, None, "worker_count must be at least {lo}, got {value!r}")
@@ -230,7 +232,6 @@ class ScanResult:
     violations: tuple[ConjectureWitness, ...]
     equivalence_failures: tuple[EquivalenceWitness, ...]
     per_degree: dict[int, DegreeExtremal]
-    wall_time: float
     # witnesses beyond the cap, counted but not listed
     violations_omitted: int = 0
     equivalence_failures_omitted: int = 0
@@ -245,8 +246,7 @@ class ScanResult:
 
 
 def _finalize(cfg: ScanConfig, examined: int, violations, failures, per_degree: dict,
-              wall_time: float = 0.0, violations_omitted: int = 0,
-              failures_omitted: int = 0) -> ScanResult:
+              violations_omitted: int = 0, failures_omitted: int = 0) -> ScanResult:
     """A ScanResult with witnesses sorted by table and cut at _WITNESS_CAP."""
     violations = sorted(violations, key=lambda w: w.table_hex)
     failures = sorted(failures, key=lambda w: (w.table_hex, w.d))
@@ -256,7 +256,6 @@ def _finalize(cfg: ScanConfig, examined: int, violations, failures, per_degree: 
         violations=tuple(violations[:_WITNESS_CAP]),
         equivalence_failures=tuple(failures[:_WITNESS_CAP]),
         per_degree=per_degree,
-        wall_time=wall_time,
         violations_omitted=violations_omitted + max(0, len(violations) - _WITNESS_CAP),
         equivalence_failures_omitted=failures_omitted + max(0, len(failures) - _WITNESS_CAP),
     )
@@ -512,28 +511,29 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 
-def _tables(cfg: ScanConfig, keys: range) -> Sequence[int]:
-    """The tables at keys: the keys themselves in exhaustive mode, else the
-    samples they number."""
-    if cfg.mode == "exhaustive":
-        return keys
-    return [_sample_table(cfg.seed, k, cfg.points) for k in keys]
-
-
 def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
     """Analyze indices [start, stop) of cfg's index space in sub-batches.
 
-    A sub-batch's tables are drawn only when it is reached, so at most one
-    sub-batch of tables exists at once."""
-    begin = time.perf_counter()
+    A sub-batch's tables (its keys when exhaustive, else the samples they
+    number) are drawn only when it is reached, so at most one exists at
+    once.  An InvariantError names the call that reproduces the sub-batch."""
     _check_int(start, 0, cfg.total, "range start {value!r} out of bounds {lo}..{hi}")
     _check_int(stop, start, cfg.total, "range stop {value!r} out of bounds {lo}..{hi}")
     consts = _build_consts(cfg)
     step = max(1, _BATCH_CELLS // cfg.points)
-    pieces = (_accumulate(cfg, consts, _tables(cfg, range(off, min(off + step, stop))))
-              for off in range(start, stop, step))
-    merged = functools.reduce(merge_results, pieces, _finalize(cfg, 0, (), (), {}))
-    return replace(merged, wall_time=time.perf_counter() - begin)
+    merged = _finalize(cfg, 0, (), (), {})
+    for off in range(start, stop, step):
+        keys = range(off, min(off + step, stop))
+        tables = keys if cfg.mode == "exhaustive" else [
+            _sample_table(cfg.seed, k, cfg.points) for k in keys]
+        try:
+            piece = _accumulate(cfg, consts, tables)
+        except InvariantError as exc:
+            primitive = "scan_table_range" if cfg.mode == "exhaustive" else "scan_sample_range"
+            raise InvariantError(f"{exc}; reproduce with "
+                                 f"{primitive}({cfg!r}, {keys.start}, {keys.stop})") from exc
+        merged = merge_results(merged, piece)
+    return merged
 
 
 def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -569,24 +569,20 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
         left.violations + right.violations,
         left.equivalence_failures + right.equivalence_failures,
         per_degree,
-        left.wall_time + right.wall_time,
         left.violations_omitted + right.violations_omitted,
         left.equivalence_failures_omitted + right.equivalence_failures_omitted,
     )
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
-    """Full scan: chunk the index range, fan out if asked, merge, stamp time."""
-    begin = time.perf_counter()
+    """Full scan: the whole index range on one worker, else chunk_size spans on a pool."""
+    if config.worker_count == 1:
+        return _analyze_chunk(config, 0, config.total)
     spans = ((config, s, min(s + config.chunk_size, config.total))
              for s in range(0, config.total, config.chunk_size))
-    if config.worker_count == 1:
-        merged = functools.reduce(merge_results, itertools.starmap(_analyze_chunk, spans))
-    else:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            depth = _SPANS_IN_FLIGHT * config.worker_count
-            merged = functools.reduce(merge_results, _bounded_map(pool, spans, depth))
-    return replace(merged, wall_time=time.perf_counter() - begin)
+    with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+        depth = _SPANS_IN_FLIGHT * config.worker_count
+        return functools.reduce(merge_results, _bounded_map(pool, spans, depth))
 
 
 def _bounded_map(pool: ProcessPoolExecutor, spans, depth: int):

@@ -92,6 +92,20 @@ def test_point_rejects_bad_coordinates():
         point_to_index((1, 0, 1))
     with pytest.raises(InputError):
         point_to_index((2,))
+    # only the ints +1 and -1: a bool or a float is refused, not read as a sign
+    for x in ((True, -1, 1), (1, False, 1), (1.0, -1, 1), (1, -1.0, 1)):
+        with pytest.raises(InputError, match="coordinate"):
+            point_to_index(x)
+        with pytest.raises(InputError):
+            evaluate(majority(3), x)
+
+
+def test_index_to_point_checks_index_and_arity():
+    assert index_to_point(0, 3) == (1, 1, 1)
+    assert index_to_point(7, 3) == (-1, -1, -1)
+    for idx, n in ((-1, 3), (8, 3), (3, True), (True, 3), (1.0, 3), (0, 0), (0, 25), (2, 1.0)):
+        with pytest.raises(InputError):
+            index_to_point(idx, n)
 
 
 def test_evaluate_matches_table():

@@ -58,6 +58,9 @@ def test_odd_closed_form():
 
 def test_bound_fixtures():
     assert maj_bound(0) == ZERO
+    for d in (False, True, 0.0, 1.0, -1, 25, "3"):
+        with pytest.raises(InputError):
+            maj_bound(d)
     assert maj_bound(1) == 1
     assert maj_bound(2) == 1
     assert maj_bound(3) == DyadicRational(3, 1)

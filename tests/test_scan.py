@@ -8,6 +8,8 @@ mismatch.
 """
 
 import dataclasses
+import functools
+import json
 import random
 from concurrent.futures import Future
 
@@ -33,7 +35,7 @@ from boolfun import (
     to_hex,
     total_influence,
 )
-from boolfun.cli import _scan_payload
+from boolfun.cli import _scan_payload, main
 from boolfun.conjecture import _sides
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
@@ -54,17 +56,6 @@ from boolfun.scan import (
     _spectrum_reductions,
 )
 from oracles import frac_bound, frac_side, oracle_predicates
-
-
-def strip_time(result: ScanResult):
-    """Comparable view of everything except wall_time."""
-    return (
-        result.config,
-        result.functions_examined,
-        result.violations,
-        result.equivalence_failures,
-        {d: dataclasses.astuple(e) for d, e in result.per_degree.items()},
-    )
 
 
 def oracle_scan(cfg: ScanConfig, tables):
@@ -174,7 +165,7 @@ def test_random_stream_is_partition_independent():
     for a, b in ((0, 7), (7, 8), (8, 40), (40, 64)):
         piece = scan_sample_range(cfg, a, b)
         acc = piece if acc is None else merge_results(acc, piece)
-    assert strip_time(acc) == strip_time(whole)
+    assert acc == whole
 
 
 def test_random_reproducible_and_seed_sensitive():
@@ -182,8 +173,8 @@ def test_random_reproducible_and_seed_sensitive():
     a = run_scan(cfg(7))
     b = run_scan(cfg(7))
     c = run_scan(cfg(8))
-    assert strip_time(a) == strip_time(b)
-    assert strip_time(a) != strip_time(c)
+    assert a == b
+    assert a != c
 
 
 def test_sample_values_distinct_by_index():
@@ -218,7 +209,7 @@ def test_samples_are_drawn_one_sub_batch_at_a_time(monkeypatch):
                       for off in range(0, count, step)]
     assert drawn == list(range(count))
     monkeypatch.undo()
-    assert strip_time(res) == strip_time(scan_sample_range(cfg, 0, count))
+    assert res == scan_sample_range(cfg, 0, count)
 
 
 # ---------------------------------------------------------------- merging
@@ -230,15 +221,14 @@ def test_merge_reassembles_ragged_partition():
     for a, b in ((0, 1), (1, 100), (100, 107), (107, 256)):
         piece = scan_table_range(cfg, a, b)
         acc = piece if acc is None else merge_results(acc, piece)
-    assert strip_time(acc) == strip_time(whole)
+    assert acc == whole
 
 
 def test_merge_commutes():
     cfg = ScanConfig(n=3, mode="exhaustive")
     left = scan_table_range(cfg, 0, 80)
     right = scan_table_range(cfg, 80, 256)
-    assert strip_time(merge_results(left, right)) == \
-        strip_time(merge_results(right, left))
+    assert merge_results(left, right) == merge_results(right, left)
 
 
 def test_merge_with_empty_range_is_identity():
@@ -246,7 +236,7 @@ def test_merge_with_empty_range_is_identity():
     some = scan_table_range(cfg, 0, 16)
     empty = scan_table_range(cfg, 16, 16)
     assert empty.functions_examined == 0 and not empty.per_degree
-    assert strip_time(merge_results(some, empty)) == strip_time(some)
+    assert merge_results(some, empty) == some
 
 
 def test_merge_rejects_different_configs():
@@ -288,10 +278,40 @@ def test_results_identical_across_workers_and_chunks():
         for chunk in (16, 64):
             res = run_scan(ScanConfig(n=3, mode="exhaustive",
                                       worker_count=workers, chunk_size=chunk))
-            key = strip_time(dataclasses.replace(res, config=None))
             if ref is None:
-                ref = key
-            assert key == ref, (workers, chunk)
+                ref = res
+            assert res == ref, (workers, chunk)
+
+
+def test_results_are_values():
+    # worker_count and chunk_size say how a scan is run, not what it scans
+    pooled = ScanConfig(n=3, mode="exhaustive", worker_count=2, chunk_size=17)
+    serial = ScanConfig(n=3, mode="exhaustive")
+    assert pooled == serial and hash(pooled) == hash(serial)
+    for run, other in ((pooled, serial), (serial, pooled)):
+        pieces = [scan_table_range(run, a, b) for a, b in ((0, 100), (100, 101), (101, 256))]
+        assert functools.reduce(merge_results, pieces) == run_scan(other)
+    assert merge_results(scan_table_range(pooled, 0, 100),
+                         scan_table_range(serial, 100, 256)) == run_scan(serial)
+
+
+def test_one_worker_scans_without_spans(monkeypatch):
+    # sub-batches bound a span's memory, so chunk_size only splits a pool's work
+    spans = []
+    analyze = scan._analyze_chunk
+
+    def counted(cfg, start, stop):
+        spans.append((start, stop))
+        return analyze(cfg, start, stop)
+
+    cfgs = (ScanConfig(n=3, mode="exhaustive", chunk_size=16),
+            ScanConfig(n=5, mode="random", sample_count=300, chunk_size=7))
+    pooled = [run_scan(dataclasses.replace(cfg, worker_count=2)) for cfg in cfgs]
+    monkeypatch.setattr(scan, "_analyze_chunk", counted)
+    for cfg, want in zip(cfgs, pooled):
+        spans.clear()
+        assert run_scan(cfg) == want
+        assert spans == [(0, cfg.total)]
 
 
 def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
@@ -316,8 +336,7 @@ def test_parallel_random_scan_matches_serial():
     serial = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3))
     parallel = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3,
                                    worker_count=3, chunk_size=17))
-    assert strip_time(dataclasses.replace(serial, config=None)) == \
-        strip_time(dataclasses.replace(parallel, config=None))
+    assert serial == parallel
 
 
 # ------------------------------------------------------------- validation
@@ -339,7 +358,7 @@ def test_config_defaults_are_filled_on_construction():
                       equivalence_d_range=(4, 3, 2, 1))
     assert cfg == same
     merged = merge_results(scan_table_range(cfg, 0, 100), scan_table_range(same, 100, 256))
-    assert strip_time(merged) == strip_time(scan_table_range(cfg, 0, 256))
+    assert merged == scan_table_range(cfg, 0, 256)
 
 
 def test_range_bounds_must_be_integers():
@@ -350,6 +369,17 @@ def test_range_bounds_must_be_integers():
                  lambda: scan_sample_range(rnd, 0, 2.0)):
         with pytest.raises(InputError):
             call()
+
+
+def test_equivalence_d_range_must_be_iterable():
+    with pytest.raises(InputError, match="equivalence_d_range"):
+        ScanConfig(n=2, mode="exhaustive", equivalence_d_range=3)
+    # an iterator is read once, so its d values are checked and kept
+    cfg = ScanConfig(n=2, mode="exhaustive", equivalence_check=True,
+                     equivalence_d_range=iter((3, 1)))
+    assert cfg.equivalence_d_range == (1, 3)
+    with pytest.raises(InputError):
+        ScanConfig(n=2, mode="exhaustive", equivalence_d_range=iter((0,)))
 
 
 def test_equivalence_d_range_normalized():
@@ -579,6 +609,48 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
         _batch_butterfly(chunks, n)
 
 
+def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
+    # one worker's span is the whole index space, so an error names the
+    # sub-batch that failed, as a range primitive call that fails again
+    namespace = {"ScanConfig": ScanConfig, "scan_table_range": scan_table_range,
+                 "scan_sample_range": scan_sample_range}
+
+    def assert_named(run, call):
+        with pytest.raises(InvariantError, match="norm check") as info:
+            run()
+        assert str(info.value).endswith("; reproduce with " + call), str(info.value)
+        assert isinstance(info.value.__cause__, InvariantError)
+        with pytest.raises(InvariantError, match="norm check"):
+            eval(call, namespace)
+
+    # n = 5: every 2^16 consecutive tables hold each arity-4 table as lo, so
+    # the first sub-batch of a span fails
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    step, start = scan._BATCH_CELLS >> 5, (9 << 16) + 20000
+    bad = _level(4).rows.copy()
+    bad[12345, 7] += 2
+    patch_level(monkeypatch, 4, rows=bad)
+    assert_named(lambda: scan_table_range(cfg, start, start + 3 * step),
+                 f"scan_table_range({cfg!r}, {start}, {start + step})")
+    monkeypatch.undo()
+    # n = 6 samples: an arity-4 chunk found in the second sub-batch only
+    step = scan._BATCH_CELLS >> 6
+    cfg = ScanConfig(n=6, mode="random", sample_count=2 * step + 10, seed=5)
+    chunks = _bits_matrix([_sample_table(5, k, 64) for k in range(2 * step)], 6)
+    seen = set(chunks[:step].ravel().tolist())
+    target = next(c for c in chunks[step:].ravel().tolist() if c not in seen)
+    bad = _level(4).rows.copy()
+    bad[target, 3] -= 2
+    patch_level(monkeypatch, 4, rows=bad)
+    call = f"scan_sample_range({cfg!r}, {step}, {2 * step})"
+    assert_named(lambda: run_scan(cfg), call)
+    scan_sample_range(cfg, 0, step)  # the first sub-batch is clean
+    # the CLI still exits 2, and names the same call
+    assert main(["scan", "--n", "6", "--mode", "random", "--seed", "5",
+                 "--samples", str(cfg.sample_count)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(call)
+
+
 def test_block_reductions_match_single_function_api():
     rng = random.Random(77)
     # several blocks at n = 5, a partial last block at n = 10, one row a block at
@@ -690,7 +762,7 @@ def test_range_and_gather_fills_agree(monkeypatch):
         monkeypatch.setattr(scan, "_bits_matrix", unpack_refused)
         sliced = _accumulate(cfg, consts, tables)
         monkeypatch.undo()
-        assert strip_time(sliced) == strip_time(gathered), (cfg, tables)
+        assert sliced == gathered, (cfg, tables)
         assert sliced.functions_examined == len(tables)
 
 
@@ -745,6 +817,8 @@ def test_range_primitive_validation():
         scan_sample_range(exh, 0, 4)
 
 
-def test_wall_time_positive():
-    res = run_scan(ScanConfig(n=2, mode="exhaustive"))
-    assert res.wall_time > 0
+def test_wall_time_positive(capsys):
+    # the scan command times its run; a result is a value and carries no time
+    assert main(["scan", "--n", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["wall_time_seconds"] > 0
+    assert not hasattr(run_scan(ScanConfig(n=2, mode="exhaustive")), "wall_time")
