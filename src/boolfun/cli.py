@@ -46,7 +46,7 @@ from .derivatives import (
 )
 from .dyadic import DyadicRational
 from .majority import expected_abs_sum, majority_profile
-from .scan import ScanConfig, ScanResult, run_scan
+from .scan import _MODES, ScanConfig, ScanResult, run_scan
 
 _MAJ_TABLE_MAX_D = 16
 
@@ -77,6 +77,8 @@ def _resolve_function(args) -> BooleanFunction:
     if args.fn is not None and args.hex is not None:
         raise UsageError("give either --fn or --hex, not both")
     if args.fn is not None:
+        if args.n is not None:
+            raise UsageError("--n goes only with --hex, not with --fn")
         family, *params = args.fn.split(":")
         return builtin(family, params)
     if args.hex is not None:
@@ -105,7 +107,7 @@ def _cmd_analyze(args):
             str(mask): _dy(DyadicRational(int(spectrum.coeffs[mask]), f.n))
             for mask in range(f.points)
         }
-    return "analyze", payload, 0
+    return payload, 0
 
 
 def _cmd_maj(args):
@@ -115,7 +117,7 @@ def _cmd_maj(args):
         if args.d > _MAJ_TABLE_MAX_D:
             raise InputError(f"--table supports d <= {_MAJ_TABLE_MAX_D}")
         payload["table_hex"] = to_hex(majority(args.d))
-    return "maj", payload, 0
+    return payload, 0
 
 
 def _cmd_derivative(args):
@@ -137,7 +139,7 @@ def _cmd_derivative(args):
         "expectation": _dy(expect),
         "routes_agree": True,
     }
-    return "derivative", payload, 0
+    return payload, 0
 
 
 def _cmd_equiv(args):
@@ -153,7 +155,7 @@ def _cmd_equiv(args):
             for name, (lhs, rhs) in preds.sides.items()
         },
     }
-    return "equiv", payload, 0 if preds.agreement else 2
+    return payload, 0 if preds.agreement else 2
 
 
 def _parse_equiv_d(text: str | None) -> tuple[bool | None, tuple[int, ...] | None]:
@@ -181,7 +183,7 @@ def _cmd_scan(args):
     begin = time.perf_counter()
     result = run_scan(config)
     payload = {**_scan_payload(result), "wall_time_seconds": time.perf_counter() - begin}
-    return "scan", payload, 2 if result.equivalence_failure_count else 0
+    return payload, 2 if result.equivalence_failure_count else 0
 
 
 def _scan_payload(result: ScanResult) -> dict:
@@ -315,15 +317,6 @@ def _render_scan(p) -> str:
     return "\n".join(lines)
 
 
-_RENDERERS = {
-    "analyze": _render_analyze,
-    "maj": _render_maj,
-    "derivative": _render_derivative,
-    "equiv": _render_equiv,
-    "scan": _render_scan,
-}
-
-
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -342,38 +335,40 @@ def build_parser() -> _Parser:
     p = subs.add_parser("analyze", parents=[common, fn_common],
                         help="spectrum, influences, and the bound for one function")
     p.add_argument("--spectrum", action="store_true", help="include all coefficients")
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=_cmd_analyze, render=_render_analyze)
 
     p = subs.add_parser("maj", parents=[common], help="majority profile at arity d")
     p.add_argument("--d", type=_parse_int, required=True)
     p.add_argument("--table", action="store_true",
                    help=f"include the truth table (d <= {_MAJ_TABLE_MAX_D})")
-    p.set_defaults(handler=_cmd_maj)
+    p.set_defaults(handler=_cmd_maj, render=_render_maj)
 
     p = subs.add_parser("derivative", parents=[common, fn_common],
                         help="derivative value distribution along one coordinate")
     p.add_argument("--i", type=_parse_int, required=True, help="coordinate, 1-based")
-    p.set_defaults(handler=_cmd_derivative)
+    p.set_defaults(handler=_cmd_derivative, render=_render_derivative)
 
     p = subs.add_parser("equiv", parents=[common, fn_common],
                         help="the four inequalities for one function at a chosen d")
     p.add_argument("--d", type=_parse_int, required=True)
-    p.set_defaults(handler=_cmd_equiv)
+    p.set_defaults(handler=_cmd_equiv, render=_render_equiv)
 
     p = subs.add_parser("scan", parents=[common], help="bulk verification")
     p.add_argument("--n", type=_parse_int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--mode", choices=_MODES, default="exhaustive")
     p.add_argument("--degree", type=_parse_int, default=None, help="restrict to one degree")
     p.add_argument("--samples", type=_parse_int, default=None, help="sample count (random)")
     p.add_argument("--seed", type=_parse_int, default=None, help="stream seed (random)")
-    p.add_argument("--jobs", type=_parse_int, default=1, help="worker processes")
-    p.add_argument("--chunk-size", type=_parse_int, default=1 << 14)
+    # a dataclass field's default is also its class attribute
+    p.add_argument("--jobs", type=_parse_int, default=ScanConfig.worker_count,
+                   help="worker processes")
+    p.add_argument("--chunk-size", type=_parse_int, default=ScanConfig.chunk_size)
     p.add_argument("--equiv-d", metavar="LIST", default=None,
                    help="comma-separated d values for the equivalence check, "
                         "or 'none' to disable it")
     p.add_argument("--allow-huge", action="store_true",
                    help="permit exhaustive n = 5")
-    p.set_defaults(handler=_cmd_scan)
+    p.set_defaults(handler=_cmd_scan, render=_render_scan)
     return parser
 
 
@@ -381,18 +376,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        command, payload, code = args.handler(args)
+        payload, code = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    document = {"schema_version": "1", "command": command, "payload": payload}
-    if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(_RENDERERS[command](payload))
+    document = {"schema_version": "1", "command": args.command, "payload": payload}
+    print(json.dumps(document, indent=2, sort_keys=True) if args.json else args.render(payload))
     return code
 
 

@@ -96,6 +96,7 @@ from .derivatives import _total_influences
 from .dyadic import DyadicRational
 from .majority import maj_bound
 
+_MODES = ("exhaustive", "random")
 _EXHAUSTIVE_DEFAULT_MAX_N = 4
 _EXHAUSTIVE_HUGE_MAX_N = 5
 _RANDOM_MAX_N = 16
@@ -119,12 +120,13 @@ _INT16_STAGES = np.iinfo(np.int16).max.bit_length() - 1
 class ScanConfig:
     """Immutable description of one scan; merging requires equal configs.
 
-    Construction fills in the defaults that depend on n: the equivalence
-    check runs by default for n <= 3, at d = 1..n+1 unless equivalence_d_range
-    names other d values (sorted, without repeats, and () when the check is
-    off), and a random scan's seed defaults to 0.  worker_count and chunk_size
-    say how a scan is run, not what it scans, and take no part in equality.
-    So two configs that scan alike compare equal."""
+    Construction fills in the defaults that depend on n: unless
+    equivalence_check is given, the equivalence check runs when
+    equivalence_d_range names d values or n <= 3; it runs at those d values
+    (sorted, without repeats), else at d = 1..n+1, and the range is () when
+    the check is off.  A random scan's seed defaults to 0.  worker_count and
+    chunk_size say how a scan is run, not what it scans, and take no part in
+    equality.  So two configs that scan alike compare equal."""
 
     n: int
     mode: str
@@ -138,8 +140,8 @@ class ScanConfig:
     allow_huge: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise InputError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
+        if self.mode not in _MODES:
+            raise InputError(f"mode must be {' or '.join(map(repr, _MODES))}, got {self.mode!r}")
         if not (self.equivalence_check is None or isinstance(self.equivalence_check, bool)):
             raise InputError(f"equivalence_check must be a bool, got {self.equivalence_check!r}")
         if not isinstance(self.allow_huge, bool):
@@ -156,8 +158,9 @@ class ScanConfig:
             if self.sample_count is not None or self.seed is not None:
                 raise InputError("sample_count and seed only apply to random mode")
         else:
-            _check_int(self.sample_count, 1, None,
-                       "random mode requires a sample_count of at least {lo}, got {value!r}")
+            # _sample_table numbers the samples with 8-byte indices
+            _check_int(self.sample_count, 1, 1 << 64,
+                       "random mode requires a sample_count in {lo}..{hi}, got {value!r}")
             if self.seed is None:
                 object.__setattr__(self, "seed", 0)
             _check_int(self.seed, 0, (1 << 64) - 1, "seed must be in {lo}..{hi}, got {value!r}")
@@ -171,7 +174,8 @@ class ScanConfig:
                              f"got {self.equivalence_d_range!r}") from None
         for d in d_values:
             _check_arity(d, "equivalence d value")
-        check = self.n <= 3 if self.equivalence_check is None else self.equivalence_check
+        check = ((bool(d_values) or self.n <= 3) if self.equivalence_check is None
+                 else self.equivalence_check)
         d_range = tuple(sorted(set(d_values))) or tuple(range(1, self.n + 2))
         object.__setattr__(self, "equivalence_check", check)
         object.__setattr__(self, "equivalence_d_range", d_range if check else ())
@@ -580,8 +584,11 @@ def run_scan(config: ScanConfig) -> ScanResult:
         return _analyze_chunk(config, 0, config.total)
     spans = ((config, s, min(s + config.chunk_size, config.total))
              for s in range(0, config.total, config.chunk_size))
-    with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-        depth = _SPANS_IN_FLIGHT * config.worker_count
+    # a fork pool starts every worker at the first submit, so it gets no more
+    # workers than there are spans
+    workers = min(config.worker_count, -(-config.total // config.chunk_size))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        depth = _SPANS_IN_FLIGHT * workers
         return functools.reduce(merge_results, _bounded_map(pool, spans, depth))
 
 

@@ -180,6 +180,7 @@ def test_usage_errors_exit_1(capsys):
         ["analyze", "--fn", "maj:1:2"],
         ["analyze", "--fn", "maj:"],
         ["analyze", "--hex", "0xe8"],
+        ["analyze", "--fn", "maj:3", "--n", "5"],
         ["analyze", "--hex", "0x+f", "--n", "3"],
         ["analyze", "--nope"],
         ["scan", "--n", "3", "--mode", "upside-down"],

@@ -332,6 +332,36 @@ def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
     assert pool.submitted == 100
 
 
+def test_pool_is_no_larger_than_its_span_count(monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit
+    sizes = []
+
+    class Pool:  # runs each span inline and records the pool size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", Pool)
+    cases = [(dict(n=3, mode="exhaustive", worker_count=8), 1),
+             (dict(n=3, mode="exhaustive", worker_count=8, chunk_size=100), 3),
+             (dict(n=4, mode="random", sample_count=50, worker_count=2, chunk_size=10), 2)]
+    for kwargs, workers in cases:
+        cfg = ScanConfig(**kwargs)
+        sizes.clear()
+        assert run_scan(cfg) == scan._analyze_chunk(cfg, 0, cfg.total)
+        assert sizes == [workers], kwargs
+
+
 def test_parallel_random_scan_matches_serial():
     serial = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3))
     parallel = run_scan(ScanConfig(n=4, mode="random", sample_count=200, seed=3,
@@ -380,6 +410,16 @@ def test_equivalence_d_range_must_be_iterable():
     assert cfg.equivalence_d_range == (1, 3)
     with pytest.raises(InputError):
         ScanConfig(n=2, mode="exhaustive", equivalence_d_range=iter((0,)))
+
+
+def test_given_d_values_turn_the_equivalence_check_on():
+    cfg = ScanConfig(n=5, mode="random", sample_count=3, equivalence_d_range=(2, 1))
+    assert (cfg.equivalence_check, cfg.equivalence_d_range) == (True, (1, 2))
+    assert cfg == ScanConfig(n=5, mode="random", sample_count=3, equivalence_check=True,
+                             equivalence_d_range=(1, 2))
+    # an explicit False still wins over given d values
+    off = ScanConfig(n=3, mode="exhaustive", equivalence_check=False, equivalence_d_range=(1,))
+    assert (off.equivalence_check, off.equivalence_d_range) == (False, ())
 
 
 def test_equivalence_d_range_normalized():
@@ -431,6 +471,15 @@ def test_config_validation_errors():
                    dict(n=5, mode="exhaustive", allow_huge=1)):
         with pytest.raises(InputError):
             ScanConfig(**kwargs)
+
+
+def test_sample_count_is_capped_at_the_index_width():
+    # _sample_table numbers the samples with 8-byte indices
+    top = ScanConfig(n=3, mode="random", sample_count=1 << 64)
+    assert scan_sample_range(top, (1 << 64) - 1, 1 << 64).functions_examined == 1
+    with pytest.raises(InputError, match="sample_count"):
+        scan_sample_range(ScanConfig(n=3, mode="random", sample_count=(1 << 64) + 5),
+                          1 << 64, (1 << 64) + 1)
 
 
 def test_allow_huge_gate_constructs_and_slices():
