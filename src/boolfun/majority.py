@@ -8,8 +8,7 @@ binomial-sum route to the same number.
 
 Profiles come from a closed form in a few big-integer operations; no
 truth table or transform of Maj_d is built to compare against it.  The
-table itself (majority) is built in core, beside the other named families,
-and re-exported here.
+table itself (majority) is built in core, beside the other named families.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import MAX_ARITY, _check_arity, _check_int, majority  # majority is re-exported
+from .core import MAX_ARITY, _check_arity, _check_int
 from .dyadic import ZERO, DyadicRational
 
 

@@ -16,20 +16,29 @@ are read through core's table codec (_bits_matrix).  The 2^k-scaled spectra
 of every arity-k table are built once per process (_level), so a table's
 spectrum is its chunks' level spectra followed by the butterfly stages for
 coordinates k+1..n (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
-The spectra exist one block at a time (_spectrum_blocks).  A block is
-column-major, one row per mask and one column per table, with as many
-columns as keep it in a core's L2 cache.  It is filled in one of two ways;
-everything after the fill is shared.
+Where spectra are built, they exist one block at a time
+(_spectrum_blocks).  A block is column-major, one row per mask and one
+column per table, with as many columns as keep it in a core's L2 cache.
+Three routes serve the sub-batches and the level build.
 
-- Slices, for a range of consecutive tables of arity n <= 5 (every
-  exhaustive sub-batch, and every level).  Such a table is two halves of
-  arity n - 1, f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum
-  is [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
+- Halves, for a range of consecutive tables of arity n <= 5 (every
+  exhaustive sub-batch).  Such a table is two halves of arity n - 1,
+  f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum is
+  [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
   integers, so a range is at most three rectangles of (hi, lo) pairs: a
   partial first high half, whole high halves, and a partial last one
-  (_rectangles).  Each is one broadcast add and one broadcast subtract of
-  column slices of _level(n - 1)'s column-major int16 copy
-  (_fill_from_level): no unpacking, no gather and no butterfly pass.
+  (_rectangles).  Each reduction is then per-half terms plus at most one
+  cross term: the squares sum to 2 (N_lo + N_hi), 2^n times the linear sum
+  is a_lo + b_hi, 4^n times the total influence is V_lo + V_hi -
+  2 <A_lo, A_hi>, and the degree compares A_lo with A_hi and -A_hi mask by
+  mask.  The per-half terms are built once per level (_Level.halves), and
+  each rectangle is reduced by broadcasts of them and of column slices of
+  _level(n - 1)'s column-major int16 copy (_spectrum_reductions): no block
+  is filled.
+- Slices, for the level build.  The blocks of every arity-k table are
+  filled over the same rectangles, each by one broadcast add and one
+  broadcast subtract of _level(k - 1)'s column slices (_fill_from_level):
+  no unpacking, no gather and no butterfly pass.
 - Gather, for any other sub-batch (random samples, or a list of tables).
   The tables are unpacked into chunks (_bits_matrix), the chunks' level rows
   are gathered with np.take, and the butterfly stages for coordinates
@@ -38,12 +47,13 @@ everything after the fill is shared.
   (_INT16_STAGES); above n = 14 the block then widens once to the type that
   holds 2^n for the remaining stages.
 
-The entries are squared once, in the narrowest type that holds 4^n
-(_spectrum_dtype), and every block, however filled, is norm-checked.  While
-the block is in cache it is reduced along axis 0: its squares give the
-total influence for the equivalence check, and its entries give the degree
-and the linear sum (_spectrum_reductions, by the core and derivatives
-formulas).  Each reduction adds or compares whole rows of the block.
+A block's entries are squared once, in the narrowest type that holds 4^n
+(_spectrum_dtype), and every block, however filled, is norm-checked.  A
+gathered block is reduced along axis 0 while it is in cache: its squares
+give the total influence for the equivalence check, and its entries give
+the degree and the linear sum (_spectrum_reductions, by the core and
+derivatives formulas).  A range is norm-checked and reduced from its halves
+alone, in the same integers.
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -90,6 +100,8 @@ from .core import (
     _int_type,
     _linear_sums,
     _table_bytes,
+    popcounts,
+    singleton_masks,
     to_hex,
 )
 from .derivatives import _total_influences
@@ -284,10 +296,10 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
 def _spectrum_blocks(source, n: int):
     """The sub-batch's 2^n-scaled spectra, one L2-sized block at a time.
 
-    source is a range of consecutive tables of arity n <= 5, filled from
-    level slices (_fill_from_level), or a chunk matrix from _bits_matrix,
-    whose chunks' level rows are gathered and then butterflied.  Yields
-    (rows, block, squares): block is 2^n x m and column-major, one column
+    source is a range of consecutive tables of arity n <= 5 (a level
+    build), filled from level slices (_fill_from_level), or a chunk matrix
+    from _bits_matrix, whose chunks' level rows are gathered and then
+    butterflied.  Yields (rows, block, squares): block is 2^n x m and column-major, one column
     per table of source[rows] and one row per mask, and squares holds its
     entries squared.  Each block is norm-checked before it is yielded.  The
     buffer behind block is reused, so a consumer is done with one block
@@ -371,16 +383,39 @@ def _batch_butterfly(source, n: int) -> np.ndarray:
 
 def _spectrum_reductions(source, n: int, influence: bool):
     """Per table: degree, 2^n times the linear sum and, if influence is set,
-    4^n times the total influence (else None), reduced from each block while
-    it is in cache."""
+    4^n times the total influence (else None).  A chunk matrix is reduced
+    from each spectrum block while it is in cache.  A range of arity-n tables
+    (n <= 5) is reduced from the statistics of their halves in _level(n - 1)
+    (_Level.halves), one broadcast over each rectangle of _rectangles: the
+    spectrum of f = (lo, hi) is [A_lo + A_hi, A_lo - A_hi], so its squares sum
+    to 2 (N_lo + N_hi), which the norm check compares with 4^n; 2^n lin =
+    a_lo + b_hi; 4^n inf = V_lo + V_hi - 2 <A_lo, A_hi>; and the degree is
+    the largest |S| + 1 with A_lo(S) != A_hi(S) or |S| with
+    A_lo(S) != -A_hi(S)."""
     deg = np.empty(len(source), dtype=np.int8)
     lin = np.empty(len(source), dtype=np.int64)
     inf = np.empty(len(source), dtype=np.int64) if influence else None
-    for rows, block, squares in _spectrum_blocks(source, n):
-        deg[rows] = _degrees(block, n)
-        lin[rows] = _linear_sums(block, n)
+    if not isinstance(source, range):
+        for rows, block, squares in _spectrum_blocks(source, n):
+            deg[rows] = _degrees(block, n)
+            lin[rows] = _linear_sums(block, n)
+            if influence:
+                inf[rows] = _total_influences(squares, n)
+        return deg, lin, inf
+    level = _level(n - 1)
+    columns = level.columns
+    a, b, norm, weighted = level.halves
+    weights = popcounts(n - 1, np.int8).reshape(-1, 1, 1)
+    for cells, his, los in _rectangles(source, n):
+        if np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1)):
+            raise InvariantError("spectrum norm check failed during scan")
+        lo, hi = columns[:, None, los], columns[:, his, None]
+        deg[cells] = np.maximum(((lo != hi) * (weights + 1)).max(axis=0),
+                                ((lo != -hi) * weights).max(axis=0)).ravel()
+        lin[cells] = (a[los] + b[his, None]).ravel()
         if influence:
-            inf[rows] = _total_influences(squares, n)
+            cross = np.einsum("sh,sl->hl", columns[:, his], columns[:, los], dtype=a.dtype)
+            inf[cells] = (weighted[los] + weighted[his, None] - 2 * cross).ravel()
     return deg, lin, inf
 
 
@@ -448,6 +483,36 @@ class _Level:
         columns.setflags(write=False)
         return columns
 
+    @functools.cached_property
+    def halves(self) -> np.ndarray:
+        """The statistics of each table A as a half of an arity-(k + 1) table,
+        from columns, on first use: rows a = L + E and b = L - E, with L the
+        sum of A's singleton entries and E = A(empty set), then N, the sum of
+        A's squared entries, and V = 2 * sum |S| A(S)^2 + N.
+
+        Their type holds all that _spectrum_reductions reads of a table
+        whose norm check passes.  Each of its halves has N <= 2 * 4^k, so
+        |A(S)| < 2^(k + 1), V <= (2k + 1) N, every partial sum of
+        <A_lo, A_hi> is at most 4^k, and 4^(k+1) times its total influence
+        is at most (k + 1) 4^(k+1).  A larger N fails with any partner, so it
+        is stored as 2 * 4^k + 1, and the check's sum is at most
+        4^(k+1) + 2; a, b and V of such a half may wrap, as only failing
+        tables read them."""
+        columns = self.columns
+        k = len(columns).bit_length() - 1
+        bound = max((k + 1) << (2 * k + 2), (4 << 2 * k) + 2)
+        halves = np.empty((4, columns.shape[1]), dtype=_int_type(bound))
+        # rows are int8, so no sum below passes (2k + 1) 2^k 4^7 in size
+        wide = _int_type((2 * k + 1) << (k + 14))
+        lin = columns[singleton_masks(k)].sum(axis=0, dtype=wide)
+        halves[0], halves[1] = lin + columns[0], lin - columns[0]
+        norm = np.einsum("st,st->t", columns, columns, dtype=wide)
+        halves[3] = 2 * np.einsum("s,st,st->t", popcounts(k, wide), columns, columns,
+                                  dtype=wide) + norm
+        halves[2] = np.minimum(norm, (2 << 2 * k) + 1)
+        halves.setflags(write=False)
+        return halves
+
 
 @functools.cache
 def _level(k: int) -> _Level:
@@ -475,24 +540,25 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     # the level under each high half; any other sub-batch is unpacked
     source = tables if isinstance(tables, range) else _bits_matrix(tables, n)
     deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
-    if cfg.degree_filter is None:
-        mask = np.ones(len(tables), dtype=bool)
-    else:
-        mask = deg == cfg.degree_filter
+    mask = None if cfg.degree_filter is None else deg == cfg.degree_filter
 
     def hex_of(j) -> str:
         return to_hex(BooleanFunction(n, tables[int(j)]))
 
     per_degree = {}
     violations = []
-    # the degrees present, ascending
-    for d in np.flatnonzero(np.bincount(deg[mask], minlength=n + 1)).tolist():
-        idx = np.nonzero(mask & (deg == d))[0]
+    # the degrees present, ascending; under a filter only its degree is, and
+    # deg == d is the mask
+    for d in np.flatnonzero(np.bincount(deg if mask is None else deg[mask],
+                                        minlength=n + 1)).tolist():
+        idx = np.nonzero(deg == d)[0]
         sums = lin[idx]
         best = int(sums.max())
         attain = idx[sums == best]
         best_dy, bound = DyadicRational(best, n), maj_bound(d)
-        witness = min(attain, key=lambda j: tables[int(j)])
+        # a range's tables ascend with their index
+        witness = (attain[0] if isinstance(tables, range)
+                   else min(attain, key=lambda j: tables[int(j)]))
         per_degree[d] = DegreeExtremal(d, len(idx), best_dy, hex_of(witness), len(attain),
                                        bound, bound - best_dy)
         lhs, rhs = _bound_sides(consts[d], sums)
@@ -504,8 +570,8 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
         plus, minus = _derivative_counts(source, n)
         # the identities of the module docstring; where both hold, each of the
         # four inequalities reads (plus - minus) * s.prob <= s.maj at every d
-        broken = np.nonzero(mask & ((2 * (plus - minus) != lin)
-                                    | ((plus + minus) << (n + 1) != inf)))[0]
+        broken = (2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf)
+        broken = np.nonzero(broken if mask is None else broken & mask)[0]
         for d in cfg.equivalence_d_range if broken.size else ():
             sides = _sides(consts[d], lin[broken], inf[broken], plus[broken], minus[broken])
             sat = [lhs <= rhs for lhs, rhs in sides.values()]

@@ -18,7 +18,7 @@ from functools import cache
 from math import comb
 
 from boolfun import BooleanFunction, evaluate
-from boolfun.majority import majority
+from boolfun.core import majority
 
 
 def frac_coefficient(f: BooleanFunction, mask: int) -> Fraction:

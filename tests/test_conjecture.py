@@ -22,9 +22,8 @@ from boolfun import (
     parity,
 )
 from boolfun.conjecture import _scale, _sides
-from boolfun.core import InvariantError
+from boolfun.core import InvariantError, majority
 from boolfun.dyadic import DyadicRational, ZERO
-from boolfun.majority import majority
 from oracles import oracle_predicates
 
 

@@ -36,8 +36,8 @@ from boolfun.derivatives import (
     influence_profile,
     total_influence,
 )
+from boolfun.core import majority
 from boolfun.dyadic import HALF, ONE, ZERO, DyadicRational
-from boolfun.majority import majority
 
 
 def naive_derivative_values(f: BooleanFunction, i: int) -> list[int]:

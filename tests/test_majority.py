@@ -19,13 +19,13 @@ from boolfun import (
     to_hex,
     total_influence,
 )
+from boolfun.core import majority
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import ZERO, DyadicRational
 from boolfun.majority import (
     expected_abs_sum,
     maj_bound,
     maj_linear_coefficient,
-    majority,
     majority_profile,
 )
 from oracles import frac_majority_value, frac_side, frac_symmetric_side

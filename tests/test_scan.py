@@ -574,7 +574,7 @@ def test_levels_are_built_by_the_range_join_without_unpacking(monkeypatch):
 def test_level_tables_are_read_only():
     # one record per arity serves the whole process
     level = _level(3)
-    for values in (level.rows, level.plus, level.minus, level.columns):
+    for values in (level.rows, level.plus, level.minus, level.columns, level.halves):
         with pytest.raises(ValueError):
             values[0] += 1
     assert_level_row(level, 3, 0)
@@ -598,7 +598,7 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     bad[5, 0] += 2
     patch_level(monkeypatch, 2, rows=bad)
     cfg = ScanConfig(n=3, mode="exhaustive")
-    # table = hi * 16 + lo; ranges are filled from level slices, so the
+    # table = hi * 16 + lo; ranges are reduced from level statistics, so the
     # corrupt row must reach them as lo and as hi
     scan_table_range(cfg, 0, 5)  # neither half is table 5 yet
     with pytest.raises(InvariantError):
@@ -718,6 +718,84 @@ def test_block_reductions_match_single_function_api():
     assert _spectrum_reductions(_bits_matrix([0], 3), 3, False)[2] is None
 
 
+def rectangle_ranges(n: int) -> list[range]:
+    """Ranges of arity-n tables, table = hi * 2^(2^(n-1)) + lo, that cut into
+    every shape of _rectangles."""
+    per_hi = 1 << (1 << (n - 1))
+    total = per_hi * per_hi
+    if n == 1:  # two high halves: every range
+        return [range(a, b) for a in range(total) for b in range(a + 1, total + 1)]
+    return [range(per_hi + 1, 2 * per_hi),  # a partial first high half
+            range(per_hi, 3 * per_hi),  # whole high halves
+            range(3 * per_hi, 3 * per_hi + 2),  # a partial last high half
+            range(per_hi + 1, 3 * per_hi + 1),  # all three
+            range(per_hi + 5, per_hi + 6),  # a single table
+            range(total - per_hi - 1, total)]  # up to the last table
+
+
+def assert_reductions_equal(got, want, case):
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or g.tolist() == w.tolist(), case
+
+
+def test_range_reductions_match_the_gather_route():
+    # a range is reduced from its halves' level statistics, a list of the same
+    # tables from spectrum blocks
+    for n in range(1, 6):
+        for tables in rectangle_ranges(n):
+            chunks = _bits_matrix(list(tables), n)
+            for influence in (True, False):
+                assert_reductions_equal(_spectrum_reductions(tables, n, influence),
+                                        _spectrum_reductions(chunks, n, influence),
+                                        (n, tables, influence))
+
+
+def test_range_reductions_read_the_level_spectra(monkeypatch):
+    # a sign flip keeps a level row's norm, so no check fails, and the flipped
+    # spectrum must reach both routes: in a range, through <A_lo, A_hi> too
+    n, target = 5, 12345
+    bad = _level(4).rows.copy()
+    mask = next(s for s in range(16) if bin(s).count("1") >= 2 and bad[target, s])
+    bad[target, mask] *= -1
+    ranges = [range((7 << 16) + target - 2, (7 << 16) + target + 3),  # lo is target
+              range(target << 16, (target << 16) + 300),  # hi is target
+              range((target << 16) + target, (target << 16) + target + 1)]  # both
+    clean = [_spectrum_reductions(tables, n, True)[2] for tables in ranges]
+    patch_level(monkeypatch, 4, rows=bad)
+    changed = 0
+    for tables, before in zip(ranges, clean):
+        got = _spectrum_reductions(tables, n, True)
+        assert_reductions_equal(got, _spectrum_reductions(_bits_matrix(list(tables), n), n, True),
+                                tables)
+        changed += int(np.count_nonzero(got[2] != before))
+    assert changed
+
+
+def test_half_statistics_hold_their_worst_cases(monkeypatch):
+    # at n = 5 each half of a table whose norm check passes has N <= 2 * 4^4,
+    # so V <= 9 * 2 * 4^4 and |<A_lo, A_hi>| <= 4^4; 4^5 times the table's
+    # total influence is at most 5 * 4^5
+    level = _level(4)
+    assert level.halves.dtype == np.int16
+    assert np.iinfo(level.halves.dtype).max >= max(9 * 2 * 4**4, 4**4, 5 * 4**5)
+    rng = random.Random(16)
+    for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(200))):
+        spectrum = fwht(BooleanFunction(4, t)).coeffs.tolist()
+        lin, empty = sum(spectrum[1 << i] for i in range(4)), spectrum[0]
+        norm = sum(x * x for x in spectrum)
+        weighted = 2 * sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum)) + norm
+        assert level.halves[:, t].tolist() == [lin + empty, lin - empty, norm, weighted], t
+    # this row's squares sum to 2^16 + 4^4, which would wrap to the norm of a
+    # valid half and pass with table 0 as the high half
+    target = 4242
+    bad = level.rows.copy()
+    bad[target] = [127, 127, 127, 127, 35, 7, 1, 1] + [0] * 8
+    assert sum(int(x) ** 2 for x in bad[target]) == (1 << 16) + 4**4
+    patch_level(monkeypatch, 4, rows=bad)
+    with pytest.raises(InvariantError, match="norm check"):
+        scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), target, target + 1)
+
+
 def every_row_failures(cfg: ScanConfig, tables, plus, minus):
     """The four inequalities of every row the degree filter keeps, at every d,
     from the given derivative counts; one record per disagreement."""
@@ -786,8 +864,8 @@ def test_level_counts_reach_both_count_routes(monkeypatch):
 
 
 def test_range_and_gather_fills_agree(monkeypatch):
-    # a range of tables of arity n <= 5 is filled from level slices, with no
-    # unpacking; a list of the same tables is unpacked and gathered
+    # a range of tables of arity n <= 5 is reduced from level statistics, with
+    # no unpacking; a list of the same tables is unpacked and gathered
     def unpack_refused(tables, n):
         raise AssertionError("a range was unpacked")
 
