@@ -28,9 +28,10 @@ Three routes serve the sub-batches and the level build.
   integers, so a range is at most three rectangles of (hi, lo) pairs: a
   partial first high half, whole high halves, and a partial last one
   (_rectangles).  Each reduction is then per-half terms plus at most one
-  cross term: the squares sum to 2 (N_lo + N_hi), 2^n times the linear sum
-  is a_lo + b_hi, 4^n times the total influence is V_lo + V_hi -
-  2 <A_lo, A_hi>, and the degree compares A_lo with A_hi and -A_hi mask by
+  pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times the linear
+  sum is a_lo + b_hi.  The coefficient at S + {n} is A_lo(S) - A_hi(S), so
+  a table whose halves differ at the top mask has degree n (about 86% of
+  n = 5 tables); only the others compare A_lo with A_hi and -A_hi mask by
   mask.  The per-half terms are built once per level (_Level.halves), and
   each rectangle is reduced by broadcasts of them and of column slices of
   _level(n - 1)'s column-major int16 copy (_spectrum_reductions): no block
@@ -60,17 +61,22 @@ of the conjecture module (see there for their int64 headroom).  Derivative
 value counts for the equivalence check come from table bits, not from the
 spectrum: the chunks' level counts plus, along each coordinate above k,
 popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk pairs
-(_derivative_counts).  A range reads them from slices too: over a
-rectangle, plus is plus[lo] + plus[hi] + popcount(hi & ~lo), with lo and hi
-the halves' table integers, and minus likewise.  As E[D_i f] = fhat(i) and
-Pr[D_i f != 0] = Inf_i (O'Donnell 2014, 2.2), the counts plus and minus of a
-table meet its spectrum in two identities: 2 (plus - minus) is 2^n times
-the linear sum, and 2^(n+1) (plus + minus) is 4^n times the total
-influence.  Where both hold, each of the four inequalities becomes the
-original one, linear sum <= M(d), so they agree at every d.  Only a row
-that breaks an identity goes through the four inequalities at each d, so
-the witnesses are those that a check of every row at every d reports: a
-break that flips no inequality is not one of them.
+(_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] = Inf_i
+(O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
+spectrum in two identities: 2 (plus - minus) is 2^n times the linear sum,
+and 2^(n+1) (plus + minus) is 4^n times the total influence.  Where both
+hold, each of the four inequalities becomes the original one, linear sum
+<= M(d), so they agree at every d.  Only a row that breaks an identity goes
+through the four inequalities at each d, so the witnesses are those that a
+check of every row at every d reports: a break that flips no inequality is
+not one of them.  A gathered sub-batch compares both sides of each identity
+per row (_identity_breaks).  A range compares their difference with 0, as
+per-half terms built once per level (_Level.residuals) plus the pair terms
+2^(n+1) popcount(lo ^ hi) and 2 <A_lo, A_hi>, with lo and hi the halves'
+table integers; only the rows that break an identity are then read one pair
+at a time for their counts, plus[lo] + plus[hi] + popcount(hi & ~lo) and
+minus likewise (_pair_counts, which also builds the level counts), and
+their total influence (_row_counts).
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -382,70 +388,118 @@ def _batch_butterfly(source, n: int) -> np.ndarray:
 
 
 def _spectrum_reductions(source, n: int, influence: bool):
-    """Per table: degree, 2^n times the linear sum and, if influence is set,
-    4^n times the total influence (else None).  A chunk matrix is reduced
-    from each spectrum block while it is in cache.  A range of arity-n tables
-    (n <= 5) is reduced from the statistics of their halves in _level(n - 1)
-    (_Level.halves), one broadcast over each rectangle of _rectangles: the
-    spectrum of f = (lo, hi) is [A_lo + A_hi, A_lo - A_hi], so its squares sum
-    to 2 (N_lo + N_hi), which the norm check compares with 4^n; 2^n lin =
-    a_lo + b_hi; 4^n inf = V_lo + V_hi - 2 <A_lo, A_hi>; and the degree is
-    the largest |S| + 1 with A_lo(S) != A_hi(S) or |S| with
-    A_lo(S) != -A_hi(S)."""
+    """Per table: degree, 2^n times the linear sum and, if influence is set
+    and source is a chunk matrix, 4^n times the total influence (else None).
+    A chunk matrix is reduced from each spectrum block while it is in cache.
+    A range of arity-n tables (n <= 5) is reduced from the statistics of
+    their halves in _level(n - 1) (_Level.halves), one broadcast over each
+    rectangle of _rectangles: the spectrum of f = (lo, hi) is
+    [A_lo + A_hi, A_lo - A_hi], so its squares sum to 2 (N_lo + N_hi), which
+    the norm check compares with 4^n, and 2^n lin = a_lo + b_hi.  Its
+    coefficient at S + {n} is A_lo(S) - A_hi(S), so f has degree n where the
+    halves differ at the top mask; only the other tables are read at every
+    mask, where the degree is the largest |S| + 1 with A_lo(S) != A_hi(S) or
+    |S| with A_lo(S) != -A_hi(S).  A range reads 4^n times the total
+    influence only for the tables that break an identity (_row_counts)."""
     deg = np.empty(len(source), dtype=np.int8)
     lin = np.empty(len(source), dtype=np.int64)
-    inf = np.empty(len(source), dtype=np.int64) if influence else None
     if not isinstance(source, range):
+        inf = np.empty(len(source), dtype=np.int64) if influence else None
         for rows, block, squares in _spectrum_blocks(source, n):
             deg[rows] = _degrees(block, n)
             lin[rows] = _linear_sums(block, n)
             if influence:
                 inf[rows] = _total_influences(squares, n)
         return deg, lin, inf
-    level = _level(n - 1)
-    columns = level.columns
-    a, b, norm, weighted = level.halves
-    weights = popcounts(n - 1, np.int8).reshape(-1, 1, 1)
+    columns = _level(n - 1).columns
+    a, b, norm, _ = _level(n - 1).halves
+    same_top = np.empty(len(source), dtype=bool)
     for cells, his, los in _rectangles(source, n):
         if np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1)):
             raise InvariantError("spectrum norm check failed during scan")
-        lo, hi = columns[:, None, los], columns[:, his, None]
-        deg[cells] = np.maximum(((lo != hi) * (weights + 1)).max(axis=0),
-                                ((lo != -hi) * weights).max(axis=0)).ravel()
         lin[cells] = (a[los] + b[his, None]).ravel()
-        if influence:
-            cross = np.einsum("sh,sl->hl", columns[:, his], columns[:, los], dtype=a.dtype)
-            inf[cells] = (weighted[los] + weighted[his, None] - 2 * cross).ravel()
-    return deg, lin, inf
+        np.equal(columns[-1, los], columns[-1, his, None],
+                 out=same_top[cells].reshape(-1, los.stop - los.start))
+    rest = np.flatnonzero(same_top)
+    # mask-major, so each comparison below runs along contiguous rows
+    lo, hi = (np.take(columns, half, axis=1) for half in _pairs(source, rest, n))
+    weights = popcounts(n - 1, np.int8)[:, None]
+    deg.fill(n)
+    deg[rest] = np.maximum(((lo != hi) * (weights + 1)).max(axis=0),
+                           ((lo != -hi) * weights).max(axis=0))
+    return deg, lin, None
 
 
-def _derivative_counts(source, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(tables: range, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The halves lo and hi of tables[rows], arity-n tables (n <= 5) with
+    table = hi * 2^(2^(n-1)) + lo."""
+    keys = tables.start + rows
+    return keys & ((1 << (1 << (n - 1))) - 1), keys >> (1 << (n - 1))
+
+
+def _pair_counts(level: _Level, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative values +1 and -1, summed over coordinates, of the tables
+    f = (lo, hi) with halves of level's arity: the halves' counts plus
+    popcount(hi & ~lo) and popcount(lo & ~hi) along the top coordinate."""
+    return (level.plus[lo] + level.plus[hi] + np.bitwise_count(hi & ~lo),
+            level.minus[lo] + level.minus[hi] + np.bitwise_count(lo & ~hi))
+
+
+def _identity_breaks(source, n: int, lin: np.ndarray, inf) -> np.ndarray:
+    """The rows of the sub-batch that break one of the two identities of the
+    module docstring, ascending.  A chunk matrix (inf given) compares both
+    sides of each identity per row.  A range (inf None) sums per-half terms
+    of its halves (_Level.residuals) and pair terms, one broadcast per
+    rectangle."""
+    if not isinstance(source, range):
+        plus, minus = _derivative_counts(source, n)
+        return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
+    columns = _level(n - 1).columns
+    u, w, r = _level(n - 1).residuals
+    broken = np.empty(len(source), dtype=bool)
+    for cells, his, los in _rectangles(source, n):
+        # (bitwise_count is several times faster on uint32 than on uint16)
+        hi = np.arange(his.start, his.stop, dtype=np.uint32)[:, None]
+        lo = np.arange(los.start, los.stop, dtype=np.uint32)
+        # each identity's difference of sides, the second one first
+        off = np.einsum("sh,sl->hl", columns[:, his], columns[:, los], dtype=r.dtype)
+        off *= 2
+        off += r[los]
+        off += r[his, None]
+        off += np.left_shift(np.bitwise_count(hi ^ lo), n + 1, dtype=r.dtype)
+        off |= u[los] + w[his, None]
+        np.not_equal(off, 0, out=broken[cells].reshape(off.shape))
+    return np.flatnonzero(broken)
+
+
+def _row_counts(source, n: int, rows: np.ndarray, inf):
+    """4^n inf, plus and minus of the given rows of the sub-batch.  A chunk
+    matrix (inf given) recounts the rows' derivative values from their
+    chunks.  A range (inf None) reads each row as a pair of halves: its
+    counts by _pair_counts, and 4^n inf = V_lo + V_hi - 2 <A_lo, A_hi>."""
+    if not isinstance(source, range):
+        return (inf[rows], *_derivative_counts(source[rows], n))
+    level = _level(n - 1)
+    lo, hi = _pairs(source, rows, n)
+    weighted = level.halves[3]
+    cross = np.einsum("st,st->t", np.take(level.columns, lo, axis=1),
+                      np.take(level.columns, hi, axis=1), dtype=np.int64)
+    return (weighted[lo].astype(np.int64) + weighted[hi] - 2 * cross,
+            *_pair_counts(level, lo, hi))
+
+
+def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Derivative values +1 and -1 per table, summed over coordinates, from
-    bits; source is a range of tables of arity n <= 5 or a chunk matrix, as
-    for _spectrum_blocks."""
-    if isinstance(source, range):
-        # the level counts of lo and hi, plus popcount(hi & ~lo) and
-        # popcount(lo & ~hi) along x_n, one broadcast per rectangle
-        level = _level(n - 1)
-        plus = np.empty(len(source), dtype=np.int64)
-        minus = np.empty(len(source), dtype=np.int64)
-        for cells, his, los in _rectangles(source, n):
-            hi = np.arange(his.start, his.stop)[:, None]
-            lo = np.arange(los.start, los.stop)
-            plus[cells] = (level.plus[los] + level.plus[his, None]
-                           + np.bitwise_count(hi & ~lo)).ravel()
-            minus[cells] = (level.minus[los] + level.minus[his, None]
-                            + np.bitwise_count(lo & ~hi)).ravel()
-        return plus, minus
-    k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
+    the bits of a chunk matrix from _bits_matrix."""
+    k = n + 1 - chunks.shape[1].bit_length()  # 2^(n-k) chunks a row
     level = _level(k)
     # chunk-major, so the counts below add whole contiguous rows of tables
-    columns = np.ascontiguousarray(source.T)
+    columns = np.ascontiguousarray(chunks.T)
     plus = np.take(level.plus, columns).sum(axis=0)
     minus = np.take(level.minus, columns).sum(axis=0)
     for i in range(k + 1, n + 1):
         # along x_i the derivative is +1 where only the high chunk has a set bit
-        pairs = columns.reshape(-1, 2, 1 << (i - 1 - k), len(source))
+        pairs = columns.reshape(1 << (n - i), 2, 1 << (i - 1 - k), len(chunks))
         lo, hi = pairs[:, 0], pairs[:, 1]
         plus += np.bitwise_count(hi & ~lo).sum(axis=(0, 1), dtype=np.int64)
         minus += np.bitwise_count(lo & ~hi).sum(axis=(0, 1), dtype=np.int64)
@@ -490,14 +544,14 @@ class _Level:
         sum of A's singleton entries and E = A(empty set), then N, the sum of
         A's squared entries, and V = 2 * sum |S| A(S)^2 + N.
 
-        Their type holds all that _spectrum_reductions reads of a table
-        whose norm check passes.  Each of its halves has N <= 2 * 4^k, so
-        |A(S)| < 2^(k + 1), V <= (2k + 1) N, every partial sum of
-        <A_lo, A_hi> is at most 4^k, and 4^(k+1) times its total influence
-        is at most (k + 1) 4^(k+1).  A larger N fails with any partner, so it
-        is stored as 2 * 4^k + 1, and the check's sum is at most
-        4^(k+1) + 2; a, b and V of such a half may wrap, as only failing
-        tables read them."""
+        Their type holds each of them, and the sums a_lo + b_hi and
+        N_lo + N_hi that _spectrum_reductions takes in it, for a table whose
+        norm check passes.  Each of its halves has N <= 2 * 4^k, so
+        |A(S)| < 2^(k + 1), V <= (2k + 1) N <= (k + 1) 4^(k+1), and
+        |a_lo + b_hi| = 2^(k+1) |lin| <= (k + 1) 2^(k+1).  A larger N fails
+        with any partner, so it is stored as 2 * 4^k + 1, and the check's sum
+        is at most 4^(k+1) + 2; a, b and V of such a half may wrap, as only
+        failing tables read them."""
         columns = self.columns
         k = len(columns).bit_length() - 1
         bound = max((k + 1) << (2 * k + 2), (4 << 2 * k) + 2)
@@ -513,16 +567,63 @@ class _Level:
         halves.setflags(write=False)
         return halves
 
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """The per-half terms of the two identities of the module docstring
+        for each table A as a half of an arity-(k + 1) table f = (lo, hi),
+        from plus, minus and halves, on first use: rows u, w and R with
+
+            2 (plus - minus) - 2^(k+1) lin = u[lo] + w[hi],
+            2^(k+2) (plus + minus) - 4^(k+1) inf
+                = R[lo] + R[hi] + 2^(k+2) popcount(lo ^ hi) + 2 <A_lo, A_hi>,
+
+        where u = 2 (p - m) - 2 popcount(t) - a, w = 2 (p - m) +
+        2 popcount(t) - b and R = 2^(k+2) (p + m) - V, for t the table's
+        integer and p and m its counts; the first identity splits because
+        popcount(hi & ~lo) - popcount(lo & ~hi) = popcount(hi) - popcount(lo).
+
+        Their type holds each term and each partial sum of the two
+        right-hand sides wherever the norm check passes, as there
+        |<A_lo, A_hi>| <= 4^k: it is sized from the largest counts and half
+        statistics stored, and the terms are computed in it."""
+        a, b, _, weighted = self.halves
+        k = len(self.columns).bit_length() - 1
+        plus, minus, stats = (max(int(x.max()), -int(x.min()))
+                              for x in (self.plus, self.minus, self.halves))
+        term = ((plus + minus) << (k + 2)) + (2 << k) + stats
+        # two terms and the pair terms, at most 4^(k+1) + 2 * 4^k
+        residuals = np.empty((3, len(self.plus)), dtype=_int_type(2 * term + (3 << (2 * k + 1))))
+        u, w, r = residuals
+        np.subtract(self.plus, self.minus, out=u)
+        u *= 2
+        w[:] = u
+        twice_ones = 2 * popcounts(1 << k, u.dtype)
+        u -= twice_ones
+        u -= a
+        w += twice_ones
+        w -= b
+        np.add(self.plus, self.minus, out=r)
+        r <<= k + 2
+        r -= weighted
+        residuals.setflags(write=False)
+        return residuals
+
 
 @functools.cache
 def _level(k: int) -> _Level:
     """The level record of arity k: the spectra [1] and [-1] at k = 0, and
-    above that the slice fill of every arity-k table from _level(k - 1)."""
+    above that the slice fill of every arity-k table from _level(k - 1), and
+    its derivative counts from its halves' counts there (_pair_counts)."""
     if k == 0:
         zero = np.zeros(2, dtype=np.int64)
         return _Level(np.array([[1], [-1]], dtype=np.int8), zero, zero)
-    tables = range(1 << (1 << k))
-    return _Level(_batch_butterfly(tables, k).astype(np.int8), *_derivative_counts(tables, k))
+    # spectra first, so that their temporaries are freed before the counts'
+    rows = _batch_butterfly(range(1 << (1 << k)), k).astype(np.int8)
+    # table = hi * 2^(2^(k-1)) + lo, so the counts are hi-major over a grid
+    # of the halves' table integers, kept narrow as its temporaries are
+    half = np.arange(1 << (1 << (k - 1)), dtype=np.uint16)
+    plus, minus = _pair_counts(_level(k - 1), half, half[:, None])
+    return _Level(rows, plus.ravel(), minus.ravel())
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -540,18 +641,20 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     # the level under each high half; any other sub-batch is unpacked
     source = tables if isinstance(tables, range) else _bits_matrix(tables, n)
     deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
-    mask = None if cfg.degree_filter is None else deg == cfg.degree_filter
 
     def hex_of(j) -> str:
         return to_hex(BooleanFunction(n, tables[int(j)]))
 
     per_degree = {}
     violations = []
-    # the degrees present, ascending; under a filter only its degree is, and
-    # deg == d is the mask
-    for d in np.flatnonzero(np.bincount(deg if mask is None else deg[mask],
-                                        minlength=n + 1)).tolist():
-        idx = np.nonzero(deg == d)[0]
+    # most tables have degree n, so the lower degrees are read from the short
+    # list of the others, and degree n is the rest
+    low = np.flatnonzero(deg < n)
+    low_deg = deg[low]
+    for d in range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,):
+        idx = low[low_deg == d] if d < n else np.flatnonzero(deg == n)
+        if not idx.size:
+            continue
         sums = lin[idx]
         best = int(sums.max())
         attain = idx[sums == best]
@@ -561,23 +664,29 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                    else min(attain, key=lambda j: tables[int(j)]))
         per_degree[d] = DegreeExtremal(d, len(idx), best_dy, hex_of(witness), len(attain),
                                        bound, bound - best_dy)
-        lhs, rhs = _bound_sides(consts[d], sums)
-        violations += [ConjectureWitness(hex_of(j), n, d, DyadicRational(int(lin[j]), n), bound)
-                       for j in idx[lhs > rhs]]
+        # the scale is positive, so no row fails the bound unless the best does
+        lhs, rhs = _bound_sides(consts[d], best)
+        if lhs > rhs:
+            lhs, rhs = _bound_sides(consts[d], sums)
+            violations += [ConjectureWitness(hex_of(j), n, d, DyadicRational(int(lin[j]), n),
+                                             bound) for j in idx[lhs > rhs]]
 
     failures = []
     if cfg.equivalence_d_range:
-        plus, minus = _derivative_counts(source, n)
-        # the identities of the module docstring; where both hold, each of the
-        # four inequalities reads (plus - minus) * s.prob <= s.maj at every d
-        broken = (2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf)
-        broken = np.nonzero(broken if mask is None else broken & mask)[0]
-        for d in cfg.equivalence_d_range if broken.size else ():
-            sides = _sides(consts[d], lin[broken], inf[broken], plus[broken], minus[broken])
-            sat = [lhs <= rhs for lhs, rhs in sides.values()]
-            agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-            failures += [EquivalenceWitness(hex_of(broken[i]), n, d, *(bool(x[i]) for x in sat))
-                         for i in np.nonzero(~agree)[0]]
+        # where both identities hold, each of the four inequalities reads
+        # (plus - minus) * s.prob <= s.maj at every d
+        broken = _identity_breaks(source, n, lin, inf)
+        if cfg.degree_filter is not None:
+            broken = broken[deg[broken] == cfg.degree_filter]
+        if broken.size:
+            counts = _row_counts(source, n, broken, inf)
+            for d in cfg.equivalence_d_range:
+                sides = _sides(consts[d], lin[broken], *counts)
+                sat = [lhs <= rhs for lhs, rhs in sides.values()]
+                agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
+                failures += [EquivalenceWitness(hex_of(broken[i]), n, d,
+                                                *(bool(x[i]) for x in sat))
+                             for i in np.nonzero(~agree)[0]]
     return _finalize(cfg, len(tables), violations, failures, per_degree)
 
 
@@ -591,7 +700,7 @@ def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
     _check_int(stop, start, cfg.total, "range stop {value!r} out of bounds {lo}..{hi}")
     consts = _build_consts(cfg)
     step = max(1, _BATCH_CELLS // cfg.points)
-    merged = _finalize(cfg, 0, (), (), {})
+    merged = None
     for off in range(start, stop, step):
         keys = range(off, min(off + step, stop))
         tables = keys if cfg.mode == "exhaustive" else [
@@ -602,8 +711,8 @@ def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
             primitive = "scan_table_range" if cfg.mode == "exhaustive" else "scan_sample_range"
             raise InvariantError(f"{exc}; reproduce with "
                                  f"{primitive}({cfg!r}, {keys.start}, {keys.stop})") from exc
-        merged = merge_results(merged, piece)
-    return merged
+        merged = piece if merged is None else merge_results(merged, piece)
+    return _finalize(cfg, 0, (), (), {}) if merged is None else merged
 
 
 def scan_table_range(config: ScanConfig, start: int, stop: int) -> ScanResult:

@@ -50,7 +50,9 @@ from boolfun.scan import (
     _bits_matrix,
     _build_consts,
     _derivative_counts,
+    _identity_breaks,
     _level,
+    _row_counts,
     _sample_table,
     _spectrum_dtype,
     _spectrum_reductions,
@@ -738,21 +740,48 @@ def assert_reductions_equal(got, want, case):
         assert (g is None and w is None) or g.tolist() == w.tolist(), case
 
 
-def test_range_reductions_match_the_gather_route():
+def identity_route(source, n: int) -> list[list[int]]:
+    """The rows that break an identity, and their 4^n inf, plus and minus."""
+    deg, lin, inf = _spectrum_reductions(source, n, True)
+    rows = _identity_breaks(source, n, lin, inf)
+    return [rows.tolist(), *(values.tolist() for values in _row_counts(source, n, rows, inf))]
+
+
+def test_range_reductions_match_the_gather_route(monkeypatch):
     # a range is reduced from its halves' level statistics, a list of the same
-    # tables from spectrum blocks
+    # tables from spectrum blocks, and both find the same rows breaking an
+    # identity (none), with the same 4^n inf, plus and minus there
     for n in range(1, 6):
+        k = min(n, 4)  # a list reads 2^(n-k) arity-k chunks a table
         for tables in rectangle_ranges(n):
             chunks = _bits_matrix(list(tables), n)
             for influence in (True, False):
-                assert_reductions_equal(_spectrum_reductions(tables, n, influence),
-                                        _spectrum_reductions(chunks, n, influence),
+                got = _spectrum_reductions(tables, n, influence)
+                assert_reductions_equal(got[:2], _spectrum_reductions(chunks, n, influence)[:2],
                                         (n, tables, influence))
+                assert got[2] is None  # a range reads inf only where an identity breaks
+            assert identity_route(tables, n) == identity_route(chunks, n) == [[]] * 4
+            # one -1 value turned +1 in every half's counts, or in every
+            # chunk's, adds 2 to each table's plus and takes 2 from its minus:
+            # plus + minus stays, so every row breaks the first identity only,
+            # and both routes give every row's inf, plus and minus
+            level, step = _level(n - 1), 1
+            patch_level(monkeypatch, n - 1, plus=level.plus + step, minus=level.minus - step)
+            got = identity_route(tables, n)
+            monkeypatch.undo()
+            level, step = _level(k), 2 >> (n - k)
+            patch_level(monkeypatch, k, plus=level.plus + step, minus=level.minus - step)
+            want = identity_route(chunks, n)
+            monkeypatch.undo()
+            assert got == want, (n, tables)
+            assert got[0] == list(range(len(tables))), (n, tables)
 
 
 def test_range_reductions_read_the_level_spectra(monkeypatch):
-    # a sign flip keeps a level row's norm, so no check fails, and the flipped
-    # spectrum must reach both routes: in a range, through <A_lo, A_hi> too
+    # a sign flip keeps a level row's norm, a, b, N and V, so no check fails,
+    # and the flipped spectrum must reach both routes: in a range, through
+    # <A_lo, A_hi> in the second identity too.  No row broke an identity
+    # before the flip, so a row breaks one where its inf changed
     n, target = 5, 12345
     bad = _level(4).rows.copy()
     mask = next(s for s in range(16) if bin(s).count("1") >= 2 and bad[target, s])
@@ -760,14 +789,16 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
     ranges = [range((7 << 16) + target - 2, (7 << 16) + target + 3),  # lo is target
               range(target << 16, (target << 16) + 300),  # hi is target
               range((target << 16) + target, (target << 16) + target + 1)]  # both
-    clean = [_spectrum_reductions(tables, n, True)[2] for tables in ranges]
+    assert all(identity_route(tables, n)[0] == [] for tables in ranges)
     patch_level(monkeypatch, 4, rows=bad)
     changed = 0
-    for tables, before in zip(ranges, clean):
-        got = _spectrum_reductions(tables, n, True)
-        assert_reductions_equal(got, _spectrum_reductions(_bits_matrix(list(tables), n), n, True),
-                                tables)
-        changed += int(np.count_nonzero(got[2] != before))
+    for tables in ranges:
+        chunks = _bits_matrix(list(tables), n)
+        assert_reductions_equal(_spectrum_reductions(tables, n, True)[:2],
+                                _spectrum_reductions(chunks, n, True)[:2], tables)
+        got = identity_route(tables, n)
+        assert got == identity_route(chunks, n), tables
+        changed += len(got[0])
     assert changed
 
 
@@ -796,6 +827,43 @@ def test_half_statistics_hold_their_worst_cases(monkeypatch):
         scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), target, target + 1)
 
 
+def test_identity_residuals_hold_their_worst_cases(monkeypatch):
+    # at n = 5 a level-4 count is at most 4 * 2^3 = 32 and a half whose norm
+    # check passes has V <= 9 * 2 * 4^4, so a per-half term is at most
+    # 64 * 2^6 + 2^5 + 9 * 2 * 4^4, and each identity sums two of them and
+    # pair terms of at most 4^5 + 2 * 4^4
+    level = _level(4)
+    assert level.residuals.dtype == np.int16
+    term = (64 << 6) + (2 << 4) + 9 * 2 * 4**4
+    assert np.iinfo(level.residuals.dtype).max >= 2 * term + 4**5 + 2 * 4**4
+    rng = random.Random(17)
+    for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(200))):
+        f = BooleanFunction(4, t)
+        spectrum = fwht(f).coeffs.tolist()
+        counts = [derivative_value_counts(f, i) for i in range(1, 5)]
+        p, m = sum(c[1] for c in counts), sum(c[2] for c in counts)
+        lin, empty = sum(spectrum[1 << i] for i in range(4)), spectrum[0]
+        norm = sum(x * x for x in spectrum)
+        weighted = 2 * sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum)) + norm
+        ones = bin(t).count("1")
+        assert level.residuals[:, t].tolist() == [2 * (p - m) - 2 * ones - (lin + empty),
+                                                  2 * (p - m) + 2 * ones - (lin - empty),
+                                                  (p + m) * 64 - weighted], t
+    # counts past those bounds widen the type: 2^11 more +1 and -1 values in
+    # one half's counts leave the first identity whole and add 2^18 to R,
+    # which int16 would wrap to the same R, and both routes see the break
+    n, target = 5, 4242
+    bump = np.zeros(1 << 16, dtype=np.int64)
+    bump[target] = 1 << 11
+    patch_level(monkeypatch, 4, plus=level.plus + bump, minus=level.minus + bump)
+    assert scan._level(4).residuals.dtype == np.int32
+    cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
+    tables = range((target << 16) + 100, (target << 16) + 400)
+    got = _accumulate(cfg, _build_consts(cfg), tables)
+    assert got == _accumulate(cfg, _build_consts(cfg), list(tables))
+    assert got.equivalence_failures
+
+
 def every_row_failures(cfg: ScanConfig, tables, plus, minus):
     """The four inequalities of every row the degree filter keeps, at every d,
     from the given derivative counts; one record per disagreement."""
@@ -816,27 +884,39 @@ def every_row_failures(cfg: ScanConfig, tables, plus, minus):
 
 
 def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
-    original = scan._derivative_counts
     # Maj_3 meets M(3) and M(4) exactly, so one more +1 derivative value flips
-    # ineq_b and ineq_c there; the constant has room to spare at every d
+    # ineq_b and ineq_c there; the constant has room to spare at every d.  A
+    # list of n = 3 tables reads each table's counts whole from _level(3), so
+    # one more +1 value there reaches that table alone
+    tables = range(256)
+    plus, minus = _derivative_counts(_bits_matrix(tables, 3), 3)
     for row, flips in ((majority(3).table, True), (0, False)):
-        def perturbed(source, n, row=row):
-            plus, minus = original(source, n)
-            plus[row] += 1
-            return plus, minus
-
-        monkeypatch.setattr(scan, "_derivative_counts", perturbed)
-        # a range's counts come from level slices, a list's from its chunks
-        for tables, source in ((range(256), range(256)),
-                               (list(range(256)), _bits_matrix(range(256), 3))):
-            plus, minus = perturbed(source, 3)
-            for degree_filter in (None, 3, 2):
-                cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
-                got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
-                want = every_row_failures(cfg, tables, plus, minus)
-                assert list(got) == want, (row, degree_filter, type(tables))
-                assert bool(want) == (flips and degree_filter != 2), (row, degree_filter)
-                assert all(w.table_hex == to_hex(BooleanFunction(3, row)) for w in want)
+        bump = np.zeros(256, dtype=np.int64)
+        bump[row] = 1
+        patch_level(monkeypatch, 3, plus=_level(3).plus + bump)
+        for degree_filter in (None, 3, 2):
+            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
+            got = _accumulate(cfg, _build_consts(cfg), list(tables)).equivalence_failures
+            want = every_row_failures(cfg, tables, plus + bump, minus)
+            assert list(got) == want, (row, degree_filter)
+            assert bool(want) == (flips and degree_filter != 2), (row, degree_filter)
+            assert all(w.table_hex == to_hex(BooleanFunction(3, row)) for w in want)
+        monkeypatch.undo()
+    # a range reads them as two halves from _level(2), so one more +1 value
+    # in a half's count reaches every table with that half: here Maj_3's low
+    # half, or the constant's
+    for half in (majority(3).table & 15, 0):
+        bump = np.array([(t & 15 == half) + (t >> 4 == half) for t in tables])
+        half_bump = np.zeros(16, dtype=np.int64)
+        half_bump[half] = 1
+        patch_level(monkeypatch, 2, plus=_level(2).plus + half_bump)
+        for degree_filter in (None, 3, 2):
+            cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
+            got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
+            want = every_row_failures(cfg, tables, plus + bump, minus)
+            assert list(got) == want and want, (half, degree_filter)
+            assert all(bump[int(w.table_hex, 16)] for w in want), (half, degree_filter)
+        monkeypatch.undo()
 
 
 def test_level_counts_reach_both_count_routes(monkeypatch):
@@ -891,6 +971,61 @@ def test_range_and_gather_fills_agree(monkeypatch):
         monkeypatch.undo()
         assert sliced == gathered, (cfg, tables)
         assert sliced.functions_examined == len(tables)
+
+
+def test_whole_n5_spans_match_the_gather_route(monkeypatch):
+    # 16,384-table spans, as exhaustive n = 5 scans run them.  Under a high
+    # half whose top entry is 0 (12,870 of the 65,536) most tables have degree
+    # below 5, so most tables are read at every mask; a span across two high
+    # halves is two rectangles
+    rng = random.Random(5)
+    hi = int(rng.choice(np.flatnonzero(_level(4).columns[-1] == 0)))
+    start = (hi << 16) + (rng.randrange(4) << 14)
+    spans = [range(start, start + (1 << 14)), range(77 << 14, 78 << 14),
+             range((hi << 16) - (1 << 13), (hi << 16) + (1 << 13))]
+    for check in (True, False):
+        for degree_filter in (None, 3, 4, 5):
+            cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+                             equivalence_d_range=tuple(range(1, 7)), degree_filter=degree_filter)
+            consts = _build_consts(cfg)
+            for tables in spans:
+                sliced = _accumulate(cfg, consts, tables)
+                assert sliced == _accumulate(cfg, consts, list(tables)), (cfg, tables)
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=tuple(range(1, 7)))
+    consts = _build_consts(cfg)
+    per_degree = _accumulate(cfg, consts, spans[0]).per_degree
+    assert sum(e.function_count for d, e in per_degree.items() if d < 5) > 2000
+    # a sign flip of one |S| >= 2 entry of that high half keeps its N, a, b
+    # and V, so in a range only the cross term and the degree can change
+    bad = _level(4).rows.copy()
+    mask = next(s for s in range(15, 0, -1) if bin(s).count("1") >= 2 and bad[hi, s])
+    bad[hi, mask] *= -1
+    patch_level(monkeypatch, 4, rows=bad)
+    sliced = _accumulate(cfg, consts, spans[0])
+    assert sliced == _accumulate(cfg, consts, list(spans[0]))
+    assert sliced.equivalence_failures
+
+
+def test_violations_are_the_rows_over_the_bound():
+    # no table breaks the bound at n <= 5, so a Maj_d side cut in half stands
+    # in for a bound that some rows of a degree break and others meet; each
+    # degree's best row is tested first
+    cfg = ScanConfig(n=3, mode="exhaustive")
+    consts = {d: s._replace(maj=s.maj // 2) for d, s in _build_consts(cfg).items()}
+    want = []
+    for t in range(256):
+        report = check_conjecture(BooleanFunction(3, t))
+        s = consts[report.degree]
+        if int(report.linear_sum.as_fraction() * 8) * s.linear > s.maj:
+            want.append((to_hex(BooleanFunction(3, t)), report.degree, report.linear_sum))
+    # the constants have linear sum 0 <= M(0) / 2 = 0; some tables of each
+    # higher degree break the cut bound (checked below: not all of them)
+    assert {d for _, d, _ in want} == {1, 2, 3}
+    for tables in (range(256), list(range(256))):
+        got = _accumulate(cfg, consts, tables)
+        assert [(w.table_hex, w.degree, w.linear_sum) for w in got.violations] == sorted(want)
+    assert all(sum(w[1] == d for w in want) < got.per_degree[d].function_count for d in (1, 2, 3))
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
