@@ -31,11 +31,11 @@ Three routes serve the sub-batches and the level build.
   pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times the linear
   sum is a_lo + b_hi.  The coefficient at S + {n} is A_lo(S) - A_hi(S), so
   a table whose halves differ at the top mask has degree n (about 86% of
-  n = 5 tables); only the others compare A_lo with A_hi and -A_hi mask by
-  mask.  The per-half terms are built once per level (_Level.halves), and
-  each rectangle is reduced by broadcasts of them and of column slices of
-  _level(n - 1)'s column-major int16 copy (_spectrum_reductions): no block
-  is filled.
+  n = 5 tables); only the others gather their halves' level rows and
+  compare A_lo with A_hi and -A_hi at every mask.  The per-half terms are
+  built once per level (_Level.halves), and each rectangle is reduced by
+  broadcasts of them and of column slices of _level(n - 1)'s column-major
+  int16 copy (_spectrum_reductions): no block is filled.
 - Slices, for the level build.  The blocks of every arity-k table are
   filled over the same rectangles, each by one broadcast add and one
   broadcast subtract of _level(k - 1)'s column slices (_fill_from_level):
@@ -70,13 +70,19 @@ hold, each of the four inequalities becomes the original one, linear sum
 through the four inequalities at each d, so the witnesses are those that a
 check of every row at every d reports: a break that flips no inequality is
 not one of them.  A gathered sub-batch compares both sides of each identity
-per row (_identity_breaks).  A range compares their difference with 0, as
-per-half terms built once per level (_Level.residuals) plus the pair terms
-2^(n+1) popcount(lo ^ hi) and 2 <A_lo, A_hi>, with lo and hi the halves'
-table integers; only the rows that break an identity are then read one pair
-at a time for their counts, plus[lo] + plus[hi] + popcount(hi & ~lo) and
-minus likewise (_pair_counts, which also builds the level counts), and
-their total influence (_row_counts).
+per row (_identity_breaks).  For a range, each identity's difference of
+sides is per-half terms built once per level (_Level.residuals) plus the
+pair terms 2^(n+1) popcount(lo ^ hi) and 2 <A_lo, A_hi>, with lo and hi the
+halves' table integers.  The level of the halves proves once, in integers,
+that these cancel for every pair (_Level.identities_hold): its spectra are
+A_t = H v_t, with v_t the table's +-1 values, for one matrix H with
+H^T H = 2^k I, and every residual is the same constant.  So a range on a
+proven level, which every clean level is, reads no pair.  On any other
+level the differences are summed pair by pair (_pair_breaks), and only the
+rows that break an identity are then read one pair at a time for their
+counts, plus[lo] + plus[hi] + popcount(hi & ~lo) and minus likewise
+(_pair_counts, which also builds the level counts), and their total
+influence (_row_counts).
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -397,10 +403,12 @@ def _spectrum_reductions(source, n: int, influence: bool):
     [A_lo + A_hi, A_lo - A_hi], so its squares sum to 2 (N_lo + N_hi), which
     the norm check compares with 4^n, and 2^n lin = a_lo + b_hi.  Its
     coefficient at S + {n} is A_lo(S) - A_hi(S), so f has degree n where the
-    halves differ at the top mask; only the other tables are read at every
-    mask, where the degree is the largest |S| + 1 with A_lo(S) != A_hi(S) or
-    |S| with A_lo(S) != -A_hi(S).  A range reads 4^n times the total
-    influence only for the tables that break an identity (_row_counts)."""
+    halves differ at the top mask; only the other tables gather their
+    halves' level rows, and their degree is the largest |S| + 1 with
+    A_lo(S) != A_hi(S) or |S| with A_lo(S) != -A_hi(S), read from the sets
+    of masks where each holds (_mask_sets, _largest_weights).  A range reads
+    4^n times the total influence only for the tables that break an identity
+    (_row_counts)."""
     deg = np.empty(len(source), dtype=np.int8)
     lin = np.empty(len(source), dtype=np.int64)
     if not isinstance(source, range):
@@ -420,14 +428,35 @@ def _spectrum_reductions(source, n: int, influence: bool):
         lin[cells] = (a[los] + b[his, None]).ravel()
         np.equal(columns[-1, los], columns[-1, his, None],
                  out=same_top[cells].reshape(-1, los.stop - los.start))
-    rest = np.flatnonzero(same_top)
-    # mask-major, so each comparison below runs along contiguous rows
-    lo, hi = (np.take(columns, half, axis=1) for half in _pairs(source, rest, n))
-    weights = popcounts(n - 1, np.int8)[:, None]
     deg.fill(n)
-    deg[rest] = np.maximum(((lo != hi) * (weights + 1)).max(axis=0),
-                           ((lo != -hi) * weights).max(axis=0))
+    rest = np.flatnonzero(same_top)
+    # one row gather per half, a cache line a table; no row holds -128, whose
+    # negation wraps, as its norm fails the check above
+    lo, hi = (np.take(_level(n - 1).rows, half, axis=0) for half in _pairs(source, rest, n))
+    largest = _largest_weights(n - 1)
+    deg[rest] = np.maximum(largest[_mask_sets(lo != hi)] + 1, largest[_mask_sets(lo != -hi)])
     return deg, lin, None
+
+
+def _mask_sets(marks: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix with 2^k columns, one per mask, as the
+    2^k-bit integer with bit S set where the row marks mask S."""
+    width = marks.shape[1]
+    # a row of 8 or more columns is whole bytes, so the flat matrix packs alike
+    packed = np.packbits(marks if width % 8 else marks.ravel(), axis=-1, bitorder="little")
+    return packed.view(f"<u{max(1, width // 8)}").ravel()
+
+
+@functools.cache
+def _largest_weights(k: int) -> np.ndarray:
+    """For each set of arity-k masks, as from _mask_sets, the largest |S| in
+    it, or -1 for the empty set; read-only int8."""
+    largest = np.array([-1], dtype=np.int8)
+    # the sets with bit S are those without it, each joined by S
+    for weight in popcounts(k, np.int8):
+        largest = np.concatenate([largest, np.maximum(largest, weight)])
+    largest.setflags(write=False)
+    return largest
 
 
 def _pairs(tables: range, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,16 +477,25 @@ def _pair_counts(level: _Level, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndar
 def _identity_breaks(source, n: int, lin: np.ndarray, inf) -> np.ndarray:
     """The rows of the sub-batch that break one of the two identities of the
     module docstring, ascending.  A chunk matrix (inf given) compares both
-    sides of each identity per row.  A range (inf None) sums per-half terms
-    of its halves (_Level.residuals) and pair terms, one broadcast per
-    rectangle."""
+    sides of each identity per row.  A range (inf None) has none where the
+    level of its halves proves both identities for every pair
+    (_Level.identities_hold), and is read pair by pair (_pair_breaks) on
+    any other level."""
     if not isinstance(source, range):
         plus, minus = _derivative_counts(source, n)
         return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
+    return np.empty(0, dtype=np.intp) if _level(n - 1).identities_hold else _pair_breaks(source, n)
+
+
+def _pair_breaks(tables: range, n: int) -> np.ndarray:
+    """The rows of a range of arity-n tables (n <= 5) that break one of the
+    two identities, ascending: the difference of each identity's sides is
+    per-half terms of the halves (_Level.residuals) plus pair terms, summed
+    by one broadcast per rectangle and compared with 0."""
     columns = _level(n - 1).columns
     u, w, r = _level(n - 1).residuals
-    broken = np.empty(len(source), dtype=bool)
-    for cells, his, los in _rectangles(source, n):
+    broken = np.empty(len(tables), dtype=bool)
+    for cells, his, los in _rectangles(tables, n):
         # (bitwise_count is several times faster on uint32 than on uint16)
         hi = np.arange(his.start, his.stop, dtype=np.uint32)[:, None]
         lo = np.arange(los.start, los.stop, dtype=np.uint32)
@@ -581,6 +619,8 @@ class _Level:
         2 popcount(t) - b and R = 2^(k+2) (p + m) - V, for t the table's
         integer and p and m its counts; the first identity splits because
         popcount(hi & ~lo) - popcount(lo & ~hi) = popcount(hi) - popcount(lo).
+        On a clean level every table has u = -2^k, w = 2^k and R = -4^k,
+        which identities_hold checks.
 
         Their type holds each term and each partial sum of the two
         right-hand sides wherever the norm check passes, as there
@@ -607,6 +647,38 @@ class _Level:
         r -= weighted
         residuals.setflags(write=False)
         return residuals
+
+    @functools.cached_property
+    def identities_hold(self) -> bool:
+        """Whether both identities of the module docstring hold for every
+        table f = (lo, hi) of arity k + 1 with halves at this level, proven
+        once per level, on first use, without reading a pair.  With H read off
+        the level, H[:, x] = (A_0 - A_(2^x)) / 2 for each point x, it checks
+        in integers that
+        (a) the level is linear: each difference is even, H 1 = A_0, and
+            A_(t + 2^x) = A_t - 2 H[:, x] for every x and t < 2^x, so
+            A_t = H v_t, with v_t the table's +-1 values;
+        (b) H^T H = 2^k I;
+        (c) every half has u = -2^k, w = 2^k and R = -4^k (residuals).
+        Then <A_lo, A_hi> = 2^k <v_lo, v_hi> = 2^k (2^k - 2 popcount(lo ^ hi)),
+        so the pair terms cancel R[lo] + R[hi] = -2 4^k, u[lo] + w[hi] = 0,
+        and neither identity has a difference other than 0."""
+        rows = self.rows
+        points = rows.shape[1]
+        k = points.bit_length() - 1
+        u, w, r = self.residuals
+        twice = rows[0] - rows[1 << np.arange(points)].astype(np.int16)  # 2 H^T
+        h = twice >> 1
+        if (np.any(twice & 1) or np.any(h.sum(axis=0) != rows[0])
+                or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
+                          != np.eye(points, dtype=np.int64) << k)
+                or np.any(u != -(1 << k)) or np.any(w != 1 << k) or np.any(r != -(1 << 2 * k))):
+            return False
+        # a few thousand rows at a time, so the int16 temporaries stay small
+        step = 1 << 12
+        return not any(np.any(rows[(1 << x) + t : (1 << x) + min(t + step, 1 << x)]
+                              != rows[t : min(t + step, 1 << x)] - twice[x])
+                       for x in range(points) for t in range(0, 1 << x, step))
 
 
 @functools.cache

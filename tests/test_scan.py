@@ -599,6 +599,7 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     bad = _level(2).rows.copy()
     bad[5, 0] += 2
     patch_level(monkeypatch, 2, rows=bad)
+    assert not scan._level(2).identities_hold
     cfg = ScanConfig(n=3, mode="exhaustive")
     # table = hi * 16 + lo; ranges are reduced from level statistics, so the
     # corrupt row must reach them as lo and as hi
@@ -616,6 +617,7 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     bad = _level(4).rows.copy()
     bad[target, 7] += 2
     patch_level(monkeypatch, 4, rows=bad)
+    assert not scan._level(4).identities_hold
     below, at = (7 << 16) + target, target << 16
     scan_table_range(cfg, below - 3000, below)
     scan_table_range(cfg, at - 3000, at)  # the last tables under hi target - 1
@@ -761,12 +763,14 @@ def test_range_reductions_match_the_gather_route(monkeypatch):
                                         (n, tables, influence))
                 assert got[2] is None  # a range reads inf only where an identity breaks
             assert identity_route(tables, n) == identity_route(chunks, n) == [[]] * 4
+            assert scan._pair_breaks(tables, n).size == 0  # what the proof skips
             # one -1 value turned +1 in every half's counts, or in every
             # chunk's, adds 2 to each table's plus and takes 2 from its minus:
             # plus + minus stays, so every row breaks the first identity only,
             # and both routes give every row's inf, plus and minus
             level, step = _level(n - 1), 1
             patch_level(monkeypatch, n - 1, plus=level.plus + step, minus=level.minus - step)
+            assert not scan._level(n - 1).identities_hold
             got = identity_route(tables, n)
             monkeypatch.undo()
             level, step = _level(k), 2 >> (n - k)
@@ -791,6 +795,7 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
               range((target << 16) + target, (target << 16) + target + 1)]  # both
     assert all(identity_route(tables, n)[0] == [] for tables in ranges)
     patch_level(monkeypatch, 4, rows=bad)
+    assert not scan._level(4).identities_hold
     changed = 0
     for tables in ranges:
         chunks = _bits_matrix(list(tables), n)
@@ -823,6 +828,7 @@ def test_half_statistics_hold_their_worst_cases(monkeypatch):
     bad[target] = [127, 127, 127, 127, 35, 7, 1, 1] + [0] * 8
     assert sum(int(x) ** 2 for x in bad[target]) == (1 << 16) + 4**4
     patch_level(monkeypatch, 4, rows=bad)
+    assert not scan._level(4).identities_hold
     with pytest.raises(InvariantError, match="norm check"):
         scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), target, target + 1)
 
@@ -857,11 +863,108 @@ def test_identity_residuals_hold_their_worst_cases(monkeypatch):
     bump[target] = 1 << 11
     patch_level(monkeypatch, 4, plus=level.plus + bump, minus=level.minus + bump)
     assert scan._level(4).residuals.dtype == np.int32
+    assert not scan._level(4).identities_hold
     cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
     tables = range((target << 16) + 100, (target << 16) + 400)
     got = _accumulate(cfg, _build_consts(cfg), tables)
     assert got == _accumulate(cfg, _build_consts(cfg), list(tables))
     assert got.equivalence_failures
+
+
+def test_identity_proof_holds_on_every_clean_level():
+    # each condition, checked here without the proof's recurrence: every row
+    # is H v_t for the Hadamard matrix H, H^T H = 2^k I, and the residuals
+    # are constant
+    for k in range(5):
+        level, points = _level(k), 1 << k
+        assert level.identities_hold is True, k
+        h = np.array([[(-1) ** bin(s & x).count("1") for x in range(points)]
+                      for s in range(points)])
+        values = 1 - 2 * ((np.arange(len(level.rows))[:, None] >> np.arange(points)) & 1)
+        assert (level.rows == values @ h.T).all(), k
+        assert (h.T @ h == points * np.eye(points, dtype=int)).all(), k
+        u, w, r = level.residuals.tolist()
+        assert set(u) == {-points} and set(w) == {points} and set(r) == {-points * points}, k
+
+
+def proof_and_pair_route(monkeypatch, k: int, **arrays):
+    """On _level(k) with the given arrays replaced: whether the proof holds,
+    whether the pair route finds no break over every (lo, hi) pair, and the
+    residuals."""
+    patch_level(monkeypatch, k, **arrays)
+    patched = scan._level(k)
+    got = (patched.identities_hold, scan._pair_breaks(range(1 << (2 << k)), k + 1).size == 0,
+           patched.residuals.tolist())
+    monkeypatch.undo()
+    return got
+
+
+def test_identity_proof_is_sound(monkeypatch):
+    # wherever the proof holds, the pair route finds no break.  Two mutants
+    # keep it whole: masks permuted within their weight class, and points
+    # permuted in every table with the counts moved alike keep H^T H = 2^k I
+    # and every residual.  Masks permuted across weights and negated rows
+    # keep H^T H but not the residuals.  Each failing mutant breaks some pair
+    for k in (1, 2, 3):
+        level, points = _level(k), 1 << k
+        rng = random.Random(k)
+        weights = np.bitwise_count(np.arange(points))
+        within = np.arange(points)
+        for weight in set(weights.tolist()):
+            masks = np.flatnonzero(weights == weight)
+            within[masks] = rng.sample(masks.tolist(), len(masks))
+        # table t with its bits rotated by one point
+        tables = np.arange(len(level.rows))
+        rotated = ((tables << 1) | (tables >> (points - 1))) & (len(tables) - 1)
+        across = np.arange(points)
+        across[[0, -1]] = across[[-1, 0]]
+        flipped = level.rows.copy()
+        flipped[3, np.flatnonzero(flipped[3])[-1]] *= -1
+        mutants = [({}, True), ({"rows": level.rows[:, within]}, True),
+                   ({"rows": level.rows[rotated], "plus": level.plus[rotated],
+                     "minus": level.minus[rotated]}, True),
+                   ({"rows": level.rows[:, across]}, False), ({"rows": -level.rows}, False),
+                   ({"rows": flipped}, False), ({"plus": level.plus + (tables == 3)}, False)]
+        for arrays, holds in mutants:
+            got = proof_and_pair_route(monkeypatch, k, **arrays)
+            assert got[:2] == (holds, holds), (k, list(arrays))
+    # with counts that make every residual constant, one condition is left to
+    # fail: H^T H for rows = H v_t with H = [[1, 1], [3, 1]], and H 1 = A_0
+    # for the k = 2 rows shifted by 8 at mask 3, which keeps every difference
+    shifted = _level(2).rows.copy()
+    shifted[:, 3] += 8
+    for k, rows in ((1, np.array([[2, 4], [0, -2], [0, 2], [-2, -4]], dtype=np.int8)),
+                    (2, shifted)):
+        a, b, _, weighted = dataclasses.replace(_level(k), rows=rows).halves.astype(np.int64)
+        # p - m from u = -2^k, and p + m from R = -4^k
+        diff = (a + 2 * np.bitwise_count(np.arange(len(rows))) - (1 << k)) // 2
+        total = (weighted - (1 << 2 * k)) >> (k + 2)
+        got = proof_and_pair_route(monkeypatch, k, rows=rows, plus=(total + diff) // 2,
+                                   minus=(total - diff) // 2)
+        size = len(rows)
+        assert got == (False, False, [[-1 << k] * size, [1 << k] * size, [-1 << 2 * k] * size])
+
+
+def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
+    def spy(tables, n):
+        raise AssertionError("a range summed pair terms")
+
+    monkeypatch.setattr(scan, "_pair_breaks", spy)
+    cases = [(ScanConfig(n=n, mode="exhaustive", equivalence_check=True), range(1 << (1 << n)))
+             for n in (1, 2, 3)]
+    cases += [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), range(300, 40000))]
+    cases += [(ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                          equivalence_d_range=tuple(range(1, 7))), range(77 << 14, 78 << 14))]
+    for cfg, tables in cases:
+        consts = _build_consts(cfg)
+        assert _accumulate(cfg, consts, tables) == _accumulate(cfg, consts, list(tables)), cfg
+    # the spy is in the route: a level without the proof sums pairs
+    bump = np.zeros(16, dtype=np.int64)
+    bump[8] = 1
+    patch_level(monkeypatch, 2, plus=_level(2).plus + bump)
+    cfg = ScanConfig(n=3, mode="exhaustive")
+    with pytest.raises(AssertionError, match="pair terms"):
+        _accumulate(cfg, _build_consts(cfg), range(256))
 
 
 def every_row_failures(cfg: ScanConfig, tables, plus, minus):
@@ -910,6 +1013,7 @@ def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
         half_bump = np.zeros(16, dtype=np.int64)
         half_bump[half] = 1
         patch_level(monkeypatch, 2, plus=_level(2).plus + half_bump)
+        assert not scan._level(2).identities_hold
         for degree_filter in (None, 3, 2):
             cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
             got = _accumulate(cfg, _build_consts(cfg), tables).equivalence_failures
@@ -938,6 +1042,7 @@ def test_level_counts_reach_both_count_routes(monkeypatch):
     half_bump[8] = 1
     for k, routed, extra in ((2, tables, half_bump), (3, list(tables), bump)):
         patch_level(monkeypatch, k, plus=_level(k).plus + extra)
+        assert not scan._level(k).identities_hold
         got = _accumulate(cfg, _build_consts(cfg), routed).equivalence_failures
         monkeypatch.undo()
         assert list(got) == want, type(routed)
@@ -1002,6 +1107,7 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
     mask = next(s for s in range(15, 0, -1) if bin(s).count("1") >= 2 and bad[hi, s])
     bad[hi, mask] *= -1
     patch_level(monkeypatch, 4, rows=bad)
+    assert not scan._level(4).identities_hold
     sliced = _accumulate(cfg, consts, spans[0])
     assert sliced == _accumulate(cfg, consts, list(spans[0]))
     assert sliced.equivalence_failures
