@@ -29,13 +29,17 @@ Three routes serve the sub-batches and the level build.
   partial first high half, whole high halves, and a partial last one
   (_rectangles).  Each reduction is then per-half terms plus at most one
   pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times the linear
-  sum is a_lo + b_hi.  The coefficient at S + {n} is A_lo(S) - A_hi(S), so
-  a table whose halves differ at the top mask has degree n (about 86% of
-  n = 5 tables); only the others gather their halves' level rows and
-  compare A_lo with A_hi and -A_hi at every mask.  The per-half terms are
-  built once per level (_Level.halves), and each rectangle is reduced by
-  broadcasts of them and of column slices of _level(n - 1)'s column-major
-  int16 copy (_spectrum_reductions): no block is filled.
+  sum is a_lo + b_hi (_Level.halves).  The coefficients at T + {n} and T,
+  T the top mask of arity n - 1, are A_lo(T) - A_hi(T) and A_lo(T) +
+  A_hi(T), so with a half's key t = A(T), f has degree n where t_lo !=
+  t_hi (about 86% of n = 5 tables) and degree n - 1 where t_lo = t_hi !=
+  0.  Under one hi, the best row of each of these degrees is b_hi plus
+  the best a among the lo's whose keys qualify, so a range's per-degree
+  rows come from per-key records of the lo's, kept per block of
+  consecutive lo's (_Level.key_stats), with no per-table work
+  (_range_extremes).  Only the pairs with t_lo = t_hi = 0 (about 4% of
+  n = 5 tables) gather their halves' level rows and compare A_lo with A_hi
+  and -A_hi at every mask (_pair_reductions): no block is filled.
 - Slices, for the level build.  The blocks of every arity-k table are
   filled over the same rectangles, each by one broadcast add and one
   broadcast subtract of _level(k - 1)'s column slices (_fill_from_level):
@@ -132,6 +136,8 @@ _BATCH_CELLS = 1 << 21
 # one block of spectrum rows plus the butterfly's per-stage temporaries stay
 # in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
+# consecutive halves per block of _Level.key_stats
+_KEY_BLOCK = 1 << 14
 # spans submitted to a process pool at once, per worker
 _SPANS_IN_FLIGHT = 4
 # after the butterfly stage for coordinate j every partial sum is at most
@@ -397,45 +403,190 @@ def _spectrum_reductions(source, n: int, influence: bool):
     """Per table: degree, 2^n times the linear sum and, if influence is set
     and source is a chunk matrix, 4^n times the total influence (else None).
     A chunk matrix is reduced from each spectrum block while it is in cache.
-    A range of arity-n tables (n <= 5) is reduced from the statistics of
-    their halves in _level(n - 1) (_Level.halves), one broadcast over each
-    rectangle of _rectangles: the spectrum of f = (lo, hi) is
-    [A_lo + A_hi, A_lo - A_hi], so its squares sum to 2 (N_lo + N_hi), which
-    the norm check compares with 4^n, and 2^n lin = a_lo + b_hi.  Its
-    coefficient at S + {n} is A_lo(S) - A_hi(S), so f has degree n where the
-    halves differ at the top mask; only the other tables gather their
-    halves' level rows, and their degree is the largest |S| + 1 with
-    A_lo(S) != A_hi(S) or |S| with A_lo(S) != -A_hi(S), read from the sets
-    of masks where each holds (_mask_sets, _largest_weights).  A range reads
-    4^n times the total influence only for the tables that break an identity
+    A range of arity-n tables (n <= 5) is norm-checked one rectangle of
+    _rectangles at a time (_check_norms) and read pair by pair
+    (_pair_reductions).  _accumulate reads a range's per-degree rows from the
+    key statistics of its halves instead (_range_extremes), and calls this
+    only where a degree's best row breaks the bound.  A range reads 4^n times
+    the total influence only for the tables that break an identity
     (_row_counts)."""
+    if isinstance(source, range):
+        for _, his, los in _rectangles(source, n):
+            _check_norms(n, his, los)
+        return (*_pair_reductions(n, *_pairs(source, np.arange(len(source)), n)), None)
     deg = np.empty(len(source), dtype=np.int8)
     lin = np.empty(len(source), dtype=np.int64)
-    if not isinstance(source, range):
-        inf = np.empty(len(source), dtype=np.int64) if influence else None
-        for rows, block, squares in _spectrum_blocks(source, n):
-            deg[rows] = _degrees(block, n)
-            lin[rows] = _linear_sums(block, n)
-            if influence:
-                inf[rows] = _total_influences(squares, n)
-        return deg, lin, inf
-    columns = _level(n - 1).columns
-    a, b, norm, _ = _level(n - 1).halves
-    same_top = np.empty(len(source), dtype=bool)
-    for cells, his, los in _rectangles(source, n):
-        if np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1)):
-            raise InvariantError("spectrum norm check failed during scan")
-        lin[cells] = (a[los] + b[his, None]).ravel()
-        np.equal(columns[-1, los], columns[-1, his, None],
-                 out=same_top[cells].reshape(-1, los.stop - los.start))
-    deg.fill(n)
-    rest = np.flatnonzero(same_top)
+    inf = np.empty(len(source), dtype=np.int64) if influence else None
+    for rows, block, squares in _spectrum_blocks(source, n):
+        deg[rows] = _degrees(block, n)
+        lin[rows] = _linear_sums(block, n)
+        if influence:
+            inf[rows] = _total_influences(squares, n)
+    return deg, lin, inf
+
+
+def _check_norms(n: int, his: slice, los: slice) -> None:
+    """The norm check of a rectangle of arity-n tables f = (lo, hi) (n <= 5),
+    his x los: f's spectrum is [A_lo + A_hi, A_lo - A_hi], so its squares
+    sum to 2 (N_lo + N_hi) (_Level.halves), which must be 4^n."""
+    norm = _level(n - 1).halves[2]
+    if np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1)):
+        raise InvariantError("spectrum norm check failed during scan")
+
+
+def _pair_reductions(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and 2^n times the linear sum of the arity-n tables f = (lo, hi)
+    (n <= 5) whose norm check passed, one per entry of the equal-length
+    arrays of halves lo and hi: 2^n lin = a_lo + b_hi (_Level.halves).  The
+    coefficient of f at S + {n} is A_lo(S) - A_hi(S) and at S is
+    A_lo(S) + A_hi(S), so its degree is the largest |S| + 1 with
+    A_lo(S) != A_hi(S) or |S| with A_lo(S) != -A_hi(S), read from the sets
+    of masks where each holds (_mask_sets, _largest_weights); it is n where
+    the halves differ at the top mask."""
+    level = _level(n - 1)
+    a, b = level.halves[:2]
     # one row gather per half, a cache line a table; no row holds -128, whose
-    # negation wraps, as its norm fails the check above
-    lo, hi = (np.take(_level(n - 1).rows, half, axis=0) for half in _pairs(source, rest, n))
+    # negation wraps, as its norm fails the check
+    lo_rows, hi_rows = (np.take(level.rows, half, axis=0) for half in (lo, hi))
     largest = _largest_weights(n - 1)
-    deg[rest] = np.maximum(largest[_mask_sets(lo != hi)] + 1, largest[_mask_sets(lo != -hi)])
-    return deg, lin, None
+    deg = np.maximum(np.take(largest, _mask_sets(lo_rows != hi_rows)) + 1,
+                     np.take(largest, _mask_sets(lo_rows != -hi_rows)))
+    return deg, np.add(a[lo], b[hi], dtype=np.int64)
+
+
+# A record of some rows is their count, the best value among them, how many
+# reach it and the first of those, a table integer.  The record of no rows
+# has a best and a first that lose to any row's, and stay in int64 when a
+# half's value or table is added to them.
+_EMPTY = np.array([0, -1 << 62, 0, 1 << 62], dtype=np.int64)
+
+
+def _max_plus(records: np.ndarray, axis: int) -> np.ndarray:
+    """The records along axis (at least 1), as the record of all their rows:
+    the counts add, and the best, the rows that reach it and the first of
+    them come from the records with the largest best."""
+    if records.shape[axis] == 1:
+        return records.take(0, axis=axis)
+    count, best, reach, first = records
+    axis -= 1  # of each row of records
+    top = best.max(axis=axis, keepdims=True)
+    at = best == top
+    return np.array([count.sum(axis=axis), top.squeeze(axis=axis), (reach * at).sum(axis=axis),
+                     np.where(at, first, _EMPTY[3]).min(axis=axis)])
+
+
+def _lo_records(level: _Level, los: slice) -> np.ndarray:
+    """The records of _key_records for the arity-k tables in los: whole
+    blocks from level.key_stats and the partial blocks at the ends by
+    _key_records on their slices, combined by _max_plus."""
+    table = level.key_stats
+    keys = table.shape[3]
+    whole = slice(-(-los.start // _KEY_BLOCK), los.stop // _KEY_BLOCK)
+    if whole.start >= whole.stop:
+        return _key_records(level, los.start, los.stop, keys)
+    parts = [table[:, whole]]
+    if los.start < whole.start * _KEY_BLOCK:
+        parts.append(_key_records(level, los.start, whole.start * _KEY_BLOCK, keys)[:, None])
+    if whole.stop * _KEY_BLOCK < los.stop:
+        parts.append(_key_records(level, whole.stop * _KEY_BLOCK, los.stop, keys)[:, None])
+    return _max_plus(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], axis=1)
+
+
+def _key_records(level: _Level, start: int, stop: int, keys: int) -> np.ndarray:
+    """For each key j of 0..keys - 1, the records of the arity-k tables
+    start..stop - 1 of level whose key is not j, and of those whose key is j,
+    with their values a (_Level.halves) as the rows' values: int64, shape
+    (4, 2, keys), and _EMPTY where no table qualifies.  A table's key is its
+    top coefficient plus keys // 2.  One sort of (key, -a, table), packed
+    into one integer, serves every key."""
+    key = level.columns[-1, start:stop]
+    values = level.halves[0, start:stop]
+    top = int(values.max())
+    span = top - int(values.min()) + 1
+    bits = (stop - start).bit_length()
+    packed = np.add(key, keys // 2, dtype=_int_type(keys * span << bits))
+    packed *= span
+    packed += np.subtract(top, values, dtype=packed.dtype)
+    packed <<= bits
+    packed |= np.arange(stop - start, dtype=packed.dtype)
+    packed.sort()
+    ranks = packed >> bits  # key * span + top - a, ascending
+    edges = np.searchsorted(ranks, np.arange(keys + 1) * span)
+    sizes = np.diff(edges)
+    live = np.flatnonzero(sizes)
+    starts = edges[live]
+    own = np.repeat(_EMPTY[:, None], keys, axis=1)
+    own[0] = sizes
+    own[1, live] = top - ranks[starts] % span
+    own[2, live] = np.searchsorted(ranks, ranks[starts], side="right") - starts
+    own[3, live] = start + (packed[starts] & ((1 << bits) - 1)).astype(np.int64)
+    others = np.where(np.eye(keys, dtype=bool), _EMPTY[:, None, None], own[:, None])
+    return np.stack([_max_plus(others, axis=2), own], axis=1)
+
+
+def _degree_rows(deg: np.ndarray, lin: np.ndarray, degrees):
+    """For each degree d of degrees that some row has, in order: d, the
+    number of its rows, their largest 2^n lin and the rows that reach it,
+    ascending."""
+    for d in degrees:
+        idx = (deg == d).nonzero()[0]
+        if idx.size:
+            sums = lin[idx]
+            best = int(sums.max())
+            yield d, idx.size, best, idx[sums == best]
+
+
+def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int, int, int]]:
+    """The record of each degree of degrees that some table of a range of
+    arity-n tables (n <= 5) has: the number of tables, the largest 2^n lin,
+    the number of tables that reach it and the first of them, read from the
+    key statistics of the halves (_Level.key_stats).
+
+    A half's key is its top coefficient t = A(T), T the top mask of arity
+    n - 1.  f = (lo, hi) has A_lo(T) - A_hi(T) at T + {n} and A_lo(T) +
+    A_hi(T) at T, so it has degree n where t_lo != t_hi, and degree n - 1
+    where t_lo = t_hi != 0.  Under one hi, 2^n lin = a_lo + b_hi, so each of
+    those rows is b_hi plus the record of the lo's with the keys it takes.
+    Only the pairs with t_lo = t_hi = 0 are read pair by pair
+    (_pair_reductions)."""
+    level = _level(n - 1)
+    top, b = level.columns[-1], level.halves[1]
+    per_hi = 1 << (1 << (n - 1))
+    keys = level.key_stats.shape[3]
+    # the degrees that the pairs of keys 0 can have
+    low = [d for d in degrees if d < n]
+    found = {}
+
+    def add(d, record):
+        if record[0]:
+            found[d] = (record if d not in found
+                        else _max_plus(np.stack([found[d], record], axis=1), axis=1))
+
+    for _, his, los in _rectangles(tables, n):
+        _check_norms(n, his, los)
+        t = top[his]
+        zero = t == 0
+        # under each hi, the records of its lo's of degree n and of degree
+        # n - 1; the pairs with t = 0 are read row by row below
+        records = _lo_records(level, los)[:, :, t + keys // 2]
+        records[:, 1, zero] = _EMPTY[:, None]
+        # under hi, a row's best gains b_hi, and its table hi * 2^(2^(n-1))
+        records[1] += b[his]
+        records[3] += np.arange(his.start * per_hi, his.stop * per_hi, per_hi)
+        for d, record in zip((n, n - 1), _max_plus(records, axis=2).T.tolist()):
+            if d in degrees:
+                add(d, record)
+        zero_his = his.start + zero.nonzero()[0]
+        if zero_his.size and low:
+            zero_los = los.start + (top[los] == 0).nonzero()[0]
+            if zero_los.size:
+                # hi-major, so the tables ascend with the row
+                lo, hi = np.tile(zero_los, len(zero_his)), zero_his.repeat(len(zero_los))
+                deg, lin = _pair_reductions(n, lo, hi)
+                for d, count, best, attain in _degree_rows(deg, lin, low):
+                    first = attain[0]
+                    add(d, [count, best, attain.size, int(hi[first]) * per_hi + int(lo[first])])
+    return {d: tuple(int(x) for x in found[d]) for d in degrees if d in found}
 
 
 def _mask_sets(marks: np.ndarray) -> np.ndarray:
@@ -680,6 +831,23 @@ class _Level:
                               != rows[t : min(t + step, 1 << x)] - twice[x])
                        for x in range(points) for t in range(0, 1 << x, step))
 
+    @functools.cached_property
+    def key_stats(self) -> np.ndarray:
+        """The key statistics of this level's tables A, on first use, for
+        _range_extremes: int64, shape (4, blocks, 2, keys), the records of
+        _key_records for each block of _KEY_BLOCK consecutive tables.  A's
+        key is its top coefficient t = A(T), T the top mask, shifted by
+        keys // 2 so that every t stored is an index.  For each key, the
+        record of the block's tables with that key holds their count, their
+        largest a (halves), how many reach it and the smallest table that
+        does; the record of the tables with any other key is beside it."""
+        top = self.columns[-1]
+        keys = 2 * max(len(self.columns), int(np.abs(top).max())) + 1
+        stats = np.stack([_key_records(self, start, min(start + _KEY_BLOCK, len(top)), keys)
+                          for start in range(0, len(top), _KEY_BLOCK)], axis=1)
+        stats.setflags(write=False)
+        return stats
+
 
 @functools.cache
 def _level(k: int) -> _Level:
@@ -707,56 +875,61 @@ def _sample_table(seed: int, index: int, points: int) -> int:
 
 def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
-    """Every table of one sub-batch at once, as rows of a matrix."""
+    """Every table of one sub-batch at once.  A range is an exhaustive
+    sub-batch, so n <= 5: its per-degree rows come from the key statistics
+    of its halves (_range_extremes), and its rows are read pair by pair
+    (_pair_reductions) only where an identity breaks or a degree's best row
+    breaks the bound.  Any other sub-batch is unpacked, and every row is
+    reduced from its spectrum block."""
     n = cfg.n
-    # a range is an exhaustive sub-batch, so n <= 5, and is read by slicing
-    # the level under each high half; any other sub-batch is unpacked
-    source = tables if isinstance(tables, range) else _bits_matrix(tables, n)
-    deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
+    degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
+    if isinstance(tables, range):
+        source, lin, inf = tables, None, None
+        extremes = _range_extremes(tables, n, degrees)
+    else:
+        source = _bits_matrix(tables, n)
+        deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
+        extremes = {d: (count, best, attain.size, min(tables[j] for j in attain.tolist()))
+                    for d, count, best, attain in _degree_rows(deg, lin, degrees)}
 
-    def hex_of(j) -> str:
-        return to_hex(BooleanFunction(n, tables[int(j)]))
+    def hex_of(table: int) -> str:
+        return to_hex(BooleanFunction(n, table))
 
     per_degree = {}
     violations = []
-    # most tables have degree n, so the lower degrees are read from the short
-    # list of the others, and degree n is the rest
-    low = np.flatnonzero(deg < n)
-    low_deg = deg[low]
-    for d in range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,):
-        idx = low[low_deg == d] if d < n else np.flatnonzero(deg == n)
-        if not idx.size:
-            continue
-        sums = lin[idx]
-        best = int(sums.max())
-        attain = idx[sums == best]
+    for d, (count, best, reach, witness) in extremes.items():
         best_dy, bound = DyadicRational(best, n), maj_bound(d)
-        # a range's tables ascend with their index
-        witness = (attain[0] if isinstance(tables, range)
-                   else min(attain, key=lambda j: tables[int(j)]))
-        per_degree[d] = DegreeExtremal(d, len(idx), best_dy, hex_of(witness), len(attain),
-                                       bound, bound - best_dy)
+        per_degree[d] = DegreeExtremal(d, count, best_dy, hex_of(witness), reach, bound,
+                                       bound - best_dy)
         # the scale is positive, so no row fails the bound unless the best does
         lhs, rhs = _bound_sides(consts[d], best)
         if lhs > rhs:
-            lhs, rhs = _bound_sides(consts[d], sums)
-            violations += [ConjectureWitness(hex_of(j), n, d, DyadicRational(int(lin[j]), n),
-                                             bound) for j in idx[lhs > rhs]]
+            if lin is None:
+                deg, lin = _spectrum_reductions(source, n, False)[:2]
+            idx = np.flatnonzero(deg == d)
+            lhs, rhs = _bound_sides(consts[d], lin[idx])
+            violations += [ConjectureWitness(hex_of(tables[j]), n, d,
+                                             DyadicRational(int(lin[j]), n), bound)
+                           for j in idx[lhs > rhs].tolist()]
 
     failures = []
     if cfg.equivalence_d_range:
         # where both identities hold, each of the four inequalities reads
         # (plus - minus) * s.prob <= s.maj at every d
         broken = _identity_breaks(source, n, lin, inf)
-        if cfg.degree_filter is not None:
-            broken = broken[deg[broken] == cfg.degree_filter]
+        if broken.size:
+            row_deg, row_lin = ((deg[broken], lin[broken]) if lin is not None
+                                else _pair_reductions(n, *_pairs(source, broken, n)))
+            if cfg.degree_filter is not None:
+                keep = row_deg == cfg.degree_filter
+                broken, row_lin = broken[keep], row_lin[keep]
         if broken.size:
             counts = _row_counts(source, n, broken, inf)
             for d in cfg.equivalence_d_range:
-                sides = _sides(consts[d], lin[broken], *counts)
+                sides = _sides(consts[d], row_lin, *counts)
                 sat = [lhs <= rhs for lhs, rhs in sides.values()]
                 agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-                failures += [EquivalenceWitness(hex_of(broken[i]), n, d,
+                failures += [EquivalenceWitness(hex_of(tables[int(broken[i])]), n, d,
                                                 *(bool(x[i]) for x in sat))
                              for i in np.nonzero(~agree)[0]]
     return _finalize(cfg, len(tables), violations, failures, per_degree)

@@ -576,7 +576,8 @@ def test_levels_are_built_by_the_range_join_without_unpacking(monkeypatch):
 def test_level_tables_are_read_only():
     # one record per arity serves the whole process
     level = _level(3)
-    for values in (level.rows, level.plus, level.minus, level.columns, level.halves):
+    for values in (level.rows, level.plus, level.minus, level.columns, level.halves,
+                   level.key_stats):
         with pytest.raises(ValueError):
             values[0] += 1
     assert_level_row(level, 3, 0)
@@ -1113,6 +1114,127 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
     assert sliced.equivalence_failures
 
 
+def python_key_records(level, start: int, stop: int, keys: int) -> list:
+    """_key_records of the tables start..stop - 1 recounted one table at a
+    time: per key j, [count, largest a, how many reach it, first table] of
+    the tables whose key is not j, then of those whose key is j; None where
+    no table qualifies."""
+    rows = level.rows.tolist()
+    k = len(rows[0]).bit_length() - 1
+    own = [None] * keys
+    for t in range(start, stop):
+        a = rows[t][0] + sum(rows[t][1 << i] for i in range(k))
+        j = rows[t][-1] + keys // 2
+        if own[j] is None or a > own[j][1]:
+            own[j] = [own[j][0] if own[j] else 0, a, 0, t]
+        own[j][0] += 1
+        own[j][2] += a == own[j][1]
+    others = []
+    for j in range(keys):
+        rest = [r for i, r in enumerate(own) if i != j and r]
+        best = max((r[1] for r in rest), default=None)
+        top = [r for r in rest if r[1] == best]
+        others.append([sum(r[0] for r in rest), best, sum(r[2] for r in top),
+                       min(r[3] for r in top)] if rest else None)
+    return [others, own]
+
+
+def records_as_lists(records: np.ndarray) -> list:
+    """A (4, 2, keys) array of _key_records as python_key_records lists it."""
+    return [[None if count == 0 else [count, best, reach, first]
+             for count, best, reach, first in side.T.tolist()]
+            for side in records.transpose(1, 0, 2)]
+
+
+def test_key_statistics_hold_every_blocks_records():
+    # the per-block table of a level against a table-at-a-time recount: four
+    # blocks at k = 4, one block holding the whole level below
+    for k in range(5):
+        level = _level(k)
+        size = 1 << (1 << k)
+        keys = (2 << k) + 1  # every top coefficient of a clean level, -2^k..2^k
+        table = level.key_stats
+        blocks = range(0, size, scan._KEY_BLOCK)
+        assert table.shape == (4, len(blocks), 2, keys), k
+        assert table.dtype == np.int64
+        for b, start in enumerate(blocks):
+            stop = min(start + scan._KEY_BLOCK, size)
+            assert records_as_lists(table[:, b]) == python_key_records(level, start, stop, keys)
+        # every table has one of the keys
+        assert table[0, :, 1].sum() == size, k
+    # the partial blocks at the ends of a range come from the same function
+    level, keys = _level(4), 33
+    rng = random.Random(19)
+    for start, stop in ((0, 1), (16383, 16385), (5, 1000), (65535, 65536),
+                        *((s, s + rng.randrange(1, 3000)) for s in
+                          (rng.randrange(60000) for _ in range(6)))):
+        assert records_as_lists(scan._key_records(level, start, stop, keys)) == \
+            python_key_records(level, start, stop, keys), (start, stop)
+
+
+def key_route_ranges() -> list[range]:
+    """n = 5 ranges that cut the key statistics' blocks in every way: whole
+    high halves under a hi with top coefficient 0 and under one without, one
+    table, one inside a block, partial blocks at both ends of whole ones, and
+    one across two high halves."""
+    top = _level(4).columns[-1]
+    rng = random.Random(20)
+    zero = int(rng.choice(np.flatnonzero(top == 0)))
+    other = int(rng.choice(np.flatnonzero(top != 0)))
+    return [range(zero << 16, (zero + 1) << 16), range(other << 16, (other + 1) << 16),
+            range((other << 16) + 4321, (other << 16) + 4322),
+            range((zero << 16) + 20000, (zero << 16) + 30000),
+            range((other << 16) + 1000, (other << 16) + 50000),
+            range((zero << 16) - 3000, (zero << 16) + 20000)]
+
+
+def test_key_statistics_route_matches_the_list_route():
+    ranges = key_route_ranges()
+    for check in (True, False):
+        for degree_filter in (None, 3, 4, 5):
+            cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+                             equivalence_d_range=tuple(range(1, 7)), degree_filter=degree_filter)
+            consts = _build_consts(cfg)
+            for tables in ranges:
+                got = _accumulate(cfg, consts, tables)
+                assert got == _accumulate(cfg, consts, list(tables)), (cfg, tables)
+    # degrees below 4 come only from the pairs whose halves both have top 0
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=False)
+    consts = _build_consts(cfg)
+    assert min(_accumulate(cfg, consts, ranges[0]).per_degree) < 4
+    assert min(_accumulate(cfg, consts, ranges[1]).per_degree) == 4
+
+
+def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
+    # one hi's top entry negated keeps its N, a, b and V, so only its key
+    # changes: as a hi it now pairs with other lo's, and as a lo it moves to
+    # another key of its block's records
+    level = _level(4)
+    hi = next(t for t in range(7000, 1 << 16) if level.rows[t, -1] > 0)
+    bad = level.rows.copy()
+    bad[hi, -1] *= -1
+    block = hi // scan._KEY_BLOCK
+    patch_level(monkeypatch, 4, rows=bad)
+    mutant = scan._level(4)
+    assert not mutant.identities_hold
+    assert (mutant.key_stats[:, block] != level.key_stats[:, block]).any()
+    assert (np.delete(mutant.key_stats, block, axis=1)
+            == np.delete(level.key_stats, block, axis=1)).all()
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=tuple(range(1, 7)))
+    consts = _build_consts(cfg)
+    # under this hi the mutant's new key is the hi's, so as a lo it drops
+    # from degree 5 to 4
+    other = int(np.flatnonzero(level.columns[-1] == -level.rows[hi, -1])[5])
+    ranges = (range(hi << 16, (hi << 16) + 40000),  # hi is the mutant
+              range((other << 16) + hi - 3000, (other << 16) + hi + 3000),  # a lo is
+              range((hi << 16) + hi, (hi << 16) + hi + 1))  # both are
+    got = [_accumulate(cfg, consts, tables) for tables in ranges]
+    assert got == [_accumulate(cfg, consts, list(tables)) for tables in ranges]
+    monkeypatch.undo()
+    assert all(g != _accumulate(cfg, consts, tables) for g, tables in zip(got[:2], ranges))
+
+
 def test_violations_are_the_rows_over_the_bound():
     # no table breaks the bound at n <= 5, so a Maj_d side cut in half stands
     # in for a bound that some rows of a degree break and others meet; each
@@ -1132,6 +1254,23 @@ def test_violations_are_the_rows_over_the_bound():
         got = _accumulate(cfg, consts, tables)
         assert [(w.table_hex, w.degree, w.linear_sum) for w in got.violations] == sorted(want)
     assert all(sum(w[1] == d for w in want) < got.per_degree[d].function_count for d in (1, 2, 3))
+
+
+def test_n5_violations_are_the_rows_over_the_bound():
+    # whole n = 5 high halves, one whose top coefficient is 0 and one whose is
+    # not, under the Maj_d side cut in half: a range reads its degrees' best
+    # rows from key statistics and goes row-wise only where one breaks the cut
+    # bound, so it must report the rows a list reports
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=tuple(range(1, 7)))
+    consts = {d: s._replace(maj=s.maj // 2) for d, s in _build_consts(cfg).items()}
+    for tables in key_route_ranges()[:2]:
+        got = _accumulate(cfg, consts, tables)
+        assert got == _accumulate(cfg, consts, list(tables)), tables
+        assert got.violation_count > 0
+        broken = {w.degree for w in got.violations}
+        assert all(got.per_degree[d].function_count > sum(w.degree == d for w in got.violations)
+                   for d in broken), tables
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
