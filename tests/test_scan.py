@@ -1235,6 +1235,26 @@ def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
     assert all(g != _accumulate(cfg, consts, tables) for g, tables in zip(got[:2], ranges))
 
 
+def test_key_statistics_widen_for_a_corrupt_top_entry(monkeypatch):
+    # a top entry past 2^k gets a key of its own, so the records of the
+    # other tables stay exact; the corrupt table fails the norm check with
+    # every partner
+    target = 4242
+    bad = _level(4).rows.copy()
+    bad[target, -1] = 40
+    patch_level(monkeypatch, 4, rows=bad)
+    assert scan._level(4).key_stats.shape == (4, 4, 2, 81)
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 2, 3))
+    consts = _build_consts(cfg)
+    for tables in (range(77 << 16, (77 << 16) + 4000),
+                   range((77 << 16) + 30000, (78 << 16) + 100)):
+        assert _accumulate(cfg, consts, tables) == _accumulate(cfg, consts, list(tables))
+    for tables in (range((77 << 16) + target, (77 << 16) + target + 1),
+                   range(target << 16, (target << 16) + 10)):
+        with pytest.raises(InvariantError, match="norm check"):
+            _accumulate(cfg, consts, tables)
+
+
 def test_violations_are_the_rows_over_the_bound():
     # no table breaks the bound at n <= 5, so a Maj_d side cut in half stands
     # in for a bound that some rows of a degree break and others meet; each
