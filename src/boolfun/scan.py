@@ -497,29 +497,18 @@ def _key_records(level: _Level, start: int, stop: int, keys: int) -> np.ndarray:
     start..stop - 1 of level whose key is not j, and of those whose key is j,
     with their values a (_Level.halves) as the rows' values: int64, shape
     (4, 2, keys), and _EMPTY where no table qualifies.  A table's key is its
-    top coefficient plus keys // 2.  One sort of (key, -a, table), packed
-    into one integer, serves every key."""
-    key = level.columns[-1, start:stop]
-    values = level.halves[0, start:stop]
-    top = int(values.max())
-    span = top - int(values.min()) + 1
-    bits = (stop - start).bit_length()
-    packed = np.add(key, keys // 2, dtype=_int_type(keys * span << bits))
-    packed *= span
-    packed += np.subtract(top, values, dtype=packed.dtype)
-    packed <<= bits
-    packed |= np.arange(stop - start, dtype=packed.dtype)
-    packed.sort()
-    ranks = packed >> bits  # key * span + top - a, ascending
-    edges = np.searchsorted(ranks, np.arange(keys + 1) * span)
-    sizes = np.diff(edges)
-    live = np.flatnonzero(sizes)
-    starts = edges[live]
+    top coefficient plus keys // 2."""
+    # ufunc.at takes its fast path with intp indices and values of the
+    # records' type: with the level's int16 ones a block took 2 ms, not 50 us
+    key = np.add(level.columns[-1, start:stop], keys // 2, dtype=np.intp)
+    values = level.halves[0, start:stop].astype(np.int64)
     own = np.repeat(_EMPTY[:, None], keys, axis=1)
-    own[0] = sizes
-    own[1, live] = top - ranks[starts] % span
-    own[2, live] = np.searchsorted(ranks, ranks[starts], side="right") - starts
-    own[3, live] = start + (packed[starts] & ((1 << bits) - 1)).astype(np.int64)
+    own[0] = np.bincount(key, minlength=keys)
+    np.maximum.at(own[1], key, values)
+    # the tables that reach their key's largest a, ascending
+    hits = np.flatnonzero(values == own[1, key])
+    own[2] = np.bincount(key[hits], minlength=keys)
+    np.minimum.at(own[3], key[hits], hits + start)
     others = np.where(np.eye(keys, dtype=bool), _EMPTY[:, None, None], own[:, None])
     return np.stack([_max_plus(others, axis=2), own], axis=1)
 
