@@ -481,7 +481,9 @@ def _lo_records(level: _Level, los: slice) -> np.ndarray:
     _key_records on their slices, combined by _max_plus."""
     table = level.key_stats
     keys = table.shape[3]
-    whole = slice(-(-los.start // _KEY_BLOCK), los.stop // _KEY_BLOCK)
+    # the level's last block may be short, and is whole where los reaches the end
+    last = table.shape[1] if los.stop == level.columns.shape[1] else los.stop // _KEY_BLOCK
+    whole = slice(-(-los.start // _KEY_BLOCK), last)
     if whole.start >= whole.stop:
         return _key_records(level, los.start, los.stop, keys)
     parts = [table[:, whole]]
