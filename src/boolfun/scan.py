@@ -19,7 +19,7 @@ coordinates k+1..n (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
 Where spectra are built, they exist one block at a time
 (_spectrum_blocks).  A block is column-major, one row per mask and one
 column per table, with as many columns as keep it in a core's L2 cache.
-Three routes serve the sub-batches and the level build.
+Two routes serve the sub-batches.
 
 - Halves, for a range of consecutive tables of arity n <= 5 (every
   exhaustive sub-batch).  Such a table is two halves of arity n - 1,
@@ -40,33 +40,32 @@ Three routes serve the sub-batches and the level build.
   (_range_extremes).  Only the pairs with t_lo = t_hi = 0 (about 4% of
   n = 5 tables) gather their halves' level rows and compare A_lo with A_hi
   and -A_hi at every mask (_pair_reductions): no block is filled.
-- Slices, for the level build.  The blocks of every arity-k table are
-  filled over the same rectangles, each by one broadcast add and one
-  broadcast subtract of _level(k - 1)'s column slices (_fill_from_level):
-  no unpacking, no gather and no butterfly pass.
-- Gather, for any other sub-batch (random samples, or a list of tables).
-  The tables are unpacked into chunks (_bits_matrix), the chunks' level rows
-  are gathered with np.take, and the butterfly stages for coordinates
-  k+1..n run on the block.  After the stage for coordinate j every partial
-  sum is at most 2^j, so the stages through coordinate 14 run in int16
-  (_INT16_STAGES); above n = 14 the block then widens once to the type that
-  holds 2^n for the remaining stages.
+- Gather, for any other sub-batch (random samples, a list of tables, a
+  level build, or a range read row by row).  The tables are unpacked into
+  chunks (_bits_matrix); a range of arity-n tables is instead split into
+  its halves, two arity-(n - 1) chunks a row, with no unpacking (_pairs).
+  The chunks' level rows are gathered with np.take, and the butterfly
+  stages for the coordinates above the chunks' arity run on the block.
+  After the stage for coordinate j every partial sum is at most 2^j, so
+  the stages through coordinate 14 run in int16 (_INT16_STAGES); above
+  n = 14 the block then widens once to the type that holds 2^n for the
+  remaining stages.
 
 A block's entries are squared once, in the narrowest type that holds 4^n
-(_spectrum_dtype), and every block, however filled, is norm-checked.  A
-gathered block is reduced along axis 0 while it is in cache: its squares
-give the total influence for the equivalence check, and its entries give
-the degree and the linear sum (_spectrum_reductions, by the core and
-derivatives formulas).  A range is norm-checked and reduced from its halves
-alone, in the same integers.
+(_spectrum_dtype), and every block is norm-checked.  A gathered block is
+reduced along axis 0 while it is in cache: its squares give the total
+influence for the equivalence check, and its entries give the degree and
+the linear sum (_spectrum_reductions, by the core and derivatives
+formulas).  A range is norm-checked and reduced from its halves alone, in
+the same integers.
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
 value counts for the equivalence check come from table bits, not from the
-spectrum: the chunks' level counts plus, along each coordinate above k,
-popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk pairs
-(_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] = Inf_i
-(O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
+spectrum: the chunks' level counts plus, along each coordinate above the
+chunks' arity, popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk
+pairs (_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] =
+Inf_i (O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
 spectrum in two identities: 2 (plus - minus) is 2^n times the linear sum,
 and 2^(n+1) (plus + minus) is 4^n times the total influence.  Where both
 hold, each of the four inequalities becomes the original one, linear sum
@@ -81,12 +80,9 @@ halves' table integers.  The level of the halves proves once, in integers,
 that these cancel for every pair (_Level.identities_hold): its spectra are
 A_t = H v_t, with v_t the table's +-1 values, for one matrix H with
 H^T H = 2^k I, and every residual is the same constant.  So a range on a
-proven level, which every clean level is, reads no pair.  On any other
-level the differences are summed pair by pair (_pair_breaks), and only the
-rows that break an identity are then read one pair at a time for their
-counts, plus[lo] + plus[hi] + popcount(hi & ~lo) and minus likewise
-(_pair_counts, which also builds the level counts), and their total
-influence (_row_counts).
+proven level, which every clean level is, reads no pair.  On an unproven
+level, or where a degree's best row breaks the bound, the range's halves
+are re-read through the gather route (_pairs), row by row.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -98,6 +94,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -314,12 +311,11 @@ def _bits_matrix(tables: Sequence[int], n: int) -> np.ndarray:
 def _spectrum_blocks(source, n: int):
     """The sub-batch's 2^n-scaled spectra, one L2-sized block at a time.
 
-    source is a range of consecutive tables of arity n <= 5 (a level
-    build), filled from level slices (_fill_from_level), or a chunk matrix
-    from _bits_matrix, whose chunks' level rows are gathered and then
-    butterflied.  Yields (rows, block, squares): block is 2^n x m and column-major, one column
-    per table of source[rows] and one row per mask, and squares holds its
-    entries squared.  Each block is norm-checked before it is yielded.  The
+    source is a chunk matrix, from _bits_matrix or _pairs, whose chunks'
+    level rows are gathered and then butterflied.  Yields (rows, block,
+    squares): block is 2^n x m and column-major, one column per table of
+    source[rows] and one row per mask, and squares holds its entries
+    squared.  Each block is norm-checked before it is yielded.  The
     buffer behind block is reused, so a consumer is done with one block
     before it asks for the next."""
     dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
@@ -330,23 +326,20 @@ def _spectrum_blocks(source, n: int):
     step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
     staged_buf = np.empty(min(step, len(source)) << n, dtype=np.int16)
     buf = staged_buf if narrow == n else np.empty(len(staged_buf), dtype=dtype)
+    k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
     for start in range(0, len(source), step):
         width = min(step, len(source) - start)
         staged, flat = staged_buf[: width << n], buf[: width << n]
-        if isinstance(source, range):  # n <= 5, so staged is flat
-            _fill_from_level(staged.reshape(1 << n, width), source[start : start + width], n)
-        else:
-            # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1;
-            # the int8 entries widen to int16 on assignment
-            k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
-            staged.reshape(1 << (n - k), 1 << k, width)[:] = np.take(
-                _level(k).rows, source[start : start + width].T, axis=0).transpose(0, 2, 1)
-            # each run of 2^narrow masks is transformed through coordinate
-            # narrow in int16, then the block widens once for the stages above
-            _butterfly(staged.reshape(-1, width << narrow), half=width << k)
-            if narrow < n:
-                flat[:] = staged
-                _butterfly(flat, half=width << narrow)
+        # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1; the
+        # int8 entries widen to int16 on assignment
+        staged.reshape(1 << (n - k), 1 << k, width)[:] = np.take(
+            _level(k).rows, source[start : start + width].T, axis=0).transpose(0, 2, 1)
+        # each run of 2^narrow masks is transformed through coordinate narrow
+        # in int16, then the block widens once for the stages above
+        _butterfly(staged.reshape(-1, width << narrow), half=width << k)
+        if narrow < n:
+            flat[:] = staged
+            _butterfly(flat, half=width << narrow)
         block = flat.reshape(1 << n, width)
         squares = np.square(block, dtype=square_type)
         if np.any(squares.sum(axis=0, dtype=norm_type) != 1 << (2 * n)):
@@ -374,46 +367,19 @@ def _rectangles(tables: range, n: int):
         first += size
 
 
-def _fill_from_level(block: np.ndarray, tables: range, n: int) -> None:
-    """Write the 2^n-scaled spectra of consecutive arity-n tables (n <= 5)
-    into the columns of block.  Such a table is two halves of arity n - 1,
-    f = (lo, hi), and its spectrum is [A_lo + A_hi, A_lo - A_hi] in terms of
-    the halves' level spectra, so each rectangle of _rectangles is one broadcast add and one
-    broadcast subtract of level columns: no gather and no butterfly pass."""
-    columns = _level(n - 1).columns
-    half = 1 << (n - 1)
-    for cells, his, los in _rectangles(tables, n):
-        lo, hi = columns[:, None, los], columns[:, his, None]
-        shape = (half, hi.shape[1], lo.shape[2])
-        # splitting the column axis of a block slice is always a view
-        np.add(lo, hi, out=block[:half, cells].reshape(shape))
-        np.subtract(lo, hi, out=block[half:, cells].reshape(shape))
-
-
-def _batch_butterfly(source, n: int) -> np.ndarray:
-    """2^n-scaled spectra of the sub-batch as a matrix, one row per table;
-    source is as for _spectrum_blocks."""
+def _batch_butterfly(source: np.ndarray, n: int) -> np.ndarray:
+    """2^n-scaled spectra of the chunk matrix's tables as a matrix, one row
+    per table (_spectrum_blocks)."""
     coeffs = np.empty((len(source), 1 << n), dtype=_spectrum_dtype(n))
     for rows, block, _ in _spectrum_blocks(source, n):
         coeffs[rows] = block.T
     return coeffs
 
 
-def _spectrum_reductions(source, n: int, influence: bool):
-    """Per table: degree, 2^n times the linear sum and, if influence is set
-    and source is a chunk matrix, 4^n times the total influence (else None).
-    A chunk matrix is reduced from each spectrum block while it is in cache.
-    A range of arity-n tables (n <= 5) is norm-checked one rectangle of
-    _rectangles at a time (_check_norms) and read pair by pair
-    (_pair_reductions).  _accumulate reads a range's per-degree rows from the
-    key statistics of its halves instead (_range_extremes), and calls this
-    only where a degree's best row breaks the bound.  A range reads 4^n times
-    the total influence only for the tables that break an identity
-    (_row_counts)."""
-    if isinstance(source, range):
-        for _, his, los in _rectangles(source, n):
-            _check_norms(n, his, los)
-        return (*_pair_reductions(n, *_pairs(source, np.arange(len(source)), n)), None)
+def _spectrum_reductions(source: np.ndarray, n: int, influence: bool):
+    """Per table of the chunk matrix: degree, 2^n times the linear sum and,
+    if influence is set, 4^n times the total influence (else None), each
+    reduced from its spectrum block while it is in cache."""
     deg = np.empty(len(source), dtype=np.int8)
     lin = np.empty(len(source), dtype=np.int64)
     inf = np.empty(len(source), dtype=np.int64) if influence else None
@@ -601,71 +567,21 @@ def _largest_weights(k: int) -> np.ndarray:
     return largest
 
 
-def _pairs(tables: range, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The halves lo and hi of tables[rows], arity-n tables (n <= 5) with
-    table = hi * 2^(2^(n-1)) + lo."""
-    keys = tables.start + rows
-    return keys & ((1 << (1 << (n - 1))) - 1), keys >> (1 << (n - 1))
+def _pairs(tables: range, n: int) -> np.ndarray:
+    """A range of arity-n tables (n <= 5) as a chunk matrix of two
+    arity-(n - 1) chunks a row, the halves lo and hi of table =
+    hi * 2^(2^(n-1)) + lo, in the narrowest type of uint16 and uint32 that
+    holds every table integer."""
+    half = 1 << (n - 1)
+    keys = np.arange(tables.start, tables.stop, dtype=np.uint32 if n == 5 else np.uint16)
+    return np.stack([keys & ((1 << half) - 1), keys >> half], axis=1)
 
 
-def _pair_counts(level: _Level, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative values +1 and -1, summed over coordinates, of the tables
-    f = (lo, hi) with halves of level's arity: the halves' counts plus
-    popcount(hi & ~lo) and popcount(lo & ~hi) along the top coordinate."""
-    return (level.plus[lo] + level.plus[hi] + np.bitwise_count(hi & ~lo),
-            level.minus[lo] + level.minus[hi] + np.bitwise_count(lo & ~hi))
-
-
-def _identity_breaks(source, n: int, lin: np.ndarray, inf) -> np.ndarray:
-    """The rows of the sub-batch that break one of the two identities of the
-    module docstring, ascending.  A chunk matrix (inf given) compares both
-    sides of each identity per row.  A range (inf None) has none where the
-    level of its halves proves both identities for every pair
-    (_Level.identities_hold), and is read pair by pair (_pair_breaks) on
-    any other level."""
-    if not isinstance(source, range):
-        plus, minus = _derivative_counts(source, n)
-        return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
-    return np.empty(0, dtype=np.intp) if _level(n - 1).identities_hold else _pair_breaks(source, n)
-
-
-def _pair_breaks(tables: range, n: int) -> np.ndarray:
-    """The rows of a range of arity-n tables (n <= 5) that break one of the
-    two identities, ascending: the difference of each identity's sides is
-    per-half terms of the halves (_Level.residuals) plus pair terms, summed
-    by one broadcast per rectangle and compared with 0."""
-    columns = _level(n - 1).columns
-    u, w, r = _level(n - 1).residuals
-    broken = np.empty(len(tables), dtype=bool)
-    for cells, his, los in _rectangles(tables, n):
-        # (bitwise_count is several times faster on uint32 than on uint16)
-        hi = np.arange(his.start, his.stop, dtype=np.uint32)[:, None]
-        lo = np.arange(los.start, los.stop, dtype=np.uint32)
-        # each identity's difference of sides, the second one first
-        off = np.einsum("sh,sl->hl", columns[:, his], columns[:, los], dtype=r.dtype)
-        off *= 2
-        off += r[los]
-        off += r[his, None]
-        off += np.left_shift(np.bitwise_count(hi ^ lo), n + 1, dtype=r.dtype)
-        off |= u[los] + w[his, None]
-        np.not_equal(off, 0, out=broken[cells].reshape(off.shape))
-    return np.flatnonzero(broken)
-
-
-def _row_counts(source, n: int, rows: np.ndarray, inf):
-    """4^n inf, plus and minus of the given rows of the sub-batch.  A chunk
-    matrix (inf given) recounts the rows' derivative values from their
-    chunks.  A range (inf None) reads each row as a pair of halves: its
-    counts by _pair_counts, and 4^n inf = V_lo + V_hi - 2 <A_lo, A_hi>."""
-    if not isinstance(source, range):
-        return (inf[rows], *_derivative_counts(source[rows], n))
-    level = _level(n - 1)
-    lo, hi = _pairs(source, rows, n)
-    weighted = level.halves[3]
-    cross = np.einsum("st,st->t", np.take(level.columns, lo, axis=1),
-                      np.take(level.columns, hi, axis=1), dtype=np.int64)
-    return (weighted[lo].astype(np.int64) + weighted[hi] - 2 * cross,
-            *_pair_counts(level, lo, hi))
+def _identity_breaks(source: np.ndarray, n: int, lin: np.ndarray, inf: np.ndarray) -> np.ndarray:
+    """The rows of the chunk matrix that break one of the two identities of
+    the module docstring, ascending, from both sides of each per row."""
+    plus, minus = _derivative_counts(source, n)
+    return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
 
 
 def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +614,8 @@ def _spectrum_dtype(n: int) -> type:
 class _Level:
     """Every arity-k table, indexed by table integer: its 2^k-scaled spectrum
     (rows, int8, one row per table) and its derivative +1 and -1 counts summed
-    over coordinates 1..k.  One record serves the whole process, so every
+    over coordinates 1..k (int8, as each is at most k 2^(k-1) <= 32), so a
+    gather of either is small.  One record serves the whole process, so every
     array is read-only."""
 
     rows: np.ndarray
@@ -724,10 +641,10 @@ class _Level:
         sum of A's singleton entries and E = A(empty set), then N, the sum of
         A's squared entries, and V = 2 * sum |S| A(S)^2 + N.
 
-        Their type holds each of them, and the sums a_lo + b_hi and
-        N_lo + N_hi that _spectrum_reductions takes in it, for a table whose
-        norm check passes.  Each of its halves has N <= 2 * 4^k, so
-        |A(S)| < 2^(k + 1), V <= (2k + 1) N <= (k + 1) 4^(k+1), and
+        Their type holds each of them, a_lo + b_hi, and the sum N_lo + N_hi
+        that _check_norms takes in it, for a table whose norm check passes.
+        Each of its halves has N <= 2 * 4^k, so |A(S)| < 2^(k + 1),
+        V <= (2k + 1) N <= (k + 1) 4^(k+1), and
         |a_lo + b_hi| = 2^(k+1) |lin| <= (k + 1) 2^(k+1).  A larger N fails
         with any partner, so it is stored as 2 * 4^k + 1, and the check's sum
         is at most 4^(k+1) + 2; a, b and V of such a half may wrap, as only
@@ -843,18 +760,15 @@ class _Level:
 @functools.cache
 def _level(k: int) -> _Level:
     """The level record of arity k: the spectra [1] and [-1] at k = 0, and
-    above that the slice fill of every arity-k table from _level(k - 1), and
-    its derivative counts from its halves' counts there (_pair_counts)."""
+    above that every arity-k table read as its halves (_pairs), through the
+    gather route from _level(k - 1): its spectra by _batch_butterfly, and
+    its derivative counts by _derivative_counts."""
     if k == 0:
-        zero = np.zeros(2, dtype=np.int64)
+        zero = np.zeros(2, dtype=np.int8)
         return _Level(np.array([[1], [-1]], dtype=np.int8), zero, zero)
-    # spectra first, so that their temporaries are freed before the counts'
-    rows = _batch_butterfly(range(1 << (1 << k)), k).astype(np.int8)
-    # table = hi * 2^(2^(k-1)) + lo, so the counts are hi-major over a grid
-    # of the halves' table integers, kept narrow as its temporaries are
-    half = np.arange(1 << (1 << (k - 1)), dtype=np.uint16)
-    plus, minus = _pair_counts(_level(k - 1), half, half[:, None])
-    return _Level(rows, plus.ravel(), minus.ravel())
+    halves = _pairs(range(1 << (1 << k)), k)
+    return _Level(_batch_butterfly(halves, k).astype(np.int8),
+                  *(counts.astype(np.int8) for counts in _derivative_counts(halves, k)))
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -868,57 +782,56 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of one sub-batch at once.  A range is an exhaustive
     sub-batch, so n <= 5: its per-degree rows come from the key statistics
-    of its halves (_range_extremes), and its rows are read pair by pair
-    (_pair_reductions) only where an identity breaks or a degree's best row
-    breaks the bound.  Any other sub-batch is unpacked, and every row is
-    reduced from its spectrum block."""
+    of its halves (_range_extremes), and its rows are read through the
+    gather route, as halves (_pairs), only where a degree's best row breaks
+    the bound, or the check is on and the level of its halves does not prove
+    both identities.  Any other sub-batch is unpacked (_bits_matrix), and
+    every row is reduced from its spectrum block."""
     n = cfg.n
+    check = bool(cfg.equivalence_d_range)
     degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
-    if isinstance(tables, range):
-        source, lin, inf = tables, None, None
+    source = None if isinstance(tables, range) else _bits_matrix(tables, n)
+    if source is None:
         extremes = _range_extremes(tables, n, degrees)
     else:
-        source = _bits_matrix(tables, n)
-        deg, lin, inf = _spectrum_reductions(source, n, bool(cfg.equivalence_d_range))
+        deg, lin, inf = _spectrum_reductions(source, n, check)
         extremes = {d: (count, best, attain.size, min(tables[j] for j in attain.tolist()))
                     for d, count, best, attain in _degree_rows(deg, lin, degrees)}
+    # the scale is positive, so no row fails the bound unless the best does
+    over = [d for d, record in extremes.items()
+            if operator.gt(*_bound_sides(consts[d], record[1]))]
+    if source is None and (over or check and not _level(n - 1).identities_hold):
+        source = _pairs(tables, n)
+        deg, lin, inf = _spectrum_reductions(source, n, check)
 
     def hex_of(table: int) -> str:
         return to_hex(BooleanFunction(n, table))
 
     per_degree = {}
-    violations = []
     for d, (count, best, reach, witness) in extremes.items():
         best_dy, bound = DyadicRational(best, n), maj_bound(d)
         per_degree[d] = DegreeExtremal(d, count, best_dy, hex_of(witness), reach, bound,
                                        bound - best_dy)
-        # the scale is positive, so no row fails the bound unless the best does
-        lhs, rhs = _bound_sides(consts[d], best)
-        if lhs > rhs:
-            if lin is None:
-                deg, lin = _spectrum_reductions(source, n, False)[:2]
-            idx = np.flatnonzero(deg == d)
-            lhs, rhs = _bound_sides(consts[d], lin[idx])
-            violations += [ConjectureWitness(hex_of(tables[j]), n, d,
-                                             DyadicRational(int(lin[j]), n), bound)
-                           for j in idx[lhs > rhs].tolist()]
+    violations = []
+    for d in over:
+        idx = np.flatnonzero(deg == d)
+        lhs, rhs = _bound_sides(consts[d], lin[idx])
+        violations += [ConjectureWitness(hex_of(tables[j]), n, d,
+                                         DyadicRational(int(lin[j]), n), per_degree[d].bound)
+                       for j in idx[lhs > rhs].tolist()]
 
     failures = []
-    if cfg.equivalence_d_range:
+    # a range left unread is on a proven level, where no row breaks an identity
+    if check and source is not None:
         # where both identities hold, each of the four inequalities reads
         # (plus - minus) * s.prob <= s.maj at every d
         broken = _identity_breaks(source, n, lin, inf)
+        if cfg.degree_filter is not None:
+            broken = broken[deg[broken] == cfg.degree_filter]
         if broken.size:
-            row_deg, row_lin = ((deg[broken], lin[broken]) if lin is not None
-                                else _pair_reductions(n, *_pairs(source, broken, n)))
-            if cfg.degree_filter is not None:
-                keep = row_deg == cfg.degree_filter
-                broken, row_lin = broken[keep], row_lin[keep]
-        if broken.size:
-            counts = _row_counts(source, n, broken, inf)
+            terms = (lin[broken], inf[broken], *_derivative_counts(source[broken], n))
             for d in cfg.equivalence_d_range:
-                sides = _sides(consts[d], row_lin, *counts)
-                sat = [lhs <= rhs for lhs, rhs in sides.values()]
+                sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
                 agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
                 failures += [EquivalenceWitness(hex_of(tables[int(broken[i])]), n, d,
                                                 *(bool(x[i]) for x in sat))

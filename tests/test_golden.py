@@ -41,6 +41,11 @@ GOLDEN = {
     "scan_n4": (
         ["scan", "--n", "4"],
         "e5c202a224884ce052583fd9abdffa6d9da83ba4fa588144862eb6c6b835ce01"),
+    # every n = 5 table: the per-degree table and the equivalence verdict
+    "scan_n5_equiv_1_6": (
+        ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2",
+         "--chunk-size", "1048576"],
+        "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
     "scan_random_n7_equiv_1_4_8": (
         ["scan", "--n", "7", "--mode", "random", "--samples", "300", "--seed", "11",
          "--chunk-size", "64", "--equiv-d", "1,4,8"],

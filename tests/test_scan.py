@@ -52,7 +52,8 @@ from boolfun.scan import (
     _derivative_counts,
     _identity_breaks,
     _level,
-    _row_counts,
+    _pair_reductions,
+    _pairs,
     _sample_table,
     _spectrum_dtype,
     _spectrum_reductions,
@@ -557,7 +558,7 @@ def test_level_matches_transform_and_counted_derivatives():
     assert level.plus.tolist() == level.minus.tolist() == [0, 0]
 
 
-def test_levels_are_built_by_the_range_join_without_unpacking(monkeypatch):
+def test_levels_are_built_through_the_gather_route_without_unpacking(monkeypatch):
     def unpack_refused(tables, n):
         raise AssertionError("a level table was unpacked")
 
@@ -744,27 +745,35 @@ def assert_reductions_equal(got, want, case):
 
 
 def identity_route(source, n: int) -> list[list[int]]:
-    """The rows that break an identity, and their 4^n inf, plus and minus."""
+    """The rows that break an identity, and their 4^n inf, plus and minus,
+    through the gather route; a range is read as its halves (_pairs)."""
+    if isinstance(source, range):
+        source = _pairs(source, n)
     deg, lin, inf = _spectrum_reductions(source, n, True)
     rows = _identity_breaks(source, n, lin, inf)
-    return [rows.tolist(), *(values.tolist() for values in _row_counts(source, n, rows, inf))]
+    return [rows.tolist(), inf[rows].tolist(),
+            *(values.tolist() for values in _derivative_counts(source[rows], n))]
 
 
 def test_range_reductions_match_the_gather_route(monkeypatch):
-    # a range is reduced from its halves' level statistics, a list of the same
-    # tables from spectrum blocks, and both find the same rows breaking an
-    # identity (none), with the same 4^n inf, plus and minus there
+    # a range read as its halves, two arity-(n - 1) chunks a table, and a list
+    # of the same tables read as _bits_matrix chunks reduce alike, as do the
+    # halves read pair by pair, and both find the same rows breaking an
+    # identity (none, which the proof skips), with the same 4^n inf, plus and
+    # minus there
     for n in range(1, 6):
         k = min(n, 4)  # a list reads 2^(n-k) arity-k chunks a table
         for tables in rectangle_ranges(n):
-            chunks = _bits_matrix(list(tables), n)
+            chunks, halves = _bits_matrix(list(tables), n), _pairs(tables, n)
+            assert halves.shape == (len(tables), 2)
+            if n == 5:
+                assert halves.tolist() == chunks.tolist()
             for influence in (True, False):
-                got = _spectrum_reductions(tables, n, influence)
-                assert_reductions_equal(got[:2], _spectrum_reductions(chunks, n, influence)[:2],
+                want = _spectrum_reductions(chunks, n, influence)
+                assert_reductions_equal(_spectrum_reductions(halves, n, influence), want,
                                         (n, tables, influence))
-                assert got[2] is None  # a range reads inf only where an identity breaks
+            assert_reductions_equal(_pair_reductions(n, *halves.T), want[:2], (n, tables))
             assert identity_route(tables, n) == identity_route(chunks, n) == [[]] * 4
-            assert scan._pair_breaks(tables, n).size == 0  # what the proof skips
             # one -1 value turned +1 in every half's counts, or in every
             # chunk's, adds 2 to each table's plus and takes 2 from its minus:
             # plus + minus stays, so every row breaks the first identity only,
@@ -797,13 +806,16 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
     assert all(identity_route(tables, n)[0] == [] for tables in ranges)
     patch_level(monkeypatch, 4, rows=bad)
     assert not scan._level(4).identities_hold
+    cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
+    consts = _build_consts(cfg)
     changed = 0
     for tables in ranges:
         chunks = _bits_matrix(list(tables), n)
-        assert_reductions_equal(_spectrum_reductions(tables, n, True)[:2],
+        assert_reductions_equal(_pair_reductions(n, *_pairs(tables, n).T),
                                 _spectrum_reductions(chunks, n, True)[:2], tables)
         got = identity_route(tables, n)
         assert got == identity_route(chunks, n), tables
+        assert _accumulate(cfg, consts, tables) == _accumulate(cfg, consts, list(tables)), tables
         changed += len(got[0])
     assert changed
 
@@ -890,18 +902,21 @@ def test_identity_proof_holds_on_every_clean_level():
 
 def proof_and_pair_route(monkeypatch, k: int, **arrays):
     """On _level(k) with the given arrays replaced: whether the proof holds,
-    whether the pair route finds no break over every (lo, hi) pair, and the
-    residuals."""
+    whether the gather route finds no break over every (lo, hi) pair, read
+    as halves (a failed norm check is a break), and the residuals."""
     patch_level(monkeypatch, k, **arrays)
     patched = scan._level(k)
-    got = (patched.identities_hold, scan._pair_breaks(range(1 << (2 << k)), k + 1).size == 0,
-           patched.residuals.tolist())
+    try:
+        clean = identity_route(range(1 << (2 << k)), k + 1)[0] == []
+    except InvariantError:
+        clean = False
+    got = (patched.identities_hold, clean, patched.residuals.tolist())
     monkeypatch.undo()
     return got
 
 
 def test_identity_proof_is_sound(monkeypatch):
-    # wherever the proof holds, the pair route finds no break.  Two mutants
+    # wherever the proof holds, the gather route finds no break.  Two mutants
     # keep it whole: masks permuted within their weight class, and points
     # permuted in every table with the counts moved alike keep H^T H = 2^k I
     # and every residual.  Masks permuted across weights and negated rows
@@ -948,9 +963,10 @@ def test_identity_proof_is_sound(monkeypatch):
 
 def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
     def spy(tables, n):
-        raise AssertionError("a range summed pair terms")
+        raise AssertionError("a range was read row by row")
 
-    monkeypatch.setattr(scan, "_pair_breaks", spy)
+    _level(4)  # every level is built through _pairs
+    monkeypatch.setattr(scan, "_pairs", spy)
     cases = [(ScanConfig(n=n, mode="exhaustive", equivalence_check=True), range(1 << (1 << n)))
              for n in (1, 2, 3)]
     cases += [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), range(300, 40000))]
@@ -959,12 +975,12 @@ def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
     for cfg, tables in cases:
         consts = _build_consts(cfg)
         assert _accumulate(cfg, consts, tables) == _accumulate(cfg, consts, list(tables)), cfg
-    # the spy is in the route: a level without the proof sums pairs
+    # the spy is in the route: a level without the proof reads every row
     bump = np.zeros(16, dtype=np.int64)
     bump[8] = 1
     patch_level(monkeypatch, 2, plus=_level(2).plus + bump)
     cfg = ScanConfig(n=3, mode="exhaustive")
-    with pytest.raises(AssertionError, match="pair terms"):
+    with pytest.raises(AssertionError, match="row by row"):
         _accumulate(cfg, _build_consts(cfg), range(256))
 
 
