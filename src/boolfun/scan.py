@@ -29,17 +29,17 @@ Two routes serve the sub-batches.
   partial first high half, whole high halves, and a partial last one
   (_rectangles).  Each reduction is then per-half terms plus at most one
   pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times the linear
-  sum is a_lo + b_hi (_Level.halves).  The coefficients at T + {n} and T,
-  T the top mask of arity n - 1, are A_lo(T) - A_hi(T) and A_lo(T) +
-  A_hi(T), so with a half's key t = A(T), f has degree n where t_lo !=
-  t_hi (about 86% of n = 5 tables) and degree n - 1 where t_lo = t_hi !=
-  0.  Under one hi, the best row of each of these degrees is b_hi plus
-  the best a among the lo's whose keys qualify, so a range's per-degree
-  rows come from per-key records of the lo's, kept per block of
-  consecutive lo's (_Level.key_stats), with no per-table work
-  (_range_extremes).  Only the pairs with t_lo = t_hi = 0 (about 4% of
-  n = 5 tables) gather their halves' level rows and compare A_lo with A_hi
-  and -A_hi at every mask (_pair_reductions): no block is filled.
+  sum is a_lo + b_hi (_Level.halves).  The coefficients at S + {n} and S
+  are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j a half's
+  entries at the masks of weight j, f has degree <= j exactly when both
+  halves do and H_j(lo) = H_j(hi) (O'Donnell 2014, 3.3).  Row j is then
+  the pairs whose halves both have degree j and the same H_j, and those
+  whose halves both have degree <= j - 1 and different H_(j-1).  Under one
+  hi, the best row of each is b_hi plus the best a among the lo's whose
+  keys qualify, so a range's per-degree rows come from per-key records of
+  the lo's, kept per degree and per block of consecutive lo's
+  (_Level.keys, _Level.key_stats), with no per-table work
+  (_range_extremes): no block is filled.
 - Gather, for any other sub-batch (random samples, a list of tables, a
   level build, or a range read row by row).  The tables are unpacked into
   chunks (_bits_matrix); a range of arity-n tables is instead split into
@@ -400,26 +400,6 @@ def _check_norms(n: int, his: slice, los: slice) -> None:
         raise InvariantError("spectrum norm check failed during scan")
 
 
-def _pair_reductions(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and 2^n times the linear sum of the arity-n tables f = (lo, hi)
-    (n <= 5) whose norm check passed, one per entry of the equal-length
-    arrays of halves lo and hi: 2^n lin = a_lo + b_hi (_Level.halves).  The
-    coefficient of f at S + {n} is A_lo(S) - A_hi(S) and at S is
-    A_lo(S) + A_hi(S), so its degree is the largest |S| + 1 with
-    A_lo(S) != A_hi(S) or |S| with A_lo(S) != -A_hi(S), read from the sets
-    of masks where each holds (_mask_sets, _largest_weights); it is n where
-    the halves differ at the top mask."""
-    level = _level(n - 1)
-    a, b = level.halves[:2]
-    # one row gather per half, a cache line a table; no row holds -128, whose
-    # negation wraps, as its norm fails the check
-    lo_rows, hi_rows = (np.take(level.rows, half, axis=0) for half in (lo, hi))
-    largest = _largest_weights(n - 1)
-    deg = np.maximum(np.take(largest, _mask_sets(lo_rows != hi_rows)) + 1,
-                     np.take(largest, _mask_sets(lo_rows != -hi_rows)))
-    return deg, np.add(a[lo], b[hi], dtype=np.int64)
-
-
 # A record of some rows is their count, the best value among them, how many
 # reach it and the first of those, a table integer.  The record of no rows
 # has a best and a first that lose to any row's, and stay in int64 when a
@@ -441,44 +421,60 @@ def _max_plus(records: np.ndarray, axis: int) -> np.ndarray:
                      np.where(at, first, _EMPTY[3]).min(axis=axis)])
 
 
-def _lo_records(level: _Level, los: slice) -> np.ndarray:
-    """The records of _key_records for the arity-k tables in los: whole
-    blocks from level.key_stats and the partial blocks at the ends by
-    _key_records on their slices, combined by _max_plus."""
-    table = level.key_stats
+def _lo_records(level: _Level, los: slice, j: int) -> np.ndarray:
+    """The records of _key_records at degree j for the arity-k tables in
+    los: whole blocks from level.key_stats[j] and the partial blocks at the
+    ends by _key_records on their slices, combined by _max_plus."""
+    table = level.key_stats[j]
     keys = table.shape[3]
     # the level's last block may be short, and is whole where los reaches the end
-    last = table.shape[1] if los.stop == level.columns.shape[1] else los.stop // _KEY_BLOCK
+    last = table.shape[1] if los.stop == len(level.rows) else los.stop // _KEY_BLOCK
     whole = slice(-(-los.start // _KEY_BLOCK), last)
     if whole.start >= whole.stop:
-        return _key_records(level, los.start, los.stop, keys)
+        return _key_records(level, j, los.start, los.stop, keys)
     parts = [table[:, whole]]
     if los.start < whole.start * _KEY_BLOCK:
-        parts.append(_key_records(level, los.start, whole.start * _KEY_BLOCK, keys)[:, None])
+        parts.append(_key_records(level, j, los.start, whole.start * _KEY_BLOCK, keys)[:, None])
     if whole.stop * _KEY_BLOCK < los.stop:
-        parts.append(_key_records(level, whole.stop * _KEY_BLOCK, los.stop, keys)[:, None])
+        parts.append(_key_records(level, j, whole.stop * _KEY_BLOCK, los.stop, keys)[:, None])
     return _max_plus(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], axis=1)
 
 
-def _key_records(level: _Level, start: int, stop: int, keys: int) -> np.ndarray:
-    """For each key j of 0..keys - 1, the records of the arity-k tables
-    start..stop - 1 of level whose key is not j, and of those whose key is j,
-    with their values a (_Level.halves) as the rows' values: int64, shape
-    (4, 2, keys), and _EMPTY where no table qualifies.  A table's key is its
-    top coefficient plus keys // 2."""
+def _key_records(level: _Level, j: int, start: int, stop: int, keys: int) -> np.ndarray:
+    """For each key K of 0..keys - 1 at degree j (_Level.keys), the records
+    of the arity-k tables start..stop - 1 of level whose key is another, and
+    of those whose key is K, with their values a (_Level.halves) as the
+    rows' values: int64, shape (4, 2, keys), and _EMPTY where no table
+    qualifies.  A table of degree above j has no key, and is in neither."""
+    key = level.keys[j, start:stop]
+    held = np.flatnonzero(key >= 0)
     # ufunc.at takes its fast path with intp indices and values of the
     # records' type: with the level's int16 ones a block took 2 ms, not 50 us
-    key = np.add(level.columns[-1, start:stop], keys // 2, dtype=np.intp)
-    values = level.halves[0, start:stop].astype(np.int64)
+    key = key[held].astype(np.intp)
+    values = level.halves[0, start:stop][held].astype(np.int64)
     own = np.repeat(_EMPTY[:, None], keys, axis=1)
     own[0] = np.bincount(key, minlength=keys)
     np.maximum.at(own[1], key, values)
     # the tables that reach their key's largest a, ascending
     hits = np.flatnonzero(values == own[1, key])
     own[2] = np.bincount(key[hits], minlength=keys)
-    np.minimum.at(own[3], key[hits], hits + start)
-    others = np.where(np.eye(keys, dtype=bool), _EMPTY[:, None, None], own[:, None])
-    return np.stack([_max_plus(others, axis=2), own], axis=1)
+    np.minimum.at(own[3], key[hits], held[hits] + start)
+    # the others of K are every row less K's: where K's best is the best, its
+    # reach and its first drop out, and where K alone holds the best, the
+    # others are the records of every other key
+    count, best, reach, first = own
+    others = np.repeat(_max_plus(own, axis=1)[:, None], keys, axis=1)
+    at = best == others[1]
+    others[0] -= count
+    others[2] -= reach * at
+    firsts = np.where(at, first, _EMPTY[3])
+    # the two smallest firsts at the best; no two keys share a first table
+    low, second = np.partition(np.append(firsts, _EMPTY[3]), 1)[:2]
+    others[3] = np.where(firsts == low, second, low)
+    if np.count_nonzero(at) == 1:
+        rest = np.where(at, _EMPTY[:, None], own)
+        others[1:, at] = _max_plus(rest, axis=1)[1:, None]
+    return np.stack([others, own], axis=1)
 
 
 def _degree_rows(deg: np.ndarray, lin: np.ndarray, degrees):
@@ -499,72 +495,36 @@ def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int,
     the number of tables that reach it and the first of them, read from the
     key statistics of the halves (_Level.key_stats).
 
-    A half's key is its top coefficient t = A(T), T the top mask of arity
-    n - 1.  f = (lo, hi) has A_lo(T) - A_hi(T) at T + {n} and A_lo(T) +
-    A_hi(T) at T, so it has degree n where t_lo != t_hi, and degree n - 1
-    where t_lo = t_hi != 0.  Under one hi, 2^n lin = a_lo + b_hi, so each of
-    those rows is b_hi plus the record of the lo's with the keys it takes.
-    Only the pairs with t_lo = t_hi = 0 are read pair by pair
-    (_pair_reductions)."""
+    f = (lo, hi) has degree j where both halves have degree j and the same
+    key at j, or both have degree <= j - 1 and different keys at j - 1
+    (_Level.keys).  Under one hi, 2^n lin = a_lo + b_hi, so row j is b_hi
+    plus the record of the lo's with the keys it takes: at each j from hi's
+    degree up, the record of hi's own key gives row j, and the record of the
+    others gives row j + 1."""
     level = _level(n - 1)
-    top, b = level.columns[-1], level.halves[1]
+    b, keys, deg = level.halves[1], level.keys, level.degrees
     per_hi = 1 << (1 << (n - 1))
-    keys = level.key_stats.shape[3]
-    # the degrees that the pairs of keys 0 can have
-    low = [d for d in degrees if d < n]
     found = {}
-
-    def add(d, record):
-        if record[0]:
-            found[d] = (record if d not in found
-                        else _max_plus(np.stack([found[d], record], axis=1), axis=1))
-
     for _, his, los in _rectangles(tables, n):
         _check_norms(n, his, los)
-        t = top[his]
-        zero = t == 0
-        # under each hi, the records of its lo's of degree n and of degree
-        # n - 1; the pairs with t = 0 are read row by row below
-        records = _lo_records(level, los)[:, :, t + keys // 2]
-        records[:, 1, zero] = _EMPTY[:, None]
-        # under hi, a row's best gains b_hi, and its table hi * 2^(2^(n-1))
-        records[1] += b[his]
-        records[3] += np.arange(his.start * per_hi, his.stop * per_hi, per_hi)
-        for d, record in zip((n, n - 1), _max_plus(records, axis=2).T.tolist()):
-            if d in degrees:
-                add(d, record)
-        zero_his = his.start + zero.nonzero()[0]
-        if zero_his.size and low:
-            zero_los = los.start + (top[los] == 0).nonzero()[0]
-            if zero_los.size:
-                # hi-major, so the tables ascend with the row
-                lo, hi = np.tile(zero_los, len(zero_his)), zero_his.repeat(len(zero_los))
-                deg, lin = _pair_reductions(n, lo, hi)
-                for d, count, best, attain in _degree_rows(deg, lin, low):
-                    first = attain[0]
-                    add(d, [count, best, attain.size, int(hi[first]) * per_hi + int(lo[first])])
+        hi_deg = deg[his]
+        for j in range(int(hi_deg.min()), n):
+            if j not in degrees and j + 1 not in degrees:
+                continue
+            # under each hi, the records of the lo's that make degree j + 1
+            # (others) and degree j (own); a hi of degree above j has key -1
+            # and takes neither, and one below j takes no own
+            records = _lo_records(level, los, j)[:, :, keys[j, his]]
+            records[:, 0, hi_deg > j] = _EMPTY[:, None]
+            records[:, 1, hi_deg != j] = _EMPTY[:, None]
+            # under hi, a row's best gains b_hi, and its table hi * 2^(2^(n-1))
+            records[1] += b[his]
+            records[3] += np.arange(his.start * per_hi, his.stop * per_hi, per_hi)
+            for d, record in zip((j + 1, j), _max_plus(records, axis=2).T):
+                if d in degrees and record[0]:
+                    found[d] = (record if d not in found
+                                else _max_plus(np.stack([found[d], record], axis=1), axis=1))
     return {d: tuple(int(x) for x in found[d]) for d in degrees if d in found}
-
-
-def _mask_sets(marks: np.ndarray) -> np.ndarray:
-    """Each row of a boolean matrix with 2^k columns, one per mask, as the
-    2^k-bit integer with bit S set where the row marks mask S."""
-    width = marks.shape[1]
-    # a row of 8 or more columns is whole bytes, so the flat matrix packs alike
-    packed = np.packbits(marks if width % 8 else marks.ravel(), axis=-1, bitorder="little")
-    return packed.view(f"<u{max(1, width // 8)}").ravel()
-
-
-@functools.cache
-def _largest_weights(k: int) -> np.ndarray:
-    """For each set of arity-k masks, as from _mask_sets, the largest |S| in
-    it, or -1 for the empty set; read-only int8."""
-    largest = np.array([-1], dtype=np.int8)
-    # the sets with bit S are those without it, each joined by S
-    for weight in popcounts(k, np.int8):
-        largest = np.concatenate([largest, np.maximum(largest, weight)])
-    largest.setflags(write=False)
-    return largest
 
 
 def _pairs(tables: range, n: int) -> np.ndarray:
@@ -615,8 +575,10 @@ class _Level:
     """Every arity-k table, indexed by table integer: its 2^k-scaled spectrum
     (rows, int8, one row per table) and its derivative +1 and -1 counts summed
     over coordinates 1..k (int8, as each is at most k 2^(k-1) <= 32), so a
-    gather of either is small.  One record serves the whole process, so every
-    array is read-only."""
+    gather of either is small.  The statistics of each table as a half of an
+    arity-(k + 1) table, its degree and its key at each degree are built from
+    rows on first use, and only a range of arity-(k + 1) tables reads them.
+    One record serves the whole process, so every array is read-only."""
 
     rows: np.ndarray
     plus: np.ndarray
@@ -627,17 +589,9 @@ class _Level:
             values.setflags(write=False)
 
     @functools.cached_property
-    def columns(self) -> np.ndarray:
-        """rows as a 2^k x 2^(2^k) int16 matrix, one column per table, so
-        consecutive tables are a slice of columns; built on first use."""
-        columns = np.ascontiguousarray(self.rows.T, dtype=np.int16)
-        columns.setflags(write=False)
-        return columns
-
-    @functools.cached_property
     def halves(self) -> np.ndarray:
         """The statistics of each table A as a half of an arity-(k + 1) table,
-        from columns, on first use: rows a = L + E and b = L - E, with L the
+        from rows, on first use: rows a = L + E and b = L - E, with L the
         sum of A's singleton entries and E = A(empty set), then N, the sum of
         A's squared entries, and V = 2 * sum |S| A(S)^2 + N.
 
@@ -649,16 +603,16 @@ class _Level:
         with any partner, so it is stored as 2 * 4^k + 1, and the check's sum
         is at most 4^(k+1) + 2; a, b and V of such a half may wrap, as only
         failing tables read them."""
-        columns = self.columns
-        k = len(columns).bit_length() - 1
+        rows = self.rows
+        k = rows.shape[1].bit_length() - 1
         bound = max((k + 1) << (2 * k + 2), (4 << 2 * k) + 2)
-        halves = np.empty((4, columns.shape[1]), dtype=_int_type(bound))
+        halves = np.empty((4, len(rows)), dtype=_int_type(bound))
         # rows are int8, so no sum below passes (2k + 1) 2^k 4^7 in size
         wide = _int_type((2 * k + 1) << (k + 14))
-        lin = columns[singleton_masks(k)].sum(axis=0, dtype=wide)
-        halves[0], halves[1] = lin + columns[0], lin - columns[0]
-        norm = np.einsum("st,st->t", columns, columns, dtype=wide)
-        halves[3] = 2 * np.einsum("s,st,st->t", popcounts(k, wide), columns, columns,
+        lin = rows[:, singleton_masks(k)].sum(axis=1, dtype=wide)
+        halves[0], halves[1] = lin + rows[:, 0], lin - rows[:, 0]
+        norm = np.einsum("ts,ts->t", rows, rows, dtype=wide)
+        halves[3] = 2 * np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows,
                                   dtype=wide) + norm
         halves[2] = np.minimum(norm, (2 << 2 * k) + 1)
         halves.setflags(write=False)
@@ -686,7 +640,7 @@ class _Level:
         |<A_lo, A_hi>| <= 4^k: it is sized from the largest counts and half
         statistics stored, and the terms are computed in it."""
         a, b, _, weighted = self.halves
-        k = len(self.columns).bit_length() - 1
+        k = self.rows.shape[1].bit_length() - 1
         plus, minus, stats = (max(int(x.max()), -int(x.min()))
                               for x in (self.plus, self.minus, self.halves))
         term = ((plus + minus) << (k + 2)) + (2 << k) + stats
@@ -740,21 +694,59 @@ class _Level:
                        for x in range(points) for t in range(0, 1 << x, step))
 
     @functools.cached_property
-    def key_stats(self) -> np.ndarray:
+    def degrees(self) -> np.ndarray:
+        """Each table's degree, the largest |S| with A(S) != 0, on first use;
+        int8, read-only."""
+        weights = popcounts(self.rows.shape[1].bit_length() - 1, np.int8)
+        degrees = np.zeros(len(self.rows), dtype=np.int8)
+        for j in range(1, len(weights).bit_length()):
+            degrees[np.any(self.rows[:, weights == j], axis=1)] = j
+        degrees.setflags(write=False)
+        return degrees
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """Each table's key at each degree j = 0..k, on first use: row j
+        holds the rank of a table's H_j, its entries at the masks of weight j,
+        among the H_j of the level's tables of degree <= j, and -1 where its
+        degree is above j; read-only.  Each H_j is packed one byte an entry
+        into one integer, as it has at most C(4, 2) = 6 entries, so two tables
+        share a key exactly when their entries are equal, corrupt ones too."""
+        rows = self.rows
+        weights = popcounts(rows.shape[1].bit_length() - 1, np.int8)
+        ranks = []
+        for j in range(len(weights).bit_length()):
+            masks, held = np.flatnonzero(weights == j), np.flatnonzero(self.degrees <= j)
+            # whole bytes of a power of two, so the packed entries view as one integer
+            packed = np.zeros((len(held), 1 << (len(masks) - 1).bit_length()), dtype=np.uint8)
+            packed[:, : len(masks)] = rows[np.ix_(held, masks)].view(np.uint8)
+            ranks.append((held, *np.unique(packed.view(f"<u{packed.shape[1]}").ravel(),
+                                           return_inverse=True)))
+        keys = np.full((len(ranks), len(rows)), -1,
+                       dtype=_int_type(max(len(values) for _, values, _ in ranks)))
+        for key, (held, _, rank) in zip(keys, ranks):
+            key[held] = rank
+        keys.setflags(write=False)
+        return keys
+
+    @functools.cached_property
+    def key_stats(self) -> tuple[np.ndarray, ...]:
         """The key statistics of this level's tables A, on first use, for
-        _range_extremes: int64, shape (4, blocks, 2, keys), the records of
-        _key_records for each block of _KEY_BLOCK consecutive tables.  A's
-        key is its top coefficient t = A(T), T the top mask, shifted by
-        keys // 2 so that every t stored is an index.  For each key, the
+        _range_extremes: for each degree j = 0..k, an int64 table of shape
+        (4, blocks, 2, keys at j), the records of _key_records at j for each
+        block of _KEY_BLOCK consecutive tables, read-only.  For each key, the
         record of the block's tables with that key holds their count, their
         largest a (halves), how many reach it and the smallest table that
-        does; the record of the tables with any other key is beside it."""
-        top = self.columns[-1]
-        keys = 2 * max(len(self.columns), int(np.abs(top).max())) + 1
-        stats = np.stack([_key_records(self, start, min(start + _KEY_BLOCK, len(top)), keys)
-                          for start in range(0, len(top), _KEY_BLOCK)], axis=1)
-        stats.setflags(write=False)
-        return stats
+        does; the record of the block's tables with any other key is beside
+        it."""
+        size, stats = len(self.rows), []
+        for j, key in enumerate(self.keys):
+            # one key where no table has degree <= j, so a table has a record
+            keys = max(int(key.max()), 0) + 1
+            stats.append(np.stack([_key_records(self, j, start, min(start + _KEY_BLOCK, size), keys)
+                                   for start in range(0, size, _KEY_BLOCK)], axis=1))
+            stats[-1].setflags(write=False)
+        return tuple(stats)
 
 
 @functools.cache

@@ -10,6 +10,7 @@ mismatch.
 import dataclasses
 import functools
 import json
+import math
 import random
 from concurrent.futures import Future
 
@@ -39,6 +40,7 @@ from boolfun.cli import _scan_payload, main
 from boolfun.conjecture import _sides
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
+from boolfun.majority import maj_bound
 from boolfun.scan import (
     _BLOCK_BYTES,
     _EXHAUSTIVE_HUGE_MAX_N,
@@ -52,7 +54,6 @@ from boolfun.scan import (
     _derivative_counts,
     _identity_breaks,
     _level,
-    _pair_reductions,
     _pairs,
     _sample_table,
     _spectrum_dtype,
@@ -533,7 +534,6 @@ def assert_level_row(level, k: int, t: int):
     """Row t of an arity-k level record against fwht and counted derivatives."""
     f = BooleanFunction(k, t)
     assert level.rows[t].tolist() == fwht(f).coeffs.tolist(), (k, t)
-    assert level.columns[:, t].tolist() == level.rows[t].tolist(), (k, t)
     counts = [derivative_value_counts(f, i) for i in range(1, k + 1)]
     assert level.plus[t] == sum(c[1] for c in counts), (k, t)
     assert level.minus[t] == sum(c[2] for c in counts), (k, t)
@@ -577,8 +577,8 @@ def test_levels_are_built_through_the_gather_route_without_unpacking(monkeypatch
 def test_level_tables_are_read_only():
     # one record per arity serves the whole process
     level = _level(3)
-    for values in (level.rows, level.plus, level.minus, level.columns, level.halves,
-                   level.key_stats):
+    for values in (level.rows, level.plus, level.minus, level.halves, level.residuals,
+                   level.degrees, level.keys, *level.key_stats):
         with pytest.raises(ValueError):
             values[0] += 1
     assert_level_row(level, 3, 0)
@@ -772,7 +772,6 @@ def test_range_reductions_match_the_gather_route(monkeypatch):
                 want = _spectrum_reductions(chunks, n, influence)
                 assert_reductions_equal(_spectrum_reductions(halves, n, influence), want,
                                         (n, tables, influence))
-            assert_reductions_equal(_pair_reductions(n, *halves.T), want[:2], (n, tables))
             assert identity_route(tables, n) == identity_route(chunks, n) == [[]] * 4
             # one -1 value turned +1 in every half's counts, or in every
             # chunk's, adds 2 to each table's plus and takes 2 from its minus:
@@ -811,8 +810,6 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
     changed = 0
     for tables in ranges:
         chunks = _bits_matrix(list(tables), n)
-        assert_reductions_equal(_pair_reductions(n, *_pairs(tables, n).T),
-                                _spectrum_reductions(chunks, n, True)[:2], tables)
         got = identity_route(tables, n)
         assert got == identity_route(chunks, n), tables
         assert _accumulate(cfg, consts, tables) == _accumulate(cfg, consts, list(tables)), tables
@@ -1101,7 +1098,7 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
     # below 5, so most tables are read at every mask; a span across two high
     # halves is two rectangles
     rng = random.Random(5)
-    hi = int(rng.choice(np.flatnonzero(_level(4).columns[-1] == 0)))
+    hi = int(rng.choice(np.flatnonzero(_level(4).rows[:, -1] == 0)))
     start = (hi << 16) + (rng.randrange(4) << 14)
     spans = [range(start, start + (1 << 14)), range(77 << 14, 78 << 14),
              range((hi << 16) - (1 << 13), (hi << 16) + (1 << 13))]
@@ -1130,29 +1127,54 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
     assert sliced.equivalence_failures
 
 
-def python_key_records(level, start: int, stop: int, keys: int) -> list:
-    """_key_records of the tables start..stop - 1 recounted one table at a
-    time: per key j, [count, largest a, how many reach it, first table] of
-    the tables whose key is not j, then of those whose key is j; None where
-    no table qualifies."""
-    rows = level.rows.tolist()
-    k = len(rows[0]).bit_length() - 1
-    own = [None] * keys
+@functools.cache
+def python_level(k: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """_level(k) recounted one table at a time from its rows: each table's
+    degree, the largest |S| with a nonzero entry; its key at each degree
+    j = 0..k, the rank of its entries at the masks of weight j, packed one
+    byte an entry into a little-endian integer, among those of the tables of
+    degree <= j, or -1 where its degree is above j; and its value a, the sum
+    of its entries at the empty and singleton masks."""
+    rows = _level(k).rows.tolist()
+    weights = [bin(s).count("1") for s in range(1 << k)]
+    degrees = [max((w for w, x in zip(weights, row) if x), default=0) for row in rows]
+    keys = []
+    for j in range(k + 1):
+        packed = [sum((x & 255) << 8 * i for i, x in enumerate(
+                      x for w, x in zip(weights, row) if w == j)) if deg <= j else None
+                  for row, deg in zip(rows, degrees)]
+        rank = {p: r for r, p in enumerate(sorted({p for p in packed if p is not None}))}
+        keys.append([rank.get(p, -1) for p in packed])
+    values = [row[0] + sum(row[1 << i] for i in range(k)) for row in rows]
+    return degrees, keys, values
+
+
+def merged(left, right):
+    """Two records [count, best, reach, first] as one; None is no rows."""
+    if left is None or right is None:
+        return left or right
+    best = max(left[1], right[1])
+    top = [r for r in (left, right) if r[1] == best]
+    return [left[0] + right[0], best, sum(r[2] for r in top), min(r[3] for r in top)]
+
+
+def python_key_records(k: int, j: int, start: int, stop: int) -> list:
+    """_key_records of the arity-k tables start..stop - 1 at degree j,
+    recounted one table at a time: per key K, the record [count, largest a,
+    how many reach it, first table] of the tables whose key is another, then
+    of those whose key is K; None where no table qualifies."""
+    _, keys, values = python_level(k)
+    own = [None] * (max(keys[j]) + 1)
     for t in range(start, stop):
-        a = rows[t][0] + sum(rows[t][1 << i] for i in range(k))
-        j = rows[t][-1] + keys // 2
-        if own[j] is None or a > own[j][1]:
-            own[j] = [own[j][0] if own[j] else 0, a, 0, t]
-        own[j][0] += 1
-        own[j][2] += a == own[j][1]
-    others = []
-    for j in range(keys):
-        rest = [r for i, r in enumerate(own) if i != j and r]
-        best = max((r[1] for r in rest), default=None)
-        top = [r for r in rest if r[1] == best]
-        others.append([sum(r[0] for r in rest), best, sum(r[2] for r in top),
-                       min(r[3] for r in top)] if rest else None)
-    return [others, own]
+        if keys[j][t] >= 0:
+            own[keys[j][t]] = merged(own[keys[j][t]], [1, values[t], 1, t])
+    # every key's others, as the keys before it merged with those after it
+    before, after = [None], [None]
+    for record in own[:-1]:
+        before.append(merged(before[-1], record))
+    for record in own[:0:-1]:
+        after.append(merged(after[-1], record))
+    return [[merged(b, a) for b, a in zip(before, after[::-1])], own]
 
 
 def records_as_lists(records: np.ndarray) -> list:
@@ -1163,29 +1185,39 @@ def records_as_lists(records: np.ndarray) -> list:
 
 
 def test_key_statistics_hold_every_blocks_records():
-    # the per-block table of a level against a table-at-a-time recount: four
-    # blocks at k = 4, one block holding the whole level below
+    # the degrees, the keys and the per-block tables of every level at every
+    # degree against a table-at-a-time recount: four blocks at k = 4, one
+    # block holding the whole level below
     for k in range(5):
         level = _level(k)
         size = 1 << (1 << k)
-        keys = (2 << k) + 1  # every top coefficient of a clean level, -2^k..2^k
-        table = level.key_stats
         blocks = range(0, size, scan._KEY_BLOCK)
-        assert table.shape == (4, len(blocks), 2, keys), k
-        assert table.dtype == np.int64
-        for b, start in enumerate(blocks):
-            stop = min(start + scan._KEY_BLOCK, size)
-            assert records_as_lists(table[:, b]) == python_key_records(level, start, stop, keys)
-        # every table has one of the keys
-        assert table[0, :, 1].sum() == size, k
+        degrees, keys, _ = python_level(k)
+        assert level.degrees.tolist() == degrees, k
+        assert level.keys.tolist() == keys, k
+        assert len(level.key_stats) == k + 1, k
+        for j, table in enumerate(level.key_stats):
+            assert table.shape == (4, len(blocks), 2, max(keys[j]) + 1), (k, j)
+            assert table.dtype == np.int64
+            for b, start in enumerate(blocks):
+                stop = min(start + scan._KEY_BLOCK, size)
+                assert records_as_lists(table[:, b]) == python_key_records(k, j, start, stop), \
+                    (k, j, b)
+            # every table of degree <= j has one of the keys
+            assert table[0, :, 1].sum() == sum(d <= j for d in degrees), (k, j)
+    # the key counts at arity 4, and the top key ranks the top coefficient's byte
+    level = _level(4)
+    assert [table.shape[3] for table in level.key_stats] == [2, 9, 129, 769, 17]
+    top = level.rows[:, -1].view(np.uint8)
+    assert (np.unique(top, return_inverse=True)[1] == level.keys[-1]).all()
     # the partial blocks at the ends of a range come from the same function
-    level, keys = _level(4), 33
     rng = random.Random(19)
-    for start, stop in ((0, 1), (16383, 16385), (5, 1000), (65535, 65536),
-                        *((s, s + rng.randrange(1, 3000)) for s in
-                          (rng.randrange(60000) for _ in range(6)))):
-        assert records_as_lists(scan._key_records(level, start, stop, keys)) == \
-            python_key_records(level, start, stop, keys), (start, stop)
+    for j, table in enumerate(level.key_stats):
+        for start, stop in ((0, 1), (16383, 16385), (5, 1000), (65535, 65536),
+                            *((s, s + rng.randrange(1, 3000)) for s in
+                              (rng.randrange(60000) for _ in range(3)))):
+            assert records_as_lists(scan._key_records(level, j, start, stop, table.shape[3])) \
+                == python_key_records(4, j, start, stop), (j, start, stop)
 
 
 def key_route_ranges() -> list[range]:
@@ -1193,7 +1225,7 @@ def key_route_ranges() -> list[range]:
     high halves under a hi with top coefficient 0 and under one without, one
     table, one inside a block, partial blocks at both ends of whole ones, and
     one across two high halves."""
-    top = _level(4).columns[-1]
+    top = _level(4).rows[:, -1]
     rng = random.Random(20)
     zero = int(rng.choice(np.flatnonzero(top == 0)))
     other = int(rng.choice(np.flatnonzero(top != 0)))
@@ -1233,15 +1265,15 @@ def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
     patch_level(monkeypatch, 4, rows=bad)
     mutant = scan._level(4)
     assert not mutant.identities_hold
-    assert (mutant.key_stats[:, block] != level.key_stats[:, block]).any()
-    assert (np.delete(mutant.key_stats, block, axis=1)
-            == np.delete(level.key_stats, block, axis=1)).all()
+    assert (mutant.key_stats[-1][:, block] != level.key_stats[-1][:, block]).any()
+    assert (np.delete(mutant.key_stats[-1], block, axis=1)
+            == np.delete(level.key_stats[-1], block, axis=1)).all()
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
                      equivalence_d_range=tuple(range(1, 7)))
     consts = _build_consts(cfg)
     # under this hi the mutant's new key is the hi's, so as a lo it drops
     # from degree 5 to 4
-    other = int(np.flatnonzero(level.columns[-1] == -level.rows[hi, -1])[5])
+    other = int(np.flatnonzero(level.rows[:, -1] == -level.rows[hi, -1])[5])
     ranges = (range(hi << 16, (hi << 16) + 40000),  # hi is the mutant
               range((other << 16) + hi - 3000, (other << 16) + hi + 3000),  # a lo is
               range((hi << 16) + hi, (hi << 16) + hi + 1))  # both are
@@ -1259,7 +1291,7 @@ def test_key_statistics_widen_for_a_corrupt_top_entry(monkeypatch):
     bad = _level(4).rows.copy()
     bad[target, -1] = 40
     patch_level(monkeypatch, 4, rows=bad)
-    assert scan._level(4).key_stats.shape == (4, 4, 2, 81)
+    assert scan._level(4).key_stats[-1].shape == (4, 4, 2, 18)
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 2, 3))
     consts = _build_consts(cfg)
     for tables in (range(77 << 16, (77 << 16) + 4000),
@@ -1269,6 +1301,83 @@ def test_key_statistics_widen_for_a_corrupt_top_entry(monkeypatch):
                    range(target << 16, (target << 16) + 10)):
         with pytest.raises(InvariantError, match="norm check"):
             _accumulate(cfg, consts, tables)
+
+
+def test_ranges_under_a_high_half_of_every_degree_match_the_list_route():
+    # under a hi of degree d, a range reads rows d..5 from the key records at
+    # degrees d..4, and has no row below d: a whole high half, and a range
+    # inside one block, at every degree filter, with the check and without
+    degrees = _level(4).degrees
+    rng = random.Random(21)
+    for d in range(5):
+        hi = int(rng.choice(np.flatnonzero(degrees == d)))
+        ranges = (range(hi << 16, (hi + 1) << 16),
+                  range((hi << 16) + 5000, (hi << 16) + 7000))
+        for check in (True, False):
+            for degree_filter in (None, *range(6)):
+                cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+                                 equivalence_d_range=tuple(range(1, 7)),
+                                 degree_filter=degree_filter)
+                consts = _build_consts(cfg)
+                for tables in ranges:
+                    got = _accumulate(cfg, consts, tables)
+                    assert got == _accumulate(cfg, consts, list(tables)), (d, cfg, tables)
+                    if degree_filter is None:
+                        # a whole high half holds (hi, hi), of degree d
+                        assert min(got.per_degree) >= d, (d, tables)
+                        assert d in got.per_degree or len(tables) < 1 << 16, (d, tables)
+
+
+def test_key_statistics_follow_a_negated_weight_3_entry(monkeypatch):
+    # one weight-3 entry of a degree-3 table negated keeps its N, a, b and V
+    # and its degree, so only its key at degree 3 changes: as a hi, and as a
+    # lo under a hi that shared its old key, its pairs of degree 3 move
+    level = _level(4)
+    rng = random.Random(22)
+    target = int(rng.choice(np.flatnonzero(level.degrees == 3)))
+    mask = next(s for s in range(16) if bin(s).count("1") == 3 and level.rows[target, s])
+    bad = level.rows.copy()
+    bad[target, mask] *= -1
+    shared = np.flatnonzero(level.keys[3] == level.keys[3, target])
+    partner = int(shared[shared != target][0])
+    patch_level(monkeypatch, 4, rows=bad)
+    mutant = scan._level(4)
+    assert not mutant.identities_hold
+    assert (mutant.halves == level.halves).all() and (mutant.degrees == level.degrees).all()
+    assert (np.delete(mutant.keys, 3, axis=0) == np.delete(level.keys, 3, axis=0)).all()
+    assert target not in np.flatnonzero(mutant.keys[3] == mutant.keys[3, partner])
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=tuple(range(1, 7)))
+    consts = _build_consts(cfg)
+    start = (partner << 16) + max(0, target - 3000)
+    ranges = (range(target << 16, (target + 1) << 16),  # hi is the mutant
+              range(start, start + 6000),  # a lo is
+              range((target << 16) + target, (target << 16) + target + 1))  # both are
+    got = [_accumulate(cfg, consts, tables) for tables in ranges]
+    assert got == [_accumulate(cfg, consts, list(tables)) for tables in ranges]
+    monkeypatch.undo()
+    assert all(g != _accumulate(cfg, consts, tables) for g, tables in zip(got[:2], ranges))
+
+
+def test_top_rows_meet_their_closed_forms():
+    # row n holds every table but the C(2^n, 2^(n-1)) at distance 2^(n-1)
+    # from parity, whose top coefficient is 0.  lin = M(n) exactly where
+    # f = sign(x_1 + ... + x_n) off the m = C(n, n/2) balanced points: Maj_n
+    # alone at odd n, and at even n 2^m tables, the C(m, m/2) of them with
+    # top coefficient 0 in row n - 1
+    for n in range(1, 5):
+        res = run_scan(ScanConfig(n=n, mode="exhaustive"))
+        top = res.per_degree[n]
+        assert top.function_count == (1 << (1 << n)) - math.comb(1 << n, 1 << (n - 1)), n
+        assert top.max_linear_sum == maj_bound(n), n
+        if n % 2:
+            assert (top.witness_count, top.witness) == (1, to_hex(majority(n))), n
+        else:
+            m = math.comb(n, n // 2)
+            below = res.per_degree[n - 1]
+            assert below.max_linear_sum == maj_bound(n), n
+            assert (below.witness_count, top.witness_count) == \
+                (math.comb(m, m // 2), (1 << m) - math.comb(m, m // 2)), n
 
 
 def test_violations_are_the_rows_over_the_bound():
