@@ -508,19 +508,19 @@ def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int,
     for _, his, los in _rectangles(tables, n):
         _check_norms(n, his, los)
         hi_deg = deg[his]
-        for j in range(int(hi_deg.min()), n):
+        for j in range(min(hi_deg.tolist()), n):
             if j not in degrees and j + 1 not in degrees:
                 continue
             # under each hi, the records of the lo's that make degree j + 1
             # (others) and degree j (own); a hi of degree above j has key -1
             # and takes neither, and one below j takes no own
-            records = _lo_records(level, los, j)[:, :, keys[j, his]]
+            records = _lo_records(level, los, j).take(keys[j, his], axis=2)
             records[:, 0, hi_deg > j] = _EMPTY[:, None]
             records[:, 1, hi_deg != j] = _EMPTY[:, None]
             # under hi, a row's best gains b_hi, and its table hi * 2^(2^(n-1))
             records[1] += b[his]
             records[3] += np.arange(his.start * per_hi, his.stop * per_hi, per_hi)
-            for d, record in zip((j + 1, j), _max_plus(records, axis=2).T):
+            for d, record in zip((j + 1, j), _max_plus(records, axis=2).T.tolist()):
                 if d in degrees and record[0]:
                     found[d] = (record if d not in found
                                 else _max_plus(np.stack([found[d], record], axis=1), axis=1))
