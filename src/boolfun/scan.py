@@ -741,7 +741,7 @@ class _Level:
         it."""
         size, stats = len(self.rows), []
         for j, key in enumerate(self.keys):
-            # one key where no table has degree <= j, so a table has a record
+            # a level with no table of degree <= j still gets one, empty key
             keys = max(int(key.max()), 0) + 1
             stats.append(np.stack([_key_records(self, j, start, min(start + _KEY_BLOCK, size), keys)
                                    for start in range(0, size, _KEY_BLOCK)], axis=1))
