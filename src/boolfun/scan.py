@@ -699,6 +699,8 @@ class _Level:
         int8, read-only."""
         weights = popcounts(self.rows.shape[1].bit_length() - 1, np.int8)
         degrees = np.zeros(len(self.rows), dtype=np.int8)
+        # one weight at a time: core._degrees would hold a weighted copy of
+        # rows, 2 MB at k = 4, and took 3 ms against 0.7 ms
         for j in range(1, len(weights).bit_length()):
             degrees[np.any(self.rows[:, weights == j], axis=1)] = j
         degrees.setflags(write=False)
