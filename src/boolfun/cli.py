@@ -361,8 +361,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_parse_int, default=None, help="stream seed (random)")
     # a dataclass field's default is also its class attribute
     p.add_argument("--jobs", type=_parse_int, default=ScanConfig.worker_count,
-                   help="worker processes")
-    p.add_argument("--chunk-size", type=_parse_int, default=ScanConfig.chunk_size)
+                   help="worker processes for a random scan; an exhaustive scan "
+                        "is one range read in this process")
+    p.add_argument("--chunk-size", type=_parse_int, default=ScanConfig.chunk_size,
+                   help="samples per span when --jobs splits a random scan")
     p.add_argument("--equiv-d", metavar="LIST", default=None,
                    help="comma-separated d values for the equivalence check, "
                         "or 'none' to disable it")

@@ -19,10 +19,10 @@ coordinates k+1..n (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
 Where spectra are built, they exist one block at a time
 (_spectrum_blocks).  A block is column-major, one row per mask and one
 column per table, with as many columns as keep it in a core's L2 cache.
-Two routes serve the sub-batches.
+Two routes read the tables.
 
-- Halves, for a range of consecutive tables of arity n <= 5 (every
-  exhaustive sub-batch).  Such a table is two halves of arity n - 1,
+- Halves, for a range of consecutive tables of arity n <= 5 (an
+  exhaustive scan, read whole).  Such a table is two halves of arity n - 1,
   f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum is
   [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
   integers, so a range is at most three rectangles of (hi, lo) pairs: a
@@ -40,10 +40,11 @@ Two routes serve the sub-batches.
   the lo's, kept per degree and per block of consecutive lo's
   (_Level.keys, _Level.key_stats), with no per-table work
   (_range_extremes): no block is filled.
-- Gather, for any other sub-batch (random samples, a list of tables, a
-  level build, or a range read row by row).  The tables are unpacked into
-  chunks (_bits_matrix); a range of arity-n tables is instead split into
-  its halves, two arity-(n - 1) chunks a row, with no unpacking (_pairs).
+- Gather, for a sub-batch of other tables (random samples, a list of
+  tables, a level build, or a range read row by row, _BATCH_CELLS table
+  bits at a time).  The tables are unpacked into chunks (_bits_matrix); a
+  range of arity-n tables is instead split into its halves, two
+  arity-(n - 1) chunks a row, with no unpacking (_pairs).
   The chunks' level rows are gathered with np.take, and the butterfly
   stages for the coordinates above the chunks' arity run on the block.
   After the stage for coordinate j every partial sum is at most 2^j, so
@@ -82,7 +83,7 @@ A_t = H v_t, with v_t the table's +-1 values, for one matrix H with
 H^T H = 2^k I, and every residual is the same constant.  So a range on a
 proven level, which every clean level is, reads no pair.  On an unproven
 level, or where a degree's best row breaks the bound, the range's halves
-are re-read through the gather route (_pairs), row by row.
+are re-read through the gather route (_pairs), one sub-batch at a time.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -152,8 +153,8 @@ class ScanConfig:
     equivalence_d_range names d values or n <= 3; it runs at those d values
     (sorted, without repeats), else at d = 1..n+1, and the range is () when
     the check is off.  A random scan's seed defaults to 0.  worker_count and
-    chunk_size say how a scan is run, not what it scans, and take no part in
-    equality.  So two configs that scan alike compare equal."""
+    chunk_size only split a random scan over a process pool, and take no
+    part in equality, so two configs that scan alike compare equal."""
 
     n: int
     mode: str
@@ -394,9 +395,10 @@ def _spectrum_reductions(source: np.ndarray, n: int, influence: bool):
 def _check_norms(n: int, his: slice, los: slice) -> None:
     """The norm check of a rectangle of arity-n tables f = (lo, hi) (n <= 5),
     his x los: f's spectrum is [A_lo + A_hi, A_lo - A_hi], so its squares
-    sum to 2 (N_lo + N_hi) (_Level.halves), which must be 4^n."""
+    sum to 2 (N_lo + N_hi) (_Level.halves), which must be 4^n.  Every pair
+    meets it exactly when the his share one N and each lo's N completes it."""
     norm = _level(n - 1).halves[2]
-    if np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1)):
+    if ((hi := norm[his]) != hi[0]).any() or (norm[los] != (1 << (2 * n - 1)) - hi[0]).any():
         raise InvariantError("spectrum norm check failed during scan")
 
 
@@ -774,13 +776,13 @@ def _sample_table(seed: int, index: int, points: int) -> int:
 
 def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
-    """Every table of one sub-batch at once.  A range is an exhaustive
-    sub-batch, so n <= 5: its per-degree rows come from the key statistics
-    of its halves (_range_extremes), and its rows are read through the
-    gather route, as halves (_pairs), only where a degree's best row breaks
-    the bound, or the check is on and the level of its halves does not prove
-    both identities.  Any other sub-batch is unpacked (_bits_matrix), and
-    every row is reduced from its spectrum block."""
+    """Every table of a range, or of a sub-batch of other tables, at once.  A
+    range is exhaustive, so n <= 5: its per-degree rows come from the key
+    statistics of its halves (_range_extremes), and its rows are read through
+    the gather route, as halves (_pairs) of one sub-batch at a time, only
+    where a degree's best row breaks the bound, or the check is on and the
+    level of its halves does not prove both identities.  Other tables are
+    unpacked (_bits_matrix), and every row is reduced from its spectrum block."""
     n = cfg.n
     check = bool(cfg.equivalence_d_range)
     degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
@@ -795,6 +797,10 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     over = [d for d, record in extremes.items()
             if operator.gt(*_bound_sides(consts[d], record[1]))]
     if source is None and (over or check and not _level(n - 1).identities_hold):
+        step = _BATCH_CELLS >> n
+        if len(tables) > step:
+            parts = (tables[off : off + step] for off in range(0, len(tables), step))
+            return functools.reduce(merge_results, (_accumulate(cfg, consts, p) for p in parts))
         source = _pairs(tables, n)
         deg, lin, inf = _spectrum_reductions(source, n, check)
 
@@ -834,24 +840,23 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
 
 
 def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
-    """Analyze indices [start, stop) of cfg's index space in sub-batches.
-
-    A sub-batch's tables (its keys when exhaustive, else the samples they
-    number) are drawn only when it is reached, so at most one exists at
-    once.  An InvariantError names the call that reproduces the sub-batch."""
+    """Analyze indices [start, stop) of cfg's index space: an exhaustive
+    range at once, and samples in sub-batches, each drawn only when it is
+    reached, so at most one exists at once.  An InvariantError names the call
+    that reproduces the range or the sub-batch."""
     _check_int(start, 0, cfg.total, "range start {value!r} out of bounds {lo}..{hi}")
     _check_int(stop, start, cfg.total, "range stop {value!r} out of bounds {lo}..{hi}")
     consts = _build_consts(cfg)
-    step = max(1, _BATCH_CELLS // cfg.points)
+    exhaustive = cfg.mode == "exhaustive"
+    step = max(1, stop - start if exhaustive else _BATCH_CELLS // cfg.points)
     merged = None
     for off in range(start, stop, step):
         keys = range(off, min(off + step, stop))
-        tables = keys if cfg.mode == "exhaustive" else [
-            _sample_table(cfg.seed, k, cfg.points) for k in keys]
+        tables = keys if exhaustive else [_sample_table(cfg.seed, k, cfg.points) for k in keys]
         try:
             piece = _accumulate(cfg, consts, tables)
         except InvariantError as exc:
-            primitive = "scan_table_range" if cfg.mode == "exhaustive" else "scan_sample_range"
+            primitive = "scan_table_range" if exhaustive else "scan_sample_range"
             raise InvariantError(f"{exc}; reproduce with "
                                  f"{primitive}({cfg!r}, {keys.start}, {keys.stop})") from exc
         merged = piece if merged is None else merge_results(merged, piece)
@@ -897,8 +902,8 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
-    """Full scan: the whole index range on one worker, else chunk_size spans on a pool."""
-    if config.worker_count == 1:
+    """Full scan: in process, or a random one in chunk_size spans on a pool."""
+    if config.worker_count == 1 or config.mode == "exhaustive":
         return _analyze_chunk(config, 0, config.total)
     spans = ((config, s, min(s + config.chunk_size, config.total))
              for s in range(0, config.total, config.chunk_size))

@@ -189,20 +189,19 @@ def test_criterion_7_bound_equals_expected_abs_sum(sweep4):
 
 
 def test_criterion_8_extremal_witnesses_n3():
-    results = [
-        run_scan(ScanConfig(n=3, mode="exhaustive", worker_count=w))
-        for w in (1, 2, 8)
-    ]
+    # an exhaustive scan runs in process at any worker count; a random scan's
+    # pool merges its spans' witnesses
+    def extremals(**kwargs):
+        return [{d: (e.max_linear_sum, e.witness, e.witness_count)
+                 for d, e in run_scan(ScanConfig(n=3, worker_count=w, **kwargs)).per_degree.items()}
+                for w in (1, 2, 8)]
+
+    exhaustive = extremals(mode="exhaustive")
+    sampled = extremals(mode="random", sample_count=200, seed=8, chunk_size=64)
+    stable = all(r == runs[0] for runs in (exhaustive, sampled) for r in runs[1:])
+    per_degree = run_scan(ScanConfig(n=3, mode="exhaustive")).per_degree
+    deg3, deg1 = per_degree[3], per_degree[1]
     maj3_hex = to_hex(majority(3))
-    deg3 = results[0].per_degree[3]
-    deg1 = results[0].per_degree[1]
-    stable = all(
-        {d: (e.max_linear_sum, e.witness, e.witness_count)
-         for d, e in r.per_degree.items()}
-        == {d: (e.max_linear_sum, e.witness, e.witness_count)
-            for d, e in results[0].per_degree.items()}
-        for r in results[1:]
-    )
     ok = (deg3.max_linear_sum == DyadicRational(3, 1)
           and deg3.witness == maj3_hex
           and deg1.max_linear_sum == DyadicRational(1)
@@ -214,12 +213,15 @@ def test_criterion_8_extremal_witnesses_n3():
 
 
 def test_criterion_9_payload_byte_identity():
-    blobs = set()
-    for workers in (1, 2, 8):
-        for chunk in (32, 256):
-            result = run_scan(ScanConfig(n=3, mode="exhaustive",
-                                         worker_count=workers, chunk_size=chunk))
-            blobs.add(json.dumps(_scan_payload(result), indent=2, sort_keys=True).encode())
-    _verdict(9, len(blobs) == 1,
-             "scan payload byte-identical across worker "
+    identical = True
+    for mode, extra in (("exhaustive", {}), ("random", {"sample_count": 500, "seed": 9})):
+        blobs = set()
+        for workers in (1, 2, 8):
+            for chunk in (32, 256):
+                result = run_scan(ScanConfig(n=3, mode=mode, worker_count=workers,
+                                             chunk_size=chunk, **extra))
+                blobs.add(json.dumps(_scan_payload(result), indent=2, sort_keys=True).encode())
+        identical &= len(blobs) == 1
+    _verdict(9, identical,
+             "exhaustive and random scan payloads byte-identical across worker "
              "counts 1, 2, 8 and chunk sizes 32, 256")

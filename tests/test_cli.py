@@ -131,15 +131,18 @@ def test_scan_json_payload(capsys):
 
 
 def test_scan_payload_deterministic_across_execution_knobs(capsys):
-    blobs = set()
-    for extra in (("--jobs", "1", "--chunk-size", "16"),
-                  ("--jobs", "2", "--chunk-size", "64"),
-                  ("--jobs", "8", "--chunk-size", "16")):
-        code, doc = run_json(capsys, "scan", "--n", "3", *extra)
-        assert code == 0
-        doc["payload"].pop("wall_time_seconds")
-        blobs.add(json.dumps(doc, sort_keys=True))
-    assert len(blobs) == 1
+    # an exhaustive scan runs in process whatever the knobs; a random one is
+    # split into pool spans
+    for argv in (("--n", "3"), ("--n", "5", "--mode", "random", "--samples", "300")):
+        blobs = set()
+        for extra in (("--jobs", "1", "--chunk-size", "16"),
+                      ("--jobs", "2", "--chunk-size", "64"),
+                      ("--jobs", "8", "--chunk-size", "16")):
+            code, doc = run_json(capsys, "scan", *argv, *extra)
+            assert code == 0
+            doc["payload"].pop("wall_time_seconds")
+            blobs.add(json.dumps(doc, sort_keys=True))
+        assert len(blobs) == 1, argv
 
 
 def test_scan_random_flags(capsys):

@@ -17,7 +17,13 @@ import pytest
 
 from boolfun.cli import _scan_payload, main
 from boolfun.dyadic import DyadicRational
-from boolfun.scan import ConjectureWitness, EquivalenceWitness, ScanConfig, run_scan
+from boolfun.scan import (
+    ConjectureWitness,
+    EquivalenceWitness,
+    ScanConfig,
+    run_scan,
+    scan_table_range,
+)
 
 GOLDEN = {
     "analyze_maj9_spectrum": (
@@ -41,10 +47,15 @@ GOLDEN = {
     "scan_n4": (
         ["scan", "--n", "4"],
         "e5c202a224884ce052583fd9abdffa6d9da83ba4fa588144862eb6c6b835ce01"),
-    # every n = 5 table: the per-degree table and the equivalence verdict
+    # every n = 5 table: the per-degree table and the equivalence verdict, at
+    # other run settings and at the default ones, which an exhaustive scan
+    # ignores alike
     "scan_n5_equiv_1_6": (
         ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2",
          "--chunk-size", "1048576"],
+        "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
+    "scan_n5_equiv_1_6_default_run": (
+        ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2"],
         "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
     "scan_random_n7_equiv_1_4_8": (
         ["scan", "--n", "7", "--mode", "random", "--samples", "300", "--seed", "11",
@@ -70,6 +81,16 @@ def test_cli_document_is_byte_identical(label, capsys):
         assert isinstance(doc["payload"].pop("wall_time_seconds"), float)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_whole_n5_table_from_one_range_call():
+    # the range primitive reads all 2^32 tables at once, to the CLI's bytes
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=(1, 2, 3, 4, 5, 6))
+    doc = {"schema_version": "1", "command": "scan",
+           "payload": _scan_payload(scan_table_range(cfg, 0, 1 << 32))}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["scan_n5_equiv_1_6"][1], text
 
 
 def test_scan_witness_records_are_byte_identical():

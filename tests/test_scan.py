@@ -277,14 +277,16 @@ def test_merge_caps_witness_lists():
 # ------------------------------------------------------------ determinism
 
 def test_results_identical_across_workers_and_chunks():
-    ref = None
-    for workers in (1, 2, 8):
-        for chunk in (16, 64):
-            res = run_scan(ScanConfig(n=3, mode="exhaustive",
-                                      worker_count=workers, chunk_size=chunk))
-            if ref is None:
-                ref = res
-            assert res == ref, (workers, chunk)
+    # an exhaustive scan runs in process; a random one merges pool spans
+    for cfg in (ScanConfig(n=3, mode="exhaustive"),
+                ScanConfig(n=5, mode="random", sample_count=300, seed=4, equivalence_check=True)):
+        ref = None
+        for workers in (1, 2, 8):
+            for chunk in (16, 64):
+                res = run_scan(dataclasses.replace(cfg, worker_count=workers, chunk_size=chunk))
+                if ref is None:
+                    ref = res
+                assert res == ref, (cfg.mode, workers, chunk)
 
 
 def test_results_are_values():
@@ -318,6 +320,26 @@ def test_one_worker_scans_without_spans(monkeypatch):
         assert spans == [(0, cfg.total)]
 
 
+def test_exhaustive_range_is_one_range_read(monkeypatch):
+    # on a proven level with no degree over the bound, a range of any length
+    # is one _accumulate call and one _range_extremes call
+    calls = []
+
+    def counted(name):
+        inner = getattr(scan, name)
+        return lambda *args: calls.append(name) or inner(*args)
+
+    for name in ("_accumulate", "_range_extremes"):
+        monkeypatch.setattr(scan, name, counted(name))
+    cases = [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), 7, 60000),
+             (ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                         equivalence_d_range=tuple(range(1, 7))), 0, 1 << 32)]
+    for cfg, start, stop in cases:
+        calls.clear()
+        assert scan._analyze_chunk(cfg, start, stop).functions_examined == stop - start
+        assert calls == ["_accumulate", "_range_extremes"], cfg
+
+
 def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
     class Pool:  # resolves each span at once to its start index
         submitted = 0
@@ -337,7 +359,8 @@ def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
 
 
 def test_pool_is_no_larger_than_its_span_count(monkeypatch):
-    # a fork pool starts all max_workers processes at the first submit
+    # a fork pool starts all max_workers processes at the first submit.  An
+    # exhaustive scan is one range read, so it starts no pool at all
     sizes = []
 
     class Pool:  # runs each span inline and records the pool size
@@ -356,14 +379,17 @@ def test_pool_is_no_larger_than_its_span_count(monkeypatch):
             return future
 
     monkeypatch.setattr(scan, "ProcessPoolExecutor", Pool)
-    cases = [(dict(n=3, mode="exhaustive", worker_count=8), 1),
-             (dict(n=3, mode="exhaustive", worker_count=8, chunk_size=100), 3),
+    cases = [(dict(n=3, mode="exhaustive", worker_count=8), None),
+             (dict(n=3, mode="exhaustive", worker_count=8, chunk_size=100), None),
+             (dict(n=4, mode="exhaustive", worker_count=2, chunk_size=1), None),
+             (dict(n=3, mode="random", sample_count=256, worker_count=8), 1),
+             (dict(n=3, mode="random", sample_count=256, worker_count=8, chunk_size=100), 3),
              (dict(n=4, mode="random", sample_count=50, worker_count=2, chunk_size=10), 2)]
     for kwargs, workers in cases:
         cfg = ScanConfig(**kwargs)
         sizes.clear()
         assert run_scan(cfg) == scan._analyze_chunk(cfg, 0, cfg.total)
-        assert sizes == [workers], kwargs
+        assert sizes == ([] if workers is None else [workers]), kwargs
 
 
 def test_parallel_random_scan_matches_serial():
@@ -664,9 +690,53 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
         _batch_butterfly(chunks, n)
 
 
+def pairwise_norms_pass(n: int, his: slice, los: slice) -> bool:
+    """The norm check of every pair of the rectangle his x los, one sum per
+    pair: 2 (N_lo + N_hi) must be 4^n."""
+    norm = scan._level(n - 1).halves[2]
+    return not np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1))
+
+
+def test_norm_check_equals_the_pairwise_check(monkeypatch):
+    # random rectangles of at most 2^20 pairs, so the oracle stays small: one
+    # N raised among the his, one lowered among the los, both (by offsetting
+    # amounts, which the one pair of those two halves meets), or neither
+    rng = random.Random(22)
+    for n in range(2, 6):
+        size = 1 << (1 << (n - 1))
+        clean, raised = _level(n - 1), 0
+        for trial in range(80):
+            widths = [rng.choice((1, 2, rng.randrange(1, min(size, 1 << 10) + 1)))
+                      for _ in range(2)]
+            his, los = (slice(a, a + w) for a, w in
+                        ((rng.randrange(size - w + 1), w) for w in widths))
+            halves = clean.halves.copy()
+            kind = trial % 4
+            halves[2, rng.randrange(his.start, his.stop)] += kind in (0, 2)
+            halves[2, rng.randrange(los.start, los.stop)] -= kind in (1, 2)
+            patched = dataclasses.replace(clean)
+            object.__setattr__(patched, "halves", halves)
+            monkeypatch.setattr(scan, "_level", lambda j: patched if j == n - 1 else _level(j))
+            if pairwise_norms_pass(n, his, los):
+                scan._check_norms(n, his, los)
+            else:
+                raised += 1
+                with pytest.raises(InvariantError, match="norm check"):
+                    scan._check_norms(n, his, los)
+            monkeypatch.undo()
+        assert 40 <= raised < 80, n
+    # the whole n = 5 table is one rectangle, and one corrupt half fails it
+    bad = _level(4).rows.copy()
+    bad[4242, 7] += 2
+    patch_level(monkeypatch, 4, rows=bad)
+    with pytest.raises(InvariantError, match="norm check"):
+        scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), 0, 1 << 32)
+
+
 def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
-    # one worker's span is the whole index space, so an error names the
-    # sub-batch that failed, as a range primitive call that fails again
+    # an error names the range primitive call that fails again: a random
+    # scan's failing sub-batch, or an exhaustive call's whole range, which is
+    # read at once
     namespace = {"ScanConfig": ScanConfig, "scan_table_range": scan_table_range,
                  "scan_sample_range": scan_sample_range}
 
@@ -678,15 +748,16 @@ def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
         with pytest.raises(InvariantError, match="norm check"):
             eval(call, namespace)
 
-    # n = 5: every 2^16 consecutive tables hold each arity-4 table as lo, so
-    # the first sub-batch of a span fails
+    # n = 5: every 2^16 consecutive tables hold each arity-4 table as lo
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
     step, start = scan._BATCH_CELLS >> 5, (9 << 16) + 20000
     bad = _level(4).rows.copy()
     bad[12345, 7] += 2
     patch_level(monkeypatch, 4, rows=bad)
     assert_named(lambda: scan_table_range(cfg, start, start + 3 * step),
-                 f"scan_table_range({cfg!r}, {start}, {start + step})")
+                 f"scan_table_range({cfg!r}, {start}, {start + 3 * step})")
+    pooled = dataclasses.replace(cfg, worker_count=2)
+    assert_named(lambda: run_scan(pooled), f"scan_table_range({pooled!r}, 0, {1 << 32})")
     monkeypatch.undo()
     # n = 6 samples: an arity-4 chunk found in the second sub-batch only
     step = scan._BATCH_CELLS >> 6
@@ -1416,6 +1487,43 @@ def test_n5_violations_are_the_rows_over_the_bound():
         broken = {w.degree for w in got.violations}
         assert all(got.per_degree[d].function_count > sum(w.degree == d for w in got.violations)
                    for d in broken), tables
+
+
+def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
+    # 3 * 2^16 + 17 n = 5 tables across four high halves, Maj_5 among them,
+    # read row by row on a level without the proof, and under the Maj_d side
+    # cut in half, where most rows break the bound: _pairs never holds more
+    # than one sub-batch, and witnesses are cut at the cap with exact counts
+    step = scan._BATCH_CELLS >> 5
+    start = majority(5).table - (1 << 16) - 1000
+    tables = range(start, start + 3 * step + 17)
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+                     equivalence_d_range=tuple(range(1, 7)))
+    consts = _build_consts(cfg)
+    halved = {d: s._replace(maj=s.maj // 2) for d, s in consts.items()}
+    bump = np.zeros(1 << 16, dtype=np.int64)
+    bump[majority(5).table & 0xFFFF] = 1
+    pairs, lengths = scan._pairs, []
+
+    def counted(part, n):
+        lengths.append(len(part))
+        return pairs(part, n)
+
+    for unproven, bounds in ((True, consts), (False, halved)):
+        if unproven:
+            patch_level(monkeypatch, 4, plus=_level(4).plus + bump)
+            assert not scan._level(4).identities_hold
+        want = _accumulate(cfg, bounds, list(tables))
+        monkeypatch.setattr(scan, "_pairs", counted)
+        lengths.clear()
+        got = _accumulate(cfg, bounds, tables)
+        monkeypatch.undo()
+        assert got == want, unproven
+        assert lengths == [step, step, step, 17], unproven
+        if unproven:
+            assert got.equivalence_failures
+        else:
+            assert got.violations_omitted > 0 and len(got.violations) == scan._WITNESS_CAP
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
