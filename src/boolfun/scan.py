@@ -25,19 +25,19 @@ Two routes read the tables.
   exhaustive scan, read whole).  Such a table is two halves of arity n - 1,
   f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum is
   [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
-  integers, so a range is at most three rectangles of (hi, lo) pairs: a
-  partial first high half, whole high halves, and a partial last one
-  (_rectangles).  Each reduction is then per-half terms plus at most one
-  pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times the linear
-  sum is a_lo + b_hi (_Level.halves).  The coefficients at S + {n} and S
-  are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j a half's
-  entries at the masks of weight j, f has degree <= j exactly when both
-  halves do and H_j(lo) = H_j(hi) (O'Donnell 2014, 3.3).  Row j is then
-  the pairs whose halves both have degree j and the same H_j, and those
-  whose halves both have degree <= j - 1 and different H_(j-1).  Under one
-  hi, the best row of each is b_hi plus the best a among the lo's whose
-  keys qualify, so a range's per-degree rows come from per-key records of
-  the lo's, kept per degree and per block of consecutive lo's
+  integers, so a range is rectangles of (hi, lo) pairs: a partial first
+  high half, runs of at most _KEY_BLOCK whole high halves, and a partial
+  last one (_rectangles).  Each reduction is then per-half terms plus at
+  most one pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times
+  the linear sum is a_lo + b_hi (_Level.halves).  The coefficients at
+  S + {n} and S are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j
+  a half's entries at the masks of weight j, f has degree <= j exactly
+  when both halves do and H_j(lo) = H_j(hi) (O'Donnell 2014, 3.3).  Row j
+  is then the pairs whose halves both have degree j and the same H_j, and
+  those whose halves both have degree <= j - 1 and different H_(j-1).
+  Under one hi, the best row of each is b_hi plus the best a among the
+  lo's whose keys qualify, so a range's per-degree rows come from per-key
+  records of the lo's, kept per degree and per block of consecutive lo's
   (_Level.keys, _Level.key_stats), with no per-table work
   (_range_extremes): no block is filled.
 - Gather, for a sub-batch of other tables (random samples, a list of
@@ -74,16 +74,16 @@ hold, each of the four inequalities becomes the original one, linear sum
 through the four inequalities at each d, so the witnesses are those that a
 check of every row at every d reports: a break that flips no inequality is
 not one of them.  A gathered sub-batch compares both sides of each identity
-per row (_identity_breaks).  For a range, each identity's difference of
-sides is per-half terms built once per level (_Level.residuals) plus the
-pair terms 2^(n+1) popcount(lo ^ hi) and 2 <A_lo, A_hi>, with lo and hi the
-halves' table integers.  The level of the halves proves once, in integers,
-that these cancel for every pair (_Level.identities_hold): its spectra are
-A_t = H v_t, with v_t the table's +-1 values, for one matrix H with
-H^T H = 2^k I, and every residual is the same constant.  So a range on a
-proven level, which every clean level is, reads no pair.  On an unproven
-level, or where a degree's best row breaks the bound, the range's halves
-are re-read through the gather route (_pairs), one sub-batch at a time.
+per row (_identity_breaks).  For a range, the level of its halves proves
+once, in integers, that every pair meets both (_Level.identities_hold): its
+spectra are A_t = H v_t, with v_t the table's +-1 values, for one matrix H
+with H^T H = 2^k I and all ones in its row at the empty set, and each of its
+tables meets both identities at arity k, compared by the same
+_identity_breaks.  Each identity of a pair is then the sum of its halves'
+plus two pair terms that are equal.  So a range on a proven level, which
+every clean level is, reads no pair.  On an unproven level, or where a
+degree's best row breaks the bound, the range's halves are re-read through
+the gather route (_pairs), one sub-batch at a time.
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -349,11 +349,11 @@ def _spectrum_blocks(source, n: int):
 
 
 def _rectangles(tables: range, n: int):
-    """Consecutive arity-n tables (n <= 5) as at most three rectangles of
-    (hi, lo) pairs, where table = hi * 2^(2^(n-1)) + lo: a partial first high
-    half, whole high halves, and a partial last high half.  Yields (cells,
-    his, los), three slices: the rectangle's places in tables, hi-major, and
-    its hi and lo values."""
+    """Consecutive arity-n tables (n <= 5) as rectangles of (hi, lo) pairs,
+    where table = hi * 2^(2^(n-1)) + lo, in order: a partial first high
+    half, runs of at most _KEY_BLOCK whole high halves, so that the per-hi
+    records of _range_extremes stay a few MB, and a partial last high half.
+    Yields (his, los), two slices: the rectangle's hi and lo values."""
     per_hi = 1 << (1 << (n - 1))
     first = tables.start
     while first < tables.stop:
@@ -362,10 +362,9 @@ def _rectangles(tables: range, n: int):
         if lo or left < per_hi:
             his, los = slice(hi, hi + 1), slice(lo, min(per_hi, lo + left))
         else:
-            his, los = slice(hi, hi + left // per_hi), slice(0, per_hi)
-        size = (his.stop - his.start) * (los.stop - los.start)
-        yield slice(first - tables.start, first - tables.start + size), his, los
-        first += size
+            his, los = slice(hi, hi + min(left // per_hi, _KEY_BLOCK)), slice(0, per_hi)
+        yield his, los
+        first += (his.stop - his.start) * (los.stop - los.start)
 
 
 def _batch_butterfly(source: np.ndarray, n: int) -> np.ndarray:
@@ -507,7 +506,7 @@ def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int,
     b, keys, deg = level.halves[1], level.keys, level.degrees
     per_hi = 1 << (1 << (n - 1))
     found = {}
-    for _, his, los in _rectangles(tables, n):
+    for his, los in _rectangles(tables, n):
         _check_norms(n, his, los)
         hi_deg = deg[his]
         for j in range(min(hi_deg.tolist()), n):
@@ -539,10 +538,12 @@ def _pairs(tables: range, n: int) -> np.ndarray:
     return np.stack([keys & ((1 << half) - 1), keys >> half], axis=1)
 
 
-def _identity_breaks(source: np.ndarray, n: int, lin: np.ndarray, inf: np.ndarray) -> np.ndarray:
-    """The rows of the chunk matrix that break one of the two identities of
-    the module docstring, ascending, from both sides of each per row."""
-    plus, minus = _derivative_counts(source, n)
+def _identity_breaks(plus: np.ndarray, minus: np.ndarray, n: int, lin: np.ndarray,
+                     inf: np.ndarray) -> np.ndarray:
+    """The rows of arity-n tables that break one of the two identities of the
+    module docstring, ascending, from both sides of each per row: the
+    derivative counts plus and minus, in a type that holds 2^(n+1) times
+    their sum, against 2^n lin and 4^n inf."""
     return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
 
 
@@ -604,7 +605,8 @@ class _Level:
         |a_lo + b_hi| = 2^(k+1) |lin| <= (k + 1) 2^(k+1).  A larger N fails
         with any partner, so it is stored as 2 * 4^k + 1, and the check's sum
         is at most 4^(k+1) + 2; a, b and V of such a half may wrap, as only
-        failing tables read them."""
+        failing tables read them, and identities_hold relies on them only
+        where every N is 4^k."""
         rows = self.rows
         k = rows.shape[1].bit_length() - 1
         bound = max((k + 1) << (2 * k + 2), (4 << 2 * k) + 2)
@@ -621,49 +623,6 @@ class _Level:
         return halves
 
     @functools.cached_property
-    def residuals(self) -> np.ndarray:
-        """The per-half terms of the two identities of the module docstring
-        for each table A as a half of an arity-(k + 1) table f = (lo, hi),
-        from plus, minus and halves, on first use: rows u, w and R with
-
-            2 (plus - minus) - 2^(k+1) lin = u[lo] + w[hi],
-            2^(k+2) (plus + minus) - 4^(k+1) inf
-                = R[lo] + R[hi] + 2^(k+2) popcount(lo ^ hi) + 2 <A_lo, A_hi>,
-
-        where u = 2 (p - m) - 2 popcount(t) - a, w = 2 (p - m) +
-        2 popcount(t) - b and R = 2^(k+2) (p + m) - V, for t the table's
-        integer and p and m its counts; the first identity splits because
-        popcount(hi & ~lo) - popcount(lo & ~hi) = popcount(hi) - popcount(lo).
-        On a clean level every table has u = -2^k, w = 2^k and R = -4^k,
-        which identities_hold checks.
-
-        Their type holds each term and each partial sum of the two
-        right-hand sides wherever the norm check passes, as there
-        |<A_lo, A_hi>| <= 4^k: it is sized from the largest counts and half
-        statistics stored, and the terms are computed in it."""
-        a, b, _, weighted = self.halves
-        k = self.rows.shape[1].bit_length() - 1
-        plus, minus, stats = (max(int(x.max()), -int(x.min()))
-                              for x in (self.plus, self.minus, self.halves))
-        term = ((plus + minus) << (k + 2)) + (2 << k) + stats
-        # two terms and the pair terms, at most 4^(k+1) + 2 * 4^k
-        residuals = np.empty((3, len(self.plus)), dtype=_int_type(2 * term + (3 << (2 * k + 1))))
-        u, w, r = residuals
-        np.subtract(self.plus, self.minus, out=u)
-        u *= 2
-        w[:] = u
-        twice_ones = 2 * popcounts(1 << k, u.dtype)
-        u -= twice_ones
-        u -= a
-        w += twice_ones
-        w -= b
-        np.add(self.plus, self.minus, out=r)
-        r <<= k + 2
-        r -= weighted
-        residuals.setflags(write=False)
-        return residuals
-
-    @functools.cached_property
     def identities_hold(self) -> bool:
         """Whether both identities of the module docstring hold for every
         table f = (lo, hi) of arity k + 1 with halves at this level, proven
@@ -673,21 +632,35 @@ class _Level:
         (a) the level is linear: each difference is even, H 1 = A_0, and
             A_(t + 2^x) = A_t - 2 H[:, x] for every x and t < 2^x, so
             A_t = H v_t, with v_t the table's +-1 values;
-        (b) H^T H = 2^k I;
-        (c) every half has u = -2^k, w = 2^k and R = -4^k (residuals).
-        Then <A_lo, A_hi> = 2^k <v_lo, v_hi> = 2^k (2^k - 2 popcount(lo ^ hi)),
-        so the pair terms cancel R[lo] + R[hi] = -2 4^k, u[lo] + w[hi] = 0,
-        and neither identity has a difference other than 0."""
+        (b) H^T H = 2^k I, so with (a) each table has N = 4^k, and its
+            half statistics are exact;
+        (c) H's row at the empty set is all ones, so E = A_t(empty set) is
+            the sum of v_t, 2^k - 2 popcount(t), and every table meets both
+            identities at arity k (_identity_breaks, with 2^k lin =
+            (a + b) / 2 and 4^k inf = (V - N) / 2 from halves).
+        Then each identity of f is its halves' plus two pair terms, and the
+        pair terms are equal.  f's counts add popcount(hi & ~lo) and
+        popcount(lo & ~hi) to its halves', and its spectrum is
+        [A_lo + A_hi, A_lo - A_hi].  So 2 (plus - minus) adds
+        2 popcount(hi) - 2 popcount(lo), and 2^(k+1) lin adds E_lo - E_hi,
+        the same by (c).  2^(k+2) (plus + minus) adds
+        2^(k+2) popcount(lo ^ hi), and 4^(k+1) inf adds
+        |A_lo - A_hi|^2 = 2^k |v_lo - v_hi|^2, the same by (a) and (b)."""
         rows = self.rows
         points = rows.shape[1]
         k = points.bit_length() - 1
-        u, w, r = self.residuals
         twice = rows[0] - rows[1 << np.arange(points)].astype(np.int16)  # 2 H^T
         h = twice >> 1
+        a, b, norm, weighted = self.halves
+        # int8 counts would wrap when shifted; int16 holds 2^(k+1) times the
+        # sum of any two int8 counts at k <= 4, and wider counts stay wide
+        plus, minus = (counts.astype(np.promote_types(counts.dtype, np.int16))
+                       for counts in (self.plus, self.minus))
         if (np.any(twice & 1) or np.any(h.sum(axis=0) != rows[0])
                 or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
                           != np.eye(points, dtype=np.int64) << k)
-                or np.any(u != -(1 << k)) or np.any(w != 1 << k) or np.any(r != -(1 << 2 * k))):
+                or np.any(h[:, 0] != 1)
+                or _identity_breaks(plus, minus, k, (a + b) >> 1, (weighted - norm) >> 1).size):
             return False
         # a few thousand rows at a time, so the int16 temporaries stay small
         step = 1 << 12
@@ -781,28 +754,23 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     statistics of its halves (_range_extremes), and its rows are read through
     the gather route, as halves (_pairs) of one sub-batch at a time, only
     where a degree's best row breaks the bound, or the check is on and the
-    level of its halves does not prove both identities.  Other tables are
-    unpacked (_bits_matrix), and every row is reduced from its spectrum block."""
+    level of its halves does not prove both identities.  Each sub-batch's
+    witnesses are merged in before the next is read, so at most _WITNESS_CAP
+    of each kind are held.  Other tables are unpacked (_bits_matrix), and
+    every row is reduced from its spectrum block."""
     n = cfg.n
     check = bool(cfg.equivalence_d_range)
     degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
-    source = None if isinstance(tables, range) else _bits_matrix(tables, n)
-    if source is None:
+    if isinstance(tables, range):
         extremes = _range_extremes(tables, n, degrees)
     else:
+        source = _bits_matrix(tables, n)
         deg, lin, inf = _spectrum_reductions(source, n, check)
         extremes = {d: (count, best, attain.size, min(tables[j] for j in attain.tolist()))
                     for d, count, best, attain in _degree_rows(deg, lin, degrees)}
     # the scale is positive, so no row fails the bound unless the best does
     over = [d for d, record in extremes.items()
             if operator.gt(*_bound_sides(consts[d], record[1]))]
-    if source is None and (over or check and not _level(n - 1).identities_hold):
-        step = _BATCH_CELLS >> n
-        if len(tables) > step:
-            parts = (tables[off : off + step] for off in range(0, len(tables), step))
-            return functools.reduce(merge_results, (_accumulate(cfg, consts, p) for p in parts))
-        source = _pairs(tables, n)
-        deg, lin, inf = _spectrum_reductions(source, n, check)
 
     def hex_of(table: int) -> str:
         return to_hex(BooleanFunction(n, table))
@@ -812,31 +780,47 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
         best_dy, bound = DyadicRational(best, n), maj_bound(d)
         per_degree[d] = DegreeExtremal(d, count, best_dy, hex_of(witness), reach, bound,
                                        bound - best_dy)
-    violations = []
-    for d in over:
-        idx = np.flatnonzero(deg == d)
-        lhs, rhs = _bound_sides(consts[d], lin[idx])
-        violations += [ConjectureWitness(hex_of(tables[j]), n, d,
-                                         DyadicRational(int(lin[j]), n), per_degree[d].bound)
-                       for j in idx[lhs > rhs].tolist()]
 
-    failures = []
+    def witnesses(tables, source, deg, lin, inf) -> tuple[list, list]:
+        """The violations and equivalence failures among the rows of a chunk
+        matrix of tables, from their reductions."""
+        violations = []
+        for d in over:
+            idx = np.flatnonzero(deg == d)
+            lhs, rhs = _bound_sides(consts[d], lin[idx])
+            violations += [ConjectureWitness(hex_of(tables[j]), n, d,
+                                             DyadicRational(int(lin[j]), n), per_degree[d].bound)
+                           for j in idx[lhs > rhs].tolist()]
+        failures = []
+        if check:
+            plus, minus = _derivative_counts(source, n)
+            # where both identities hold, each of the four inequalities reads
+            # (plus - minus) * s.prob <= s.maj at every d
+            broken = _identity_breaks(plus, minus, n, lin, inf)
+            if cfg.degree_filter is not None:
+                broken = broken[deg[broken] == cfg.degree_filter]
+            if broken.size:
+                terms = (lin[broken], inf[broken], plus[broken], minus[broken])
+                for d in cfg.equivalence_d_range:
+                    sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
+                    agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
+                    failures += [EquivalenceWitness(hex_of(tables[int(broken[i])]), n, d,
+                                                    *(bool(x[i]) for x in sat))
+                                 for i in np.nonzero(~agree)[0]]
+        return violations, failures
+
+    if not isinstance(tables, range):
+        return _finalize(cfg, len(tables), *witnesses(tables, source, deg, lin, inf), per_degree)
+    result = _finalize(cfg, len(tables), (), (), per_degree)
     # a range left unread is on a proven level, where no row breaks an identity
-    if check and source is not None:
-        # where both identities hold, each of the four inequalities reads
-        # (plus - minus) * s.prob <= s.maj at every d
-        broken = _identity_breaks(source, n, lin, inf)
-        if cfg.degree_filter is not None:
-            broken = broken[deg[broken] == cfg.degree_filter]
-        if broken.size:
-            terms = (lin[broken], inf[broken], *_derivative_counts(source[broken], n))
-            for d in cfg.equivalence_d_range:
-                sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
-                agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-                failures += [EquivalenceWitness(hex_of(tables[int(broken[i])]), n, d,
-                                                *(bool(x[i]) for x in sat))
-                             for i in np.nonzero(~agree)[0]]
-    return _finalize(cfg, len(tables), violations, failures, per_degree)
+    if over or check and not _level(n - 1).identities_hold:
+        step = _BATCH_CELLS >> n
+        for off in range(0, len(tables), step):
+            part = tables[off : off + step]
+            source = _pairs(part, n)
+            found = witnesses(part, source, *_spectrum_reductions(source, n, check))
+            result = merge_results(result, _finalize(cfg, 0, *found, {}))
+    return result
 
 
 def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:

@@ -603,8 +603,8 @@ def test_levels_are_built_through_the_gather_route_without_unpacking(monkeypatch
 def test_level_tables_are_read_only():
     # one record per arity serves the whole process
     level = _level(3)
-    for values in (level.rows, level.plus, level.minus, level.halves, level.residuals,
-                   level.degrees, level.keys, *level.key_stats):
+    for values in (level.rows, level.plus, level.minus, level.halves, level.degrees,
+                   level.keys, *level.key_stats):
         with pytest.raises(ValueError):
             values[0] += 1
     assert_level_row(level, 3, 0)
@@ -725,12 +725,32 @@ def test_norm_check_equals_the_pairwise_check(monkeypatch):
                     scan._check_norms(n, his, los)
             monkeypatch.undo()
         assert 40 <= raised < 80, n
-    # the whole n = 5 table is one rectangle, and one corrupt half fails it
+    # the whole n = 5 table is four rectangles, and one corrupt half fails it
     bad = _level(4).rows.copy()
     bad[4242, 7] += 2
     patch_level(monkeypatch, 4, rows=bad)
     with pytest.raises(InvariantError, match="norm check"):
         scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), 0, 1 << 32)
+
+
+def test_whole_high_halves_are_read_a_key_block_at_a_time(monkeypatch):
+    # the per-hi records of a rectangle grow with its high halves, so no
+    # rectangle of the whole n = 5 table holds more than _KEY_BLOCK of them,
+    # and together they cover every table once
+    check_norms, rectangles = scan._check_norms, []
+
+    def spy(n, his, los):
+        rectangles.append((his, los))
+        return check_norms(n, his, los)
+
+    monkeypatch.setattr(scan, "_check_norms", spy)
+    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    scan_table_range(cfg, 0, 1 << 32)
+    monkeypatch.undo()
+    assert all(his.stop - his.start <= scan._KEY_BLOCK for his, _ in rectangles)
+    assert len(rectangles) == (1 << 16) // scan._KEY_BLOCK
+    assert sum((his.stop - his.start) * (los.stop - los.start)
+               for his, los in rectangles) == 1 << 32
 
 
 def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
@@ -821,9 +841,9 @@ def identity_route(source, n: int) -> list[list[int]]:
     if isinstance(source, range):
         source = _pairs(source, n)
     deg, lin, inf = _spectrum_reductions(source, n, True)
-    rows = _identity_breaks(source, n, lin, inf)
-    return [rows.tolist(), inf[rows].tolist(),
-            *(values.tolist() for values in _derivative_counts(source[rows], n))]
+    plus, minus = _derivative_counts(source, n)
+    rows = _identity_breaks(plus, minus, n, lin, inf)
+    return [rows.tolist(), inf[rows].tolist(), plus[rows].tolist(), minus[rows].tolist()]
 
 
 def test_range_reductions_match_the_gather_route(monkeypatch):
@@ -914,36 +934,15 @@ def test_half_statistics_hold_their_worst_cases(monkeypatch):
         scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), target, target + 1)
 
 
-def test_identity_residuals_hold_their_worst_cases(monkeypatch):
-    # at n = 5 a level-4 count is at most 4 * 2^3 = 32 and a half whose norm
-    # check passes has V <= 9 * 2 * 4^4, so a per-half term is at most
-    # 64 * 2^6 + 2^5 + 9 * 2 * 4^4, and each identity sums two of them and
-    # pair terms of at most 4^5 + 2 * 4^4
-    level = _level(4)
-    assert level.residuals.dtype == np.int16
-    term = (64 << 6) + (2 << 4) + 9 * 2 * 4**4
-    assert np.iinfo(level.residuals.dtype).max >= 2 * term + 4**5 + 2 * 4**4
-    rng = random.Random(17)
-    for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(200))):
-        f = BooleanFunction(4, t)
-        spectrum = fwht(f).coeffs.tolist()
-        counts = [derivative_value_counts(f, i) for i in range(1, 5)]
-        p, m = sum(c[1] for c in counts), sum(c[2] for c in counts)
-        lin, empty = sum(spectrum[1 << i] for i in range(4)), spectrum[0]
-        norm = sum(x * x for x in spectrum)
-        weighted = 2 * sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum)) + norm
-        ones = bin(t).count("1")
-        assert level.residuals[:, t].tolist() == [2 * (p - m) - 2 * ones - (lin + empty),
-                                                  2 * (p - m) + 2 * ones - (lin - empty),
-                                                  (p + m) * 64 - weighted], t
-    # counts past those bounds widen the type: 2^11 more +1 and -1 values in
-    # one half's counts leave the first identity whole and add 2^18 to R,
-    # which int16 would wrap to the same R, and both routes see the break
+def test_identity_proof_reads_counts_past_the_level_bounds(monkeypatch):
+    # 2^11 more +1 and -1 values in one half's counts leave the first
+    # identity whole and add 2^12 to the half's plus + minus, so 2^17 to the
+    # left side of the second identity at arity 4, which int16 would wrap to
+    # the same value: the proof fails, and both routes see the break
     n, target = 5, 4242
     bump = np.zeros(1 << 16, dtype=np.int64)
     bump[target] = 1 << 11
-    patch_level(monkeypatch, 4, plus=level.plus + bump, minus=level.minus + bump)
-    assert scan._level(4).residuals.dtype == np.int32
+    patch_level(monkeypatch, 4, plus=_level(4).plus + bump, minus=_level(4).minus + bump)
     assert not scan._level(4).identities_hold
     cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
     tables = range((target << 16) + 100, (target << 16) + 400)
@@ -952,10 +951,18 @@ def test_identity_residuals_hold_their_worst_cases(monkeypatch):
     assert got.equivalence_failures
 
 
+def level_identity_sides(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2^k lin and 4^k inf of each arity-k table from its spectrum row."""
+    rows = rows.astype(np.int64)
+    weights = np.bitwise_count(np.arange(rows.shape[1]))
+    return rows[:, weights == 1].sum(axis=1), (rows**2 * weights).sum(axis=1)
+
+
 def test_identity_proof_holds_on_every_clean_level():
     # each condition, checked here without the proof's recurrence: every row
-    # is H v_t for the Hadamard matrix H, H^T H = 2^k I, and the residuals
-    # are constant
+    # is H v_t for the Hadamard matrix H, H^T H = 2^k I, every row's entry at
+    # the empty set is its value sum, and every table's counts meet both
+    # identities
     for k in range(5):
         level, points = _level(k), 1 << k
         assert level.identities_hold is True, k
@@ -964,21 +971,23 @@ def test_identity_proof_holds_on_every_clean_level():
         values = 1 - 2 * ((np.arange(len(level.rows))[:, None] >> np.arange(points)) & 1)
         assert (level.rows == values @ h.T).all(), k
         assert (h.T @ h == points * np.eye(points, dtype=int)).all(), k
-        u, w, r = level.residuals.tolist()
-        assert set(u) == {-points} and set(w) == {points} and set(r) == {-points * points}, k
+        assert (level.rows[:, 0] == values.sum(axis=1)).all(), k
+        lin, inf = level_identity_sides(level.rows)
+        plus, minus = level.plus.astype(np.int64), level.minus.astype(np.int64)
+        assert (2 * (plus - minus) == lin).all() and ((plus + minus) << (k + 1) == inf).all(), k
 
 
 def proof_and_pair_route(monkeypatch, k: int, **arrays):
     """On _level(k) with the given arrays replaced: whether the proof holds,
-    whether the gather route finds no break over every (lo, hi) pair, read
-    as halves (a failed norm check is a break), and the residuals."""
+    and whether the gather route finds no break over every (lo, hi) pair,
+    read as halves (a failed norm check is a break)."""
     patch_level(monkeypatch, k, **arrays)
     patched = scan._level(k)
     try:
         clean = identity_route(range(1 << (2 << k)), k + 1)[0] == []
     except InvariantError:
         clean = False
-    got = (patched.identities_hold, clean, patched.residuals.tolist())
+    got = (patched.identities_hold, clean)
     monkeypatch.undo()
     return got
 
@@ -986,9 +995,13 @@ def proof_and_pair_route(monkeypatch, k: int, **arrays):
 def test_identity_proof_is_sound(monkeypatch):
     # wherever the proof holds, the gather route finds no break.  Two mutants
     # keep it whole: masks permuted within their weight class, and points
-    # permuted in every table with the counts moved alike keep H^T H = 2^k I
-    # and every residual.  Masks permuted across weights and negated rows
-    # keep H^T H but not the residuals.  Each failing mutant breaks some pair
+    # permuted in every table with the counts moved alike keep H^T H = 2^k I,
+    # H's row at the empty set and both identities in every table.  Masks
+    # permuted across weights and negated rows keep H^T H but not that row.
+    # Table t read as t ^ 2^x, with its counts, keeps the level linear, H^T H
+    # and both identities in every table, but not E = the sum of v_t, which
+    # only H's row at the empty set proves.  Each failing mutant breaks some
+    # pair
     for k in (1, 2, 3):
         level, points = _level(k), 1 << k
         rng = random.Random(k)
@@ -1009,24 +1022,27 @@ def test_identity_proof_is_sound(monkeypatch):
                      "minus": level.minus[rotated]}, True),
                    ({"rows": level.rows[:, across]}, False), ({"rows": -level.rows}, False),
                    ({"rows": flipped}, False), ({"plus": level.plus + (tables == 3)}, False)]
+        mutants += [({"rows": level.rows[tables ^ (1 << x)], "plus": level.plus[tables ^ (1 << x)],
+                      "minus": level.minus[tables ^ (1 << x)]}, False) for x in range(points)]
         for arrays, holds in mutants:
             got = proof_and_pair_route(monkeypatch, k, **arrays)
-            assert got[:2] == (holds, holds), (k, list(arrays))
-    # with counts that make every residual constant, one condition is left to
-    # fail: H^T H for rows = H v_t with H = [[1, 1], [3, 1]], and H 1 = A_0
-    # for the k = 2 rows shifted by 8 at mask 3, which keeps every difference
+            assert got == (holds, holds), (k, list(arrays))
+    # with counts that meet both identities in every table, and no N past
+    # 2 * 4^k, so that the half statistics are exact, one condition is left
+    # to fail: H^T H for rows = H v_t with H = [[1, 1], [-2, 0]], and H 1 = A_0
+    # for the k = 2 rows plus 1 at the empty set, which keeps every
+    # difference and both identities
     shifted = _level(2).rows.copy()
-    shifted[:, 3] += 8
-    for k, rows in ((1, np.array([[2, 4], [0, -2], [0, 2], [-2, -4]], dtype=np.int8)),
+    shifted[:, 0] += 1
+    for k, rows in ((1, np.array([[2, -2], [0, 2], [0, -2], [-2, 2]], dtype=np.int8)),
                     (2, shifted)):
-        a, b, _, weighted = dataclasses.replace(_level(k), rows=rows).halves.astype(np.int64)
-        # p - m from u = -2^k, and p + m from R = -4^k
-        diff = (a + 2 * np.bitwise_count(np.arange(len(rows))) - (1 << k)) // 2
-        total = (weighted - (1 << 2 * k)) >> (k + 2)
-        got = proof_and_pair_route(monkeypatch, k, rows=rows, plus=(total + diff) // 2,
-                                   minus=(total - diff) // 2)
-        size = len(rows)
-        assert got == (False, False, [[-1 << k] * size, [1 << k] * size, [-1 << 2 * k] * size])
+        assert (rows.astype(np.int64)**2).sum(axis=1).max() <= 2 << 2 * k
+        lin, inf = level_identity_sides(rows)
+        diff, total = lin // 2, inf >> (k + 1)
+        plus, minus = (total + diff) // 2, (total - diff) // 2
+        assert _identity_breaks(plus, minus, k, lin, inf).size == 0, k
+        assert proof_and_pair_route(monkeypatch, k, rows=rows, plus=plus, minus=minus) \
+            == (False, False), k
 
 
 def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
@@ -1493,7 +1509,8 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     # 3 * 2^16 + 17 n = 5 tables across four high halves, Maj_5 among them,
     # read row by row on a level without the proof, and under the Maj_d side
     # cut in half, where most rows break the bound: _pairs never holds more
-    # than one sub-batch, and witnesses are cut at the cap with exact counts
+    # than one sub-batch, the key records are read once for the whole range,
+    # and witnesses are cut at the cap with exact counts
     step = scan._BATCH_CELLS >> 5
     start = majority(5).table - (1 << 16) - 1000
     tables = range(start, start + 3 * step + 17)
@@ -1503,11 +1520,15 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     halved = {d: s._replace(maj=s.maj // 2) for d, s in consts.items()}
     bump = np.zeros(1 << 16, dtype=np.int64)
     bump[majority(5).table & 0xFFFF] = 1
-    pairs, lengths = scan._pairs, []
+    pairs, extremes, lengths, reads = scan._pairs, scan._range_extremes, [], []
 
     def counted(part, n):
         lengths.append(len(part))
         return pairs(part, n)
+
+    def read(part, n, degrees):
+        reads.append(part)
+        return extremes(part, n, degrees)
 
     for unproven, bounds in ((True, consts), (False, halved)):
         if unproven:
@@ -1515,11 +1536,14 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
             assert not scan._level(4).identities_hold
         want = _accumulate(cfg, bounds, list(tables))
         monkeypatch.setattr(scan, "_pairs", counted)
+        monkeypatch.setattr(scan, "_range_extremes", read)
         lengths.clear()
+        reads.clear()
         got = _accumulate(cfg, bounds, tables)
         monkeypatch.undo()
         assert got == want, unproven
         assert lengths == [step, step, step, 17], unproven
+        assert reads == [tables], unproven
         if unproven:
             assert got.equivalence_failures
         else:
