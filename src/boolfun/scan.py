@@ -83,10 +83,14 @@ _identity_breaks.  Each identity of a pair is then the sum of its halves'
 plus two pair terms that are equal.  So a range on a proven level, which
 every clean level is, reads no pair.  On an unproven level, or where a
 degree's best row breaks the bound, the range's halves are re-read through
-the gather route (_pairs), one sub-batch at a time.
+the gather route (_pairs), _BATCH_CELLS table bits at a time, by the row
+loop that reads a sub-batch of other tables (_accumulate).
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
+While rows are read, each row over the bound or identity break is held as
+integers, (table, d, ...), and they are sorted and cut at the cap after
+each sub-batch, so witness objects are built only for the rows kept.
 """
 
 from __future__ import annotations
@@ -478,18 +482,6 @@ def _key_records(level: _Level, j: int, start: int, stop: int, keys: int) -> np.
     return np.stack([others, own], axis=1)
 
 
-def _degree_rows(deg: np.ndarray, lin: np.ndarray, degrees):
-    """For each degree d of degrees that some row has, in order: d, the
-    number of its rows, their largest 2^n lin and the rows that reach it,
-    ascending."""
-    for d in degrees:
-        idx = (deg == d).nonzero()[0]
-        if idx.size:
-            sums = lin[idx]
-            best = int(sums.max())
-            yield d, idx.size, best, idx[sums == best]
-
-
 def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int, int, int]]:
     """The record of each degree of degrees that some table of a range of
     arity-n tables (n <= 5) has: the number of tables, the largest 2^n lin,
@@ -751,47 +743,46 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of a range, or of a sub-batch of other tables, at once.  A
     range is exhaustive, so n <= 5: its per-degree rows come from the key
-    statistics of its halves (_range_extremes), and its rows are read through
-    the gather route, as halves (_pairs) of one sub-batch at a time, only
+    statistics of its halves (_range_extremes), and its rows are read only
     where a degree's best row breaks the bound, or the check is on and the
-    level of its halves does not prove both identities.  Each sub-batch's
-    witnesses are merged in before the next is read, so at most _WITNESS_CAP
-    of each kind are held.  Other tables are unpacked (_bits_matrix), and
-    every row is reduced from its spectrum block."""
+    level of its halves does not prove both identities, and then as halves
+    (_pairs), in parts of _BATCH_CELLS table bits.  Other tables are one
+    part, unpacked (_bits_matrix), whose per-degree rows come from its
+    reductions.  Each part is reduced from its spectrum blocks, and its rows
+    over the bound and its identity breaks are held as (table, d, ...)
+    integer tuples, sorted and cut at _WITNESS_CAP before the next part is
+    read, with the rows cut counted.  Witnesses are built only for the rows
+    kept."""
     n = cfg.n
     check = bool(cfg.equivalence_d_range)
     degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
-    if isinstance(tables, range):
+    listed = not isinstance(tables, range)
+    extremes, parts = {}, [tables]
+    if not listed:
         extremes = _range_extremes(tables, n, degrees)
-    else:
-        source = _bits_matrix(tables, n)
+        # the scale is positive, so no row breaks the bound unless the best
+        # does; a range left unread is on a proven level, where no row breaks
+        # an identity
+        over = any(operator.gt(*_bound_sides(consts[d], record[1]))
+                   for d, record in extremes.items())
+        step = _BATCH_CELLS >> n
+        parts = ([tables[off : off + step] for off in range(0, len(tables), step)]
+                 if over or check and not _level(n - 1).identities_hold else [])
+    found, omitted = ([], []), [0, 0]
+    for part in parts:
+        source = _bits_matrix(part, n) if listed else _pairs(part, n)
         deg, lin, inf = _spectrum_reductions(source, n, check)
-        extremes = {d: (count, best, attain.size, min(tables[j] for j in attain.tolist()))
-                    for d, count, best, attain in _degree_rows(deg, lin, degrees)}
-    # the scale is positive, so no row fails the bound unless the best does
-    over = [d for d, record in extremes.items()
-            if operator.gt(*_bound_sides(consts[d], record[1]))]
-
-    def hex_of(table: int) -> str:
-        return to_hex(BooleanFunction(n, table))
-
-    per_degree = {}
-    for d, (count, best, reach, witness) in extremes.items():
-        best_dy, bound = DyadicRational(best, n), maj_bound(d)
-        per_degree[d] = DegreeExtremal(d, count, best_dy, hex_of(witness), reach, bound,
-                                       bound - best_dy)
-
-    def witnesses(tables, source, deg, lin, inf) -> tuple[list, list]:
-        """The violations and equivalence failures among the rows of a chunk
-        matrix of tables, from their reductions."""
-        violations = []
-        for d in over:
+        for d in degrees:
             idx = np.flatnonzero(deg == d)
-            lhs, rhs = _bound_sides(consts[d], lin[idx])
-            violations += [ConjectureWitness(hex_of(tables[j]), n, d,
-                                             DyadicRational(int(lin[j]), n), per_degree[d].bound)
-                           for j in idx[lhs > rhs].tolist()]
-        failures = []
+            if not idx.size:
+                continue
+            sums = lin[idx]
+            if listed:
+                best = int(sums.max())
+                attain = idx[sums == best].tolist()
+                extremes[d] = (idx.size, best, len(attain), min(part[j] for j in attain))
+            lhs, rhs = _bound_sides(consts[d], sums)
+            found[0].extend((part[j], d, int(lin[j])) for j in idx[lhs > rhs].tolist())
         if check:
             plus, minus = _derivative_counts(source, n)
             # where both identities hold, each of the four inequalities reads
@@ -804,23 +795,23 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 for d in cfg.equivalence_d_range:
                     sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
                     agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-                    failures += [EquivalenceWitness(hex_of(tables[int(broken[i])]), n, d,
-                                                    *(bool(x[i]) for x in sat))
-                                 for i in np.nonzero(~agree)[0]]
-        return violations, failures
-
-    if not isinstance(tables, range):
-        return _finalize(cfg, len(tables), *witnesses(tables, source, deg, lin, inf), per_degree)
-    result = _finalize(cfg, len(tables), (), (), per_degree)
-    # a range left unread is on a proven level, where no row breaks an identity
-    if over or check and not _level(n - 1).identities_hold:
-        step = _BATCH_CELLS >> n
-        for off in range(0, len(tables), step):
-            part = tables[off : off + step]
-            source = _pairs(part, n)
-            found = witnesses(part, source, *_spectrum_reductions(source, n, check))
-            result = merge_results(result, _finalize(cfg, 0, *found, {}))
-    return result
+                    found[1].extend((part[int(broken[i])], d, *(bool(x[i]) for x in sat))
+                                    for i in np.flatnonzero(~agree).tolist())
+        for kind, rows in enumerate(found):
+            rows.sort()
+            omitted[kind] += max(0, len(rows) - _WITNESS_CAP)
+            del rows[_WITNESS_CAP:]
+    per_degree = {}
+    for d, (count, best, reach, first) in extremes.items():
+        best_dy, bound = DyadicRational(best, n), maj_bound(d)
+        per_degree[d] = DegreeExtremal(d, count, best_dy, to_hex(BooleanFunction(n, first)), reach,
+                                       bound, bound - best_dy)
+    violations = [ConjectureWitness(to_hex(BooleanFunction(n, table)), n, d,
+                                    DyadicRational(scaled, n), maj_bound(d))
+                  for table, d, scaled in found[0]]
+    failures = [EquivalenceWitness(to_hex(BooleanFunction(n, table)), n, *rest)
+                for table, *rest in found[1]]
+    return _finalize(cfg, len(tables), violations, failures, per_degree, *omitted)
 
 
 def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:

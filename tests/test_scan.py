@@ -7,6 +7,7 @@ integer formulas it shares with the single-function API, shows up as a
 mismatch.
 """
 
+import collections
 import dataclasses
 import functools
 import json
@@ -1488,6 +1489,32 @@ def test_violations_are_the_rows_over_the_bound():
     assert all(sum(w[1] == d for w in want) < got.per_degree[d].function_count for d in (1, 2, 3))
 
 
+def test_repeated_tables_past_the_cap_are_cut_like_distinct_ones():
+    # seeded n = 3 samples repeat tables, and under the Maj_d side cut in half
+    # more than _WITNESS_CAP of them break the bound: the violations are the
+    # first _WITNESS_CAP rows of a reference built one function at a time,
+    # repeats included, and the rest are counted exactly
+    cfg = ScanConfig(n=3, mode="random", sample_count=16000, seed=11)
+    halved = {d: s._replace(maj=s.maj // 2) for d, s in _build_consts(cfg).items()}
+    samples = [_sample_table(cfg.seed, i, cfg.points) for i in range(cfg.sample_count)]
+    side = functools.cache(lambda t: frac_side(BooleanFunction(3, t)))
+    want = []
+    for t in samples:
+        s = halved[side(t).degree]
+        scaled = side(t).linear_sum * 8
+        assert scaled.denominator == 1
+        if int(scaled) * s.linear > s.maj:
+            want.append((t, side(t).degree, side(t).linear_sum))
+    want.sort()
+    assert len(want) > scan._WITNESS_CAP and len(set(want)) < scan._WITNESS_CAP
+    got = _accumulate(cfg, halved, samples)
+    assert [(w.table_hex, w.n, w.degree, w.linear_sum.as_fraction(), w.bound.as_fraction())
+            for w in got.violations] == \
+        [(to_hex(BooleanFunction(3, t)), 3, d, lin, frac_bound(d))
+         for t, d, lin in want[: scan._WITNESS_CAP]]
+    assert got.violations_omitted == len(want) - scan._WITNESS_CAP
+
+
 def test_n5_violations_are_the_rows_over_the_bound():
     # whole n = 5 high halves, one whose top coefficient is 0 and one whose is
     # not, under the Maj_d side cut in half: a range reads its degrees' best
@@ -1510,7 +1537,8 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     # read row by row on a level without the proof, and under the Maj_d side
     # cut in half, where most rows break the bound: _pairs never holds more
     # than one sub-batch, the key records are read once for the whole range,
-    # and witnesses are cut at the cap with exact counts
+    # witnesses are cut at the cap with exact counts, and no call, on the
+    # range or on its tables as a list, builds more witnesses than it keeps
     step = scan._BATCH_CELLS >> 5
     start = majority(5).table - (1 << 16) - 1000
     tables = range(start, start + 3 * step + 17)
@@ -1521,6 +1549,7 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     bump = np.zeros(1 << 16, dtype=np.int64)
     bump[majority(5).table & 0xFFFF] = 1
     pairs, extremes, lengths, reads = scan._pairs, scan._range_extremes, [], []
+    built = collections.Counter()
 
     def counted(part, n):
         lengths.append(len(part))
@@ -1530,16 +1559,30 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
         reads.append(part)
         return extremes(part, n, degrees)
 
+    def spied(kind):
+        def build(*args):
+            built[kind] += 1
+            return kind(*args)
+        return build
+
+    def accumulate(bounds, tables):
+        built.clear()
+        result = _accumulate(cfg, bounds, tables)
+        assert all(count <= scan._WITNESS_CAP for count in built.values()), (type(tables), built)
+        return result
+
     for unproven, bounds in ((True, consts), (False, halved)):
         if unproven:
             patch_level(monkeypatch, 4, plus=_level(4).plus + bump)
             assert not scan._level(4).identities_hold
-        want = _accumulate(cfg, bounds, list(tables))
+        for kind in (ConjectureWitness, EquivalenceWitness):
+            monkeypatch.setattr(scan, kind.__name__, spied(kind))
+        want = accumulate(bounds, list(tables))
         monkeypatch.setattr(scan, "_pairs", counted)
         monkeypatch.setattr(scan, "_range_extremes", read)
         lengths.clear()
         reads.clear()
-        got = _accumulate(cfg, bounds, tables)
+        got = accumulate(bounds, tables)
         monkeypatch.undo()
         assert got == want, unproven
         assert lengths == [step, step, step, 17], unproven
