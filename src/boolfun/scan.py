@@ -27,9 +27,8 @@ Two routes read the tables.
   [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
   integers, so a range is rectangles of (hi, lo) pairs: a partial first
   high half, runs of at most _KEY_BLOCK whole high halves, and a partial
-  last one (_rectangles).  Each reduction is then per-half terms plus at
-  most one pair term: the squares sum to 2 (N_lo + N_hi), and 2^n times
-  the linear sum is a_lo + b_hi (_Level.halves).  The coefficients at
+  last one (_rectangles).  2^n times the linear sum is then a_lo + b_hi
+  (_Level.halves), a per-half term for each side.  The coefficients at
   S + {n} and S are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j
   a half's entries at the masks of weight j, f has degree <= j exactly
   when both halves do and H_j(lo) = H_j(hi) (O'Donnell 2014, 3.3).  Row j
@@ -57,8 +56,12 @@ A block's entries are squared once, in the narrowest type that holds 4^n
 reduced along axis 0 while it is in cache: its squares give the total
 influence for the equivalence check, and its entries give the degree and
 the linear sum (_spectrum_reductions, by the core and derivatives
-formulas).  A range is norm-checked and reduced from its halves alone, in
-the same integers.
+formulas).  A range is reduced from its halves alone, in the same
+integers, and checked by one proof per level (_Level.identities_hold,
+below): a proven level's tables each have N = 4^(n-1), the sum of their
+squared entries, so every pair's squares sum to 2 (N_lo + N_hi) = 4^n.  A
+range on a level without the proof is read through the gather route,
+whose blocks are norm-checked.
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -88,9 +91,10 @@ loop that reads a sub-batch of other tables (_accumulate).
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
-While rows are read, each row over the bound or identity break is held as
-integers, (table, d, ...), and they are sorted and cut at the cap after
-each sub-batch, so witness objects are built only for the rows kept.
+While rows are read, each row over the bound or identity break is an
+integer tuple, (table, d, ...), made one at a time and merged into the rows
+kept so far, of which the _WITNESS_CAP smallest stay (heapq.nsmallest), so
+no more than the cap are held and witness objects are built only for them.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ from __future__ import annotations
 import collections
 import functools
 import hashlib
+import heapq
 import itertools
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -395,16 +400,6 @@ def _spectrum_reductions(source: np.ndarray, n: int, influence: bool):
     return deg, lin, inf
 
 
-def _check_norms(n: int, his: slice, los: slice) -> None:
-    """The norm check of a rectangle of arity-n tables f = (lo, hi) (n <= 5),
-    his x los: f's spectrum is [A_lo + A_hi, A_lo - A_hi], so its squares
-    sum to 2 (N_lo + N_hi) (_Level.halves), which must be 4^n.  Every pair
-    meets it exactly when the his share one N and each lo's N completes it."""
-    norm = _level(n - 1).halves[2]
-    if ((hi := norm[his]) != hi[0]).any() or (norm[los] != (1 << (2 * n - 1)) - hi[0]).any():
-        raise InvariantError("spectrum norm check failed during scan")
-
-
 # A record of some rows is their count, the best value among them, how many
 # reach it and the first of those, a table integer.  The record of no rows
 # has a best and a first that lose to any row's, and stay in int64 when a
@@ -499,7 +494,6 @@ def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int,
     per_hi = 1 << (1 << (n - 1))
     found = {}
     for his, los in _rectangles(tables, n):
-        _check_norms(n, his, los)
         hi_deg = deg[his]
         for j in range(min(hi_deg.tolist()), n):
             if j not in degrees and j + 1 not in degrees:
@@ -587,53 +581,54 @@ class _Level:
     def halves(self) -> np.ndarray:
         """The statistics of each table A as a half of an arity-(k + 1) table,
         from rows, on first use: rows a = L + E and b = L - E, with L the
-        sum of A's singleton entries and E = A(empty set), then N, the sum of
-        A's squared entries, and V = 2 * sum |S| A(S)^2 + N.
+        sum of A's singleton entries and E = A(empty set), then
+        W = sum |S| A(S)^2, 4^k times A's total influence.
 
-        Their type holds each of them, a_lo + b_hi, and the sum N_lo + N_hi
-        that _check_norms takes in it, for a table whose norm check passes.
-        Each of its halves has N <= 2 * 4^k, so |A(S)| < 2^(k + 1),
-        V <= (2k + 1) N <= (k + 1) 4^(k+1), and
-        |a_lo + b_hi| = 2^(k+1) |lin| <= (k + 1) 2^(k+1).  A larger N fails
-        with any partner, so it is stored as 2 * 4^k + 1, and the check's sum
-        is at most 4^(k+1) + 2; a, b and V of such a half may wrap, as only
-        failing tables read them, and identities_hold relies on them only
-        where every N is 4^k."""
+        Their type holds the bounds of a proven level (identities_hold),
+        where every table has N = 4^k: |a|, |b| <= (k + 1) 2^k and
+        W <= k 4^k.  That type is at least int16, which holds any sum of
+        k + 1 int8 entries, so a and b are exact on every level, and a
+        range reads them for its per-degree rows; W may wrap, on an
+        unproven level only."""
         rows = self.rows
         k = rows.shape[1].bit_length() - 1
-        bound = max((k + 1) << (2 * k + 2), (4 << 2 * k) + 2)
-        halves = np.empty((4, len(rows)), dtype=_int_type(bound))
-        # rows are int8, so no sum below passes (2k + 1) 2^k 4^7 in size
-        wide = _int_type((2 * k + 1) << (k + 14))
+        halves = np.empty((3, len(rows)), dtype=_int_type(max((k + 1) << k, k << 2 * k)))
+        # rows are int8, so no sum below passes k 2^k 4^7 in size
+        wide = _int_type(k << (k + 14))
         lin = rows[:, singleton_masks(k)].sum(axis=1, dtype=wide)
         halves[0], halves[1] = lin + rows[:, 0], lin - rows[:, 0]
-        norm = np.einsum("ts,ts->t", rows, rows, dtype=wide)
-        halves[3] = 2 * np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows,
-                                  dtype=wide) + norm
-        halves[2] = np.minimum(norm, (2 << 2 * k) + 1)
+        halves[2] = np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows, dtype=wide)
         halves.setflags(write=False)
         return halves
 
     @functools.cached_property
     def identities_hold(self) -> bool:
-        """Whether both identities of the module docstring hold for every
-        table f = (lo, hi) of arity k + 1 with halves at this level, proven
-        once per level, on first use, without reading a pair.  With H read off
-        the level, H[:, x] = (A_0 - A_(2^x)) / 2 for each point x, it checks
-        in integers that
+        """Whether every table f = (lo, hi) of arity k + 1 with halves at this
+        level passes the norm check and meets both identities of the module
+        docstring, proven once per level, on first use, without reading a
+        pair.  It is the one check a range trusts: on a proven level a range
+        reads no row, and on an unproven one it reads every row through the
+        gather route, whose blocks are norm-checked.  With H read off the
+        level, H[:, x] = (A_0 - A_(2^x)) / 2 for each point x, it checks in
+        integers that
         (a) the level is linear: each difference is even, H 1 = A_0, and
             A_(t + 2^x) = A_t - 2 H[:, x] for every x and t < 2^x, so
             A_t = H v_t, with v_t the table's +-1 values;
-        (b) H^T H = 2^k I, so with (a) each table has N = 4^k, and its
-            half statistics are exact;
+        (b) H^T H = 2^k I, so with (a) every table has
+            N = v_t^T H^T H v_t = 2^k |v_t|^2 = 4^k, the sum of its squared
+            entries, and every f, whose spectrum is [A_lo + A_hi,
+            A_lo - A_hi], has squares summing to 2 (N_lo + N_hi) = 4^(k+1):
+            the range route relies on this in place of a norm check;
         (c) H's row at the empty set is all ones, so E = A_t(empty set) is
             the sum of v_t, 2^k - 2 popcount(t), and every table meets both
             identities at arity k (_identity_breaks, with 2^k lin =
-            (a + b) / 2 and 4^k inf = (V - N) / 2 from halves).
-        Then each identity of f is its halves' plus two pair terms, and the
-        pair terms are equal.  f's counts add popcount(hi & ~lo) and
-        popcount(lo & ~hi) to its halves', and its spectrum is
-        [A_lo + A_hi, A_lo - A_hi].  So 2 (plus - minus) adds
+            (a + b) / 2 and 4^k inf = W from halves).
+        W is stored in a type that holds k 4^k, its bound where N = 4^k as
+        |S| <= k, so it may wrap only where (a) or (b) fails, and the proof
+        is then false whatever (c) reads.  Then each identity of f is its
+        halves' plus two pair terms, and the pair terms are equal.  f's
+        counts add popcount(hi & ~lo) and popcount(lo & ~hi) to its halves',
+        and its spectrum is [A_lo + A_hi, A_lo - A_hi].  So 2 (plus - minus) adds
         2 popcount(hi) - 2 popcount(lo), and 2^(k+1) lin adds E_lo - E_hi,
         the same by (c).  2^(k+2) (plus + minus) adds
         2^(k+2) popcount(lo ^ hi), and 4^(k+1) inf adds
@@ -643,7 +638,7 @@ class _Level:
         k = points.bit_length() - 1
         twice = rows[0] - rows[1 << np.arange(points)].astype(np.int16)  # 2 H^T
         h = twice >> 1
-        a, b, norm, weighted = self.halves
+        a, b, weighted = self.halves
         # int8 counts would wrap when shifted; int16 holds 2^(k+1) times the
         # sum of any two int8 counts at k <= 4, and wider counts stay wide
         plus, minus = (counts.astype(np.promote_types(counts.dtype, np.int16))
@@ -652,7 +647,7 @@ class _Level:
                 or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
                           != np.eye(points, dtype=np.int64) << k)
                 or np.any(h[:, 0] != 1)
-                or _identity_breaks(plus, minus, k, (a + b) >> 1, (weighted - norm) >> 1).size):
+                or _identity_breaks(plus, minus, k, (a + b) >> 1, weighted).size):
             return False
         # a few thousand rows at a time, so the int16 temporaries stay small
         step = 1 << 12
@@ -744,15 +739,15 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     """Every table of a range, or of a sub-batch of other tables, at once.  A
     range is exhaustive, so n <= 5: its per-degree rows come from the key
     statistics of its halves (_range_extremes), and its rows are read only
-    where a degree's best row breaks the bound, or the check is on and the
-    level of its halves does not prove both identities, and then as halves
-    (_pairs), in parts of _BATCH_CELLS table bits.  Other tables are one
-    part, unpacked (_bits_matrix), whose per-degree rows come from its
-    reductions.  Each part is reduced from its spectrum blocks, and its rows
-    over the bound and its identity breaks are held as (table, d, ...)
-    integer tuples, sorted and cut at _WITNESS_CAP before the next part is
-    read, with the rows cut counted.  Witnesses are built only for the rows
-    kept."""
+    where a degree's best row breaks the bound or the level of its halves is
+    unproven (_Level.identities_hold), and then as halves (_pairs), in parts
+    of _BATCH_CELLS table bits.  Other tables are one part, unpacked
+    (_bits_matrix), whose per-degree rows come from its reductions.  Each
+    part is reduced from its spectrum blocks.  Its rows over the bound and
+    its identity breaks, at each d, are made one at a time as (table, d, ...)
+    integer tuples and merged into the rows kept, of which the _WITNESS_CAP
+    smallest stay and the rest are counted.  Witnesses are built only for
+    the rows kept."""
     n = cfg.n
     check = bool(cfg.equivalence_d_range)
     degrees = range(n + 1) if cfg.degree_filter is None else (cfg.degree_filter,)
@@ -761,14 +756,20 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     if not listed:
         extremes = _range_extremes(tables, n, degrees)
         # the scale is positive, so no row breaks the bound unless the best
-        # does; a range left unread is on a proven level, where no row breaks
-        # an identity
+        # does; a range left unread is on a proven level, where every row
+        # passes the norm check and breaks no identity
         over = any(operator.gt(*_bound_sides(consts[d], record[1]))
                    for d, record in extremes.items())
         step = _BATCH_CELLS >> n
         parts = ([tables[off : off + step] for off in range(0, len(tables), step)]
-                 if over or check and not _level(n - 1).identities_hold else [])
-    found, omitted = ([], []), [0, 0]
+                 if over or not _level(n - 1).identities_hold else [])
+    found, omitted = [[], []], [0, 0]
+
+    def keep(kind: int, rows, count: int) -> None:
+        if count:
+            found[kind] = heapq.nsmallest(_WITNESS_CAP, itertools.chain(held := found[kind], rows))
+            omitted[kind] += len(held) + count - len(found[kind])
+
     for part in parts:
         source = _bits_matrix(part, n) if listed else _pairs(part, n)
         deg, lin, inf = _spectrum_reductions(source, n, check)
@@ -782,7 +783,8 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 attain = idx[sums == best].tolist()
                 extremes[d] = (idx.size, best, len(attain), min(part[j] for j in attain))
             lhs, rhs = _bound_sides(consts[d], sums)
-            found[0].extend((part[j], d, int(lin[j])) for j in idx[lhs > rhs].tolist())
+            hits = idx[lhs > rhs]
+            keep(0, ((part[j], d, int(lin[j])) for j in hits), hits.size)
         if check:
             plus, minus = _derivative_counts(source, n)
             # where both identities hold, each of the four inequalities reads
@@ -795,12 +797,9 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 for d in cfg.equivalence_d_range:
                     sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
                     agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])
-                    found[1].extend((part[int(broken[i])], d, *(bool(x[i]) for x in sat))
-                                    for i in np.flatnonzero(~agree).tolist())
-        for kind, rows in enumerate(found):
-            rows.sort()
-            omitted[kind] += max(0, len(rows) - _WITNESS_CAP)
-            del rows[_WITNESS_CAP:]
+                    hits = np.flatnonzero(~agree)
+                    keep(1, ((part[broken[i]], d, *(bool(x[i]) for x in sat)) for i in hits),
+                         hits.size)
     per_degree = {}
     for d, (count, best, reach, first) in extremes.items():
         best_dy, bound = DyadicRational(best, n), maj_bound(d)

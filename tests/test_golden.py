@@ -57,6 +57,11 @@ GOLDEN = {
     "scan_n5_equiv_1_6_default_run": (
         ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2"],
         "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
+    # every n = 5 table with the equivalence check off: the per-degree table
+    # alone, read on a level the identity proof must accept
+    "scan_n5_bound_only": (
+        ["scan", "--n", "5", "--allow-huge"],
+        "f0443c309d7a9a821ec4ab9045feb5d1d06bb5b1eb8e9b2be9f6e848b4102222"),
     "scan_random_n7_equiv_1_4_8": (
         ["scan", "--n", "7", "--mode", "random", "--samples", "300", "--seed", "11",
          "--chunk-size", "64", "--equiv-d", "1,4,8"],

@@ -691,60 +691,87 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
         _batch_butterfly(chunks, n)
 
 
-def pairwise_norms_pass(n: int, his: slice, los: slice) -> bool:
-    """The norm check of every pair of the rectangle his x los, one sum per
-    pair: 2 (N_lo + N_hi) must be 4^n."""
-    norm = scan._level(n - 1).halves[2]
-    return not np.any(norm[his, None] + norm[los] != 1 << (2 * n - 1))
-
-
-def test_norm_check_equals_the_pairwise_check(monkeypatch):
-    # random rectangles of at most 2^20 pairs, so the oracle stays small: one
-    # N raised among the his, one lowered among the los, both (by offsetting
-    # amounts, which the one pair of those two halves meets), or neither
-    rng = random.Random(22)
+def test_a_range_holding_a_corrupt_half_fails_the_norm_check(monkeypatch):
+    # every entry of a level row is even, so one raised by 2 changes its
+    # table's N, by 4 (x + 1) for an entry x: the largest entry of an even
+    # table, whose value at point 0 is +1, so that its entries sum to 2^k,
+    # is positive, and its N grows.  Raised on a hi, on a lo, or on both
+    # halves of one pair, the level is unproven, and a range holding such a
+    # pair reads its rows, whose norm check fails and names the call, with the
+    # equivalence check on and off.  A range holding none equals the list
+    # route, which below n = 5 reads the clean _level(n)
+    rng = random.Random(25)
     for n in range(2, 6):
-        size = 1 << (1 << (n - 1))
-        clean, raised = _level(n - 1), 0
-        for trial in range(80):
-            widths = [rng.choice((1, 2, rng.randrange(1, min(size, 1 << 10) + 1)))
-                      for _ in range(2)]
-            his, los = (slice(a, a + w) for a, w in
-                        ((rng.randrange(size - w + 1), w) for w in widths))
-            halves = clean.halves.copy()
-            kind = trial % 4
-            halves[2, rng.randrange(his.start, his.stop)] += kind in (0, 2)
-            halves[2, rng.randrange(los.start, los.stop)] -= kind in (1, 2)
-            patched = dataclasses.replace(clean)
-            object.__setattr__(patched, "halves", halves)
-            monkeypatch.setattr(scan, "_level", lambda j: patched if j == n - 1 else _level(j))
-            if pairwise_norms_pass(n, his, los):
-                scan._check_norms(n, his, los)
-            else:
-                raised += 1
-                with pytest.raises(InvariantError, match="norm check"):
-                    scan._check_norms(n, his, los)
+        k, per_hi = n - 1, 1 << (1 << (n - 1))
+        for kind in ("hi", "lo", "both"):
+            hi, lo = (2 * rng.randrange(per_hi // 2) for _ in range(2))
+            corrupt = {"hi": {hi}, "lo": {lo}, "both": {hi, lo}}[kind]
+            bad = _level(k).rows.copy()
+            for t in corrupt:
+                bad[t, np.argmax(bad[t])] += 2
+            patch_level(monkeypatch, k, rows=bad)
+            assert not scan._level(k).identities_hold
+            table = hi * per_hi + lo
+            start = max(0, table - rng.randrange(2000))
+            stop = min(per_hi * per_hi, table + 1 + rng.randrange(2000))
+            # under an odd hi, the lo's above every corrupt one
+            clean = rng.randrange(per_hi // 2) * 2 + 1
+            clean = range(clean * per_hi + max(corrupt) + 1, (clean + 1) * per_hi)
+            for check in (True, False):
+                cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_check=check)
+                call = f"scan_table_range({cfg!r}, {start}, {stop})"
+                with pytest.raises(InvariantError, match="norm check") as info:
+                    scan_table_range(cfg, start, stop)
+                assert str(info.value).endswith("; reproduce with " + call), (n, kind)
+                assert scan_table_range(cfg, clean.start, clean.stop) == \
+                    _accumulate(cfg, _build_consts(cfg), list(clean)), (n, kind, check)
             monkeypatch.undo()
-        assert 40 <= raised < 80, n
-    # the whole n = 5 table is four rectangles, and one corrupt half fails it
-    bad = _level(4).rows.copy()
-    bad[4242, 7] += 2
-    patch_level(monkeypatch, 4, rows=bad)
-    with pytest.raises(InvariantError, match="norm check"):
-        scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), 0, 1 << 32)
+
+
+def test_a_sign_flip_keeps_every_norm_and_is_read_row_by_row(monkeypatch):
+    # a negated entry keeps its table's N and W, so no norm check fails, and
+    # the level is unproven: a range on it with the equivalence check off
+    # reads its rows and equals the list route, which below n = 5 reads a
+    # _level(n) built from the flipped level
+    rng = random.Random(26)
+    pairs = scan._pairs
+    for n in range(2, 6):
+        k, per_hi = n - 1, 1 << (1 << (n - 1))
+        target = rng.randrange(per_hi)
+        bad = _level(k).rows.copy()
+        bad[target, rng.choice(np.flatnonzero(bad[target]).tolist())] *= -1
+        patch_level(monkeypatch, k, rows=bad)
+        levels = {k: scan._level(k)}
+        if n < 5:
+            levels[n] = _level.__wrapped__(n)
+        monkeypatch.setattr(scan, "_level", lambda j: levels[j] if j in levels else _level(j))
+        assert not levels[k].identities_hold
+        assert (levels[k].halves[2] == _level(k).halves[2]).all()
+        cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_check=False)
+        consts = _build_consts(cfg)
+        # target as the hi, and as the lo under it
+        tables = range(target * per_hi, (target + 1) * per_hi)
+        want = _accumulate(cfg, consts, list(tables))
+        lengths = []
+        monkeypatch.setattr(scan, "_pairs", lambda part, n: lengths.append(len(part))
+                            or pairs(part, n))
+        assert _accumulate(cfg, consts, tables) == want, n
+        assert sum(lengths) == len(tables), n
+        monkeypatch.undo()
 
 
 def test_whole_high_halves_are_read_a_key_block_at_a_time(monkeypatch):
     # the per-hi records of a rectangle grow with its high halves, so no
     # rectangle of the whole n = 5 table holds more than _KEY_BLOCK of them,
     # and together they cover every table once
-    check_norms, rectangles = scan._check_norms, []
+    rectangles_of, rectangles = scan._rectangles, []
 
-    def spy(n, his, los):
-        rectangles.append((his, los))
-        return check_norms(n, his, los)
+    def spy(tables, n):
+        for his, los in rectangles_of(tables, n):
+            rectangles.append((his, los))
+            yield his, los
 
-    monkeypatch.setattr(scan, "_check_norms", spy)
+    monkeypatch.setattr(scan, "_rectangles", spy)
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
     scan_table_range(cfg, 0, 1 << 32)
     monkeypatch.undo()
@@ -883,7 +910,7 @@ def test_range_reductions_match_the_gather_route(monkeypatch):
 
 
 def test_range_reductions_read_the_level_spectra(monkeypatch):
-    # a sign flip keeps a level row's norm, a, b, N and V, so no check fails,
+    # a sign flip keeps a level row's N, a, b and W, so no norm check fails,
     # and the flipped spectrum must reach both routes: in a range, through
     # <A_lo, A_hi> in the second identity too.  No row broke an identity
     # before the flip, so a row breaks one where its inf changed
@@ -910,29 +937,33 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
 
 
 def test_half_statistics_hold_their_worst_cases(monkeypatch):
-    # at n = 5 each half of a table whose norm check passes has N <= 2 * 4^4,
-    # so V <= 9 * 2 * 4^4 and |<A_lo, A_hi>| <= 4^4; 4^5 times the table's
-    # total influence is at most 5 * 4^5
+    # on a proven level each half at n = 5 has N = 4^4, so |a|, |b| <= 5 * 2^4
+    # and W <= 4 * 4^4; the type also holds any sum of five int8 entries, so
+    # a and b are exact on any level
     level = _level(4)
     assert level.halves.dtype == np.int16
-    assert np.iinfo(level.halves.dtype).max >= max(9 * 2 * 4**4, 4**4, 5 * 4**5)
+    assert np.iinfo(level.halves.dtype).max >= max(5 * 2**4, 4 * 4**4, 5 * 2**7)
     rng = random.Random(16)
     for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(200))):
         spectrum = fwht(BooleanFunction(4, t)).coeffs.tolist()
         lin, empty = sum(spectrum[1 << i] for i in range(4)), spectrum[0]
-        norm = sum(x * x for x in spectrum)
-        weighted = 2 * sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum)) + norm
-        assert level.halves[:, t].tolist() == [lin + empty, lin - empty, norm, weighted], t
-    # this row's squares sum to 2^16 + 4^4, which would wrap to the norm of a
-    # valid half and pass with table 0 as the high half
+        weighted = sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum))
+        assert level.halves[:, t].tolist() == [lin + empty, lin - empty, weighted], t
+    # these entries at masks 3, 7 and 15 keep the row's a and b and add 2^16
+    # to its W, which int16 wraps to the clean W: the table still meets both
+    # identities and H is unchanged, so the recurrence of (a) alone rejects
+    # the level, and the table's norm check fails at the range primitive
     target = 4242
     bad = level.rows.copy()
-    bad[target] = [127, 127, 127, 127, 35, 7, 1, 1] + [0] * 8
-    assert sum(int(x) ** 2 for x in bad[target]) == (1 << 16) + 4**4
+    bad[target, [3, 7, 15]] = [36, 24, 124]
+    assert level_identity_sides(bad)[1][target] == int(level.halves[2, target]) + (1 << 16)
     patch_level(monkeypatch, 4, rows=bad)
+    assert (scan._level(4).halves == level.halves).all()
     assert not scan._level(4).identities_hold
-    with pytest.raises(InvariantError, match="norm check"):
-        scan_table_range(ScanConfig(n=5, mode="exhaustive", allow_huge=True), target, target + 1)
+    for check in (True, False):
+        cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check)
+        with pytest.raises(InvariantError, match="norm check"):
+            scan_table_range(cfg, target, target + 1)
 
 
 def test_identity_proof_reads_counts_past_the_level_bounds(monkeypatch):
@@ -1204,7 +1235,7 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
     per_degree = _accumulate(cfg, consts, spans[0]).per_degree
     assert sum(e.function_count for d, e in per_degree.items() if d < 5) > 2000
     # a sign flip of one |S| >= 2 entry of that high half keeps its N, a, b
-    # and V, so in a range only the cross term and the degree can change
+    # and W, so in a range only the cross term and the degree can change
     bad = _level(4).rows.copy()
     mask = next(s for s in range(15, 0, -1) if bin(s).count("1") >= 2 and bad[hi, s])
     bad[hi, mask] *= -1
@@ -1342,7 +1373,7 @@ def test_key_statistics_route_matches_the_list_route():
 
 
 def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
-    # one hi's top entry negated keeps its N, a, b and V, so only its key
+    # one hi's top entry negated keeps its N, a, b and W, so only its key
     # changes: as a hi it now pairs with other lo's, and as a lo it moves to
     # another key of its block's records
     level = _level(4)
@@ -1417,7 +1448,7 @@ def test_ranges_under_a_high_half_of_every_degree_match_the_list_route():
 
 
 def test_key_statistics_follow_a_negated_weight_3_entry(monkeypatch):
-    # one weight-3 entry of a degree-3 table negated keeps its N, a, b and V
+    # one weight-3 entry of a degree-3 table negated keeps its N, a, b and W
     # and its degree, so only its key at degree 3 changes: as a hi, and as a
     # lo under a hi that shared its old key, its pairs of degree 3 move
     level = _level(4)
