@@ -22,23 +22,8 @@ column per table, with as many columns as keep it in a core's L2 cache.
 Two routes read the tables.
 
 - Halves, for a range of consecutive tables of arity n <= 5 (an
-  exhaustive scan, read whole).  Such a table is two halves of arity n - 1,
-  f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum is
-  [A_lo + A_hi, A_lo - A_hi].  Under one hi, lo runs over consecutive
-  integers, so a range is rectangles of (hi, lo) pairs: a partial first
-  high half, runs of at most _KEY_BLOCK whole high halves, and a partial
-  last one (_rectangles).  2^n times the linear sum is then a_lo + b_hi
-  (_Level.halves), a per-half term for each side.  The coefficients at
-  S + {n} and S are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j
-  a half's entries at the masks of weight j, f has degree <= j exactly
-  when both halves do and H_j(lo) = H_j(hi) (O'Donnell 2014, 3.3).  Row j
-  is then the pairs whose halves both have degree j and the same H_j, and
-  those whose halves both have degree <= j - 1 and different H_(j-1).
-  Under one hi, the best row of each is b_hi plus the best a among the
-  lo's whose keys qualify, so a range's per-degree rows come from per-key
-  records of the lo's, kept per degree and per block of consecutive lo's
-  (_Level.keys, _Level.key_stats), with no per-table work
-  (_range_extremes): no block is filled.
+  exhaustive scan, read whole): its per-degree rows come from per-key
+  records of its halves, with no block filled (the join module).
 - Gather, for a sub-batch of other tables (random samples, a list of
   tables, a level build, or a range read row by row, _BATCH_CELLS table
   bits at a time).  The tables are unpacked into chunks (_bits_matrix); a
@@ -56,12 +41,7 @@ A block's entries are squared once, in the narrowest type that holds 4^n
 reduced along axis 0 while it is in cache: its squares give the total
 influence for the equivalence check, and its entries give the degree and
 the linear sum (_spectrum_reductions, by the core and derivatives
-formulas).  A range is reduced from its halves alone, in the same
-integers, and checked by one proof per level (_Level.identities_hold,
-below): a proven level's tables each have N = 4^(n-1), the sum of their
-squared entries, so every pair's squares sum to 2 (N_lo + N_hi) = 4^n.  A
-range on a level without the proof is read through the gather route,
-whose blocks are norm-checked.
+formulas).
 
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
@@ -111,6 +91,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import join
 from .conjecture import _bound_sides, _scale, _Scale, _sides
 from .core import (
     BooleanFunction,
@@ -143,8 +124,6 @@ _BATCH_CELLS = 1 << 21
 # one block of spectrum rows plus the butterfly's per-stage temporaries stay
 # in a core's L2 cache
 _BLOCK_BYTES = 1 << 18
-# consecutive halves per block of _Level.key_stats
-_KEY_BLOCK = 1 << 14
 # spans submitted to a process pool at once, per worker
 _SPANS_IN_FLIGHT = 4
 # after the butterfly stage for coordinate j every partial sum is at most
@@ -357,25 +336,6 @@ def _spectrum_blocks(source, n: int):
         yield slice(start, start + width), block, squares
 
 
-def _rectangles(tables: range, n: int):
-    """Consecutive arity-n tables (n <= 5) as rectangles of (hi, lo) pairs,
-    where table = hi * 2^(2^(n-1)) + lo, in order: a partial first high
-    half, runs of at most _KEY_BLOCK whole high halves, so that the per-hi
-    records of _range_extremes stay a few MB, and a partial last high half.
-    Yields (his, los), two slices: the rectangle's hi and lo values."""
-    per_hi = 1 << (1 << (n - 1))
-    first = tables.start
-    while first < tables.stop:
-        hi, lo = divmod(first, per_hi)
-        left = tables.stop - first
-        if lo or left < per_hi:
-            his, los = slice(hi, hi + 1), slice(lo, min(per_hi, lo + left))
-        else:
-            his, los = slice(hi, hi + min(left // per_hi, _KEY_BLOCK)), slice(0, per_hi)
-        yield his, los
-        first += (his.stop - his.start) * (los.stop - los.start)
-
-
 def _batch_butterfly(source: np.ndarray, n: int) -> np.ndarray:
     """2^n-scaled spectra of the chunk matrix's tables as a matrix, one row
     per table (_spectrum_blocks)."""
@@ -398,120 +358,6 @@ def _spectrum_reductions(source: np.ndarray, n: int, influence: bool):
         if influence:
             inf[rows] = _total_influences(squares, n)
     return deg, lin, inf
-
-
-# A record of some rows is their count, the best value among them, how many
-# reach it and the first of those, a table integer.  The record of no rows
-# has a best and a first that lose to any row's, and stay in int64 when a
-# half's value or table is added to them.
-_EMPTY = np.array([0, -1 << 62, 0, 1 << 62], dtype=np.int64)
-
-
-def _max_plus(records: np.ndarray, axis: int) -> np.ndarray:
-    """The records along axis (at least 1), as the record of all their rows:
-    the counts add, and the best, the rows that reach it and the first of
-    them come from the records with the largest best."""
-    if records.shape[axis] == 1:
-        return records.take(0, axis=axis)
-    count, best, reach, first = records
-    axis -= 1  # of each row of records
-    top = best.max(axis=axis, keepdims=True)
-    at = best == top
-    return np.array([count.sum(axis=axis), top.squeeze(axis=axis), (reach * at).sum(axis=axis),
-                     np.where(at, first, _EMPTY[3]).min(axis=axis)])
-
-
-def _lo_records(level: _Level, los: slice, j: int) -> np.ndarray:
-    """The records of _key_records at degree j for the arity-k tables in
-    los: whole blocks from level.key_stats[j] and the partial blocks at the
-    ends by _key_records on their slices, combined by _max_plus."""
-    table = level.key_stats[j]
-    keys = table.shape[3]
-    # the level's last block may be short, and is whole where los reaches the end
-    last = table.shape[1] if los.stop == len(level.rows) else los.stop // _KEY_BLOCK
-    whole = slice(-(-los.start // _KEY_BLOCK), last)
-    if whole.start >= whole.stop:
-        return _key_records(level, j, los.start, los.stop, keys)
-    parts = [table[:, whole]]
-    if los.start < whole.start * _KEY_BLOCK:
-        parts.append(_key_records(level, j, los.start, whole.start * _KEY_BLOCK, keys)[:, None])
-    if whole.stop * _KEY_BLOCK < los.stop:
-        parts.append(_key_records(level, j, whole.stop * _KEY_BLOCK, los.stop, keys)[:, None])
-    return _max_plus(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], axis=1)
-
-
-def _key_records(level: _Level, j: int, start: int, stop: int, keys: int) -> np.ndarray:
-    """For each key K of 0..keys - 1 at degree j (_Level.keys), the records
-    of the arity-k tables start..stop - 1 of level whose key is another, and
-    of those whose key is K, with their values a (_Level.halves) as the
-    rows' values: int64, shape (4, 2, keys), and _EMPTY where no table
-    qualifies.  A table of degree above j has no key, and is in neither."""
-    key = level.keys[j, start:stop]
-    held = np.flatnonzero(key >= 0)
-    # ufunc.at takes its fast path with intp indices and values of the
-    # records' type: with the level's int16 ones a block took 2 ms, not 50 us
-    key = key[held].astype(np.intp)
-    values = level.halves[0, start:stop][held].astype(np.int64)
-    own = np.repeat(_EMPTY[:, None], keys, axis=1)
-    own[0] = np.bincount(key, minlength=keys)
-    np.maximum.at(own[1], key, values)
-    # the tables that reach their key's largest a, ascending
-    hits = np.flatnonzero(values == own[1, key])
-    own[2] = np.bincount(key[hits], minlength=keys)
-    np.minimum.at(own[3], key[hits], held[hits] + start)
-    # the others of K are every row less K's: where K's best is the best, its
-    # reach and its first drop out, and where K alone holds the best, the
-    # others are the records of every other key
-    count, best, reach, first = own
-    others = np.repeat(_max_plus(own, axis=1)[:, None], keys, axis=1)
-    at = best == others[1]
-    others[0] -= count
-    others[2] -= reach * at
-    firsts = np.where(at, first, _EMPTY[3])
-    # the two smallest firsts at the best; no two keys share a first table
-    low, second = np.partition(np.append(firsts, _EMPTY[3]), 1)[:2]
-    others[3] = np.where(firsts == low, second, low)
-    if np.count_nonzero(at) == 1:
-        rest = np.where(at, _EMPTY[:, None], own)
-        others[1:, at] = _max_plus(rest, axis=1)[1:, None]
-    return np.stack([others, own], axis=1)
-
-
-def _range_extremes(tables: range, n: int, degrees) -> dict[int, tuple[int, int, int, int]]:
-    """The record of each degree of degrees that some table of a range of
-    arity-n tables (n <= 5) has: the number of tables, the largest 2^n lin,
-    the number of tables that reach it and the first of them, read from the
-    key statistics of the halves (_Level.key_stats).
-
-    f = (lo, hi) has degree j where both halves have degree j and the same
-    key at j, or both have degree <= j - 1 and different keys at j - 1
-    (_Level.keys).  Under one hi, 2^n lin = a_lo + b_hi, so row j is b_hi
-    plus the record of the lo's with the keys it takes: at each j from hi's
-    degree up, the record of hi's own key gives row j, and the record of the
-    others gives row j + 1."""
-    level = _level(n - 1)
-    b, keys, deg = level.halves[1], level.keys, level.degrees
-    per_hi = 1 << (1 << (n - 1))
-    found = {}
-    for his, los in _rectangles(tables, n):
-        hi_deg = deg[his]
-        for j in range(min(hi_deg.tolist()), n):
-            if j not in degrees and j + 1 not in degrees:
-                continue
-            # under each hi, the records of the lo's that make degree j + 1
-            # (others) and degree j (own); a hi of degree above j has key -1
-            # and takes neither, and one below j takes no own
-            records = _lo_records(level, los, j).take(keys[j, his], axis=2)
-            records[:, 0, hi_deg > j] = _EMPTY[:, None]
-            records[:, 1, hi_deg != j] = _EMPTY[:, None]
-            # under hi, a row's best gains b_hi, and its table hi * 2^(2^(n-1))
-            records[1] += b[his]
-            records[3] += np.arange(his.start * per_hi, his.stop * per_hi, per_hi)
-            for d, record in zip((j + 1, j), _max_plus(records, axis=2).T.tolist()):
-                if d in degrees and record[0]:
-                    found[d] = (record if d not in found
-                                else _max_plus(np.stack([found[d], record], axis=1), axis=1))
-    return {d: tuple(int(x) for x in found[d]) for d in degrees if d in found}
 
 
 def _pairs(tables: range, n: int) -> np.ndarray:
@@ -696,19 +542,19 @@ class _Level:
     @functools.cached_property
     def key_stats(self) -> tuple[np.ndarray, ...]:
         """The key statistics of this level's tables A, on first use, for
-        _range_extremes: for each degree j = 0..k, an int64 table of shape
-        (4, blocks, 2, keys at j), the records of _key_records at j for each
-        block of _KEY_BLOCK consecutive tables, read-only.  For each key, the
-        record of the block's tables with that key holds their count, their
-        largest a (halves), how many reach it and the smallest table that
-        does; the record of the block's tables with any other key is beside
-        it."""
-        size, stats = len(self.rows), []
+        join._range_extremes: for each degree j = 0..k, an int64 table of
+        shape (4, blocks, 2, keys at j), the records of join._key_records at
+        j for each block of join._KEY_BLOCK consecutive tables, read-only.
+        For each key, the record of the block's tables with that key holds
+        their count, their largest a (halves), how many reach it and the
+        smallest table that does; the record of the block's tables with any
+        other key is beside it."""
+        size, step, stats = len(self.rows), join._KEY_BLOCK, []
         for j, key in enumerate(self.keys):
             # a level with no table of degree <= j still gets one, empty key
             keys = max(int(key.max()), 0) + 1
-            stats.append(np.stack([_key_records(self, j, start, min(start + _KEY_BLOCK, size), keys)
-                                   for start in range(0, size, _KEY_BLOCK)], axis=1))
+            stats.append(np.stack([join._key_records(self, j, start, min(start + step, size), keys)
+                                   for start in range(0, size, step)], axis=1))
             stats[-1].setflags(write=False)
         return tuple(stats)
 
@@ -738,10 +584,11 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                 tables: Sequence[int]) -> ScanResult:
     """Every table of a range, or of a sub-batch of other tables, at once.  A
     range is exhaustive, so n <= 5: its per-degree rows come from the key
-    statistics of its halves (_range_extremes), and its rows are read only
-    where a degree's best row breaks the bound or the level of its halves is
-    unproven (_Level.identities_hold), and then as halves (_pairs), in parts
-    of _BATCH_CELLS table bits.  Other tables are one part, unpacked
+    statistics of its halves, read from their level _level(n - 1) by
+    join._range_extremes, and its rows are read only where a degree's best
+    row breaks the bound or that level is unproven
+    (_Level.identities_hold), and then as halves (_pairs), in parts of
+    _BATCH_CELLS table bits.  Other tables are one part, unpacked
     (_bits_matrix), whose per-degree rows come from its reductions.  Each
     part is reduced from its spectrum blocks.  Its rows over the bound and
     its identity breaks, at each d, are made one at a time as (table, d, ...)
@@ -754,7 +601,8 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     listed = not isinstance(tables, range)
     extremes, parts = {}, [tables]
     if not listed:
-        extremes = _range_extremes(tables, n, degrees)
+        level = _level(n - 1)
+        extremes = join._range_extremes(level, tables, degrees)
         # the scale is positive, so no row breaks the bound unless the best
         # does; a range left unread is on a proven level, where every row
         # passes the norm check and breaks no identity
@@ -762,7 +610,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                    for d, record in extremes.items())
         step = _BATCH_CELLS >> n
         parts = ([tables[off : off + step] for off in range(0, len(tables), step)]
-                 if over or not _level(n - 1).identities_hold else [])
+                 if over or not level.identities_hold else [])
     found, omitted = [[], []], [0, 0]
 
     def keep(kind: int, rows, count: int) -> None:

@@ -27,6 +27,7 @@ from boolfun import (
     constant,
     dictator,
     fwht,
+    join,
     majority,
     merge_results,
     parity,
@@ -326,12 +327,12 @@ def test_exhaustive_range_is_one_range_read(monkeypatch):
     # is one _accumulate call and one _range_extremes call
     calls = []
 
-    def counted(name):
-        inner = getattr(scan, name)
+    def counted(module, name):
+        inner = getattr(module, name)
         return lambda *args: calls.append(name) or inner(*args)
 
-    for name in ("_accumulate", "_range_extremes"):
-        monkeypatch.setattr(scan, name, counted(name))
+    for module, name in ((scan, "_accumulate"), (join, "_range_extremes")):
+        monkeypatch.setattr(module, name, counted(module, name))
     cases = [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), 7, 60000),
              (ScanConfig(n=5, mode="exhaustive", allow_huge=True,
                          equivalence_d_range=tuple(range(1, 7))), 0, 1 << 32)]
@@ -764,19 +765,19 @@ def test_whole_high_halves_are_read_a_key_block_at_a_time(monkeypatch):
     # the per-hi records of a rectangle grow with its high halves, so no
     # rectangle of the whole n = 5 table holds more than _KEY_BLOCK of them,
     # and together they cover every table once
-    rectangles_of, rectangles = scan._rectangles, []
+    rectangles_of, rectangles = join._rectangles, []
 
-    def spy(tables, n):
-        for his, los in rectangles_of(tables, n):
+    def spy(tables, per_hi):
+        for his, los in rectangles_of(tables, per_hi):
             rectangles.append((his, los))
             yield his, los
 
-    monkeypatch.setattr(scan, "_rectangles", spy)
+    monkeypatch.setattr(join, "_rectangles", spy)
     cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
     scan_table_range(cfg, 0, 1 << 32)
     monkeypatch.undo()
-    assert all(his.stop - his.start <= scan._KEY_BLOCK for his, _ in rectangles)
-    assert len(rectangles) == (1 << 16) // scan._KEY_BLOCK
+    assert all(his.stop - his.start <= join._KEY_BLOCK for his, _ in rectangles)
+    assert len(rectangles) == (1 << 16) // join._KEY_BLOCK
     assert sum((his.stop - his.start) * (los.stop - los.start)
                for his, los in rectangles) == 1 << 32
 
@@ -1310,7 +1311,7 @@ def test_key_statistics_hold_every_blocks_records():
     for k in range(5):
         level = _level(k)
         size = 1 << (1 << k)
-        blocks = range(0, size, scan._KEY_BLOCK)
+        blocks = range(0, size, join._KEY_BLOCK)
         degrees, keys, _ = python_level(k)
         assert level.degrees.tolist() == degrees, k
         assert level.keys.tolist() == keys, k
@@ -1319,7 +1320,7 @@ def test_key_statistics_hold_every_blocks_records():
             assert table.shape == (4, len(blocks), 2, max(keys[j]) + 1), (k, j)
             assert table.dtype == np.int64
             for b, start in enumerate(blocks):
-                stop = min(start + scan._KEY_BLOCK, size)
+                stop = min(start + join._KEY_BLOCK, size)
                 assert records_as_lists(table[:, b]) == python_key_records(k, j, start, stop), \
                     (k, j, b)
             # every table of degree <= j has one of the keys
@@ -1335,7 +1336,7 @@ def test_key_statistics_hold_every_blocks_records():
         for start, stop in ((0, 1), (16383, 16385), (5, 1000), (65535, 65536),
                             *((s, s + rng.randrange(1, 3000)) for s in
                               (rng.randrange(60000) for _ in range(3)))):
-            assert records_as_lists(scan._key_records(level, j, start, stop, table.shape[3])) \
+            assert records_as_lists(join._key_records(level, j, start, stop, table.shape[3])) \
                 == python_key_records(4, j, start, stop), (j, start, stop)
 
 
@@ -1380,7 +1381,7 @@ def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
     hi = next(t for t in range(7000, 1 << 16) if level.rows[t, -1] > 0)
     bad = level.rows.copy()
     bad[hi, -1] *= -1
-    block = hi // scan._KEY_BLOCK
+    block = hi // join._KEY_BLOCK
     patch_level(monkeypatch, 4, rows=bad)
     mutant = scan._level(4)
     assert not mutant.identities_hold
@@ -1579,16 +1580,16 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     halved = {d: s._replace(maj=s.maj // 2) for d, s in consts.items()}
     bump = np.zeros(1 << 16, dtype=np.int64)
     bump[majority(5).table & 0xFFFF] = 1
-    pairs, extremes, lengths, reads = scan._pairs, scan._range_extremes, [], []
+    pairs, extremes, lengths, reads = scan._pairs, join._range_extremes, [], []
     built = collections.Counter()
 
     def counted(part, n):
         lengths.append(len(part))
         return pairs(part, n)
 
-    def read(part, n, degrees):
+    def read(level, part, degrees):
         reads.append(part)
-        return extremes(part, n, degrees)
+        return extremes(level, part, degrees)
 
     def spied(kind):
         def build(*args):
@@ -1610,7 +1611,7 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
             monkeypatch.setattr(scan, kind.__name__, spied(kind))
         want = accumulate(bounds, list(tables))
         monkeypatch.setattr(scan, "_pairs", counted)
-        monkeypatch.setattr(scan, "_range_extremes", read)
+        monkeypatch.setattr(join, "_range_extremes", read)
         lengths.clear()
         reads.clear()
         got = accumulate(bounds, tables)

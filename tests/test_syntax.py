@@ -13,7 +13,23 @@ SOURCES = sorted([*(ROOT / "src" / "boolfun").glob("*.py"), *(ROOT / "bench").gl
 
 def test_sources_are_found():
     names = {path.relative_to(ROOT).as_posix() for path in SOURCES}
-    assert {"src/boolfun/scan.py", "bench/run.py"} <= names
+    assert {"src/boolfun/scan.py", "src/boolfun/join.py", "bench/run.py"} <= names
+
+
+def test_join_imports_nothing_from_scan():
+    # scan imports join, which is given its levels and so needs none of scan;
+    # a from-import's names may be submodules, so each is checked as one too
+    tree = ast.parse((ROOT / "src" / "boolfun" / "join.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            modules = [base, *(base + sep + alias.name for alias in node.names)]
+        else:
+            continue
+        assert not {"boolfun.scan", ".scan"} & set(modules), ast.dump(node)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
