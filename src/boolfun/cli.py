@@ -178,7 +178,6 @@ def _cmd_scan(args):
         seed=args.seed,
         worker_count=args.jobs,
         chunk_size=args.chunk_size,
-        allow_huge=args.allow_huge,
     )
     begin = time.perf_counter()
     result = run_scan(config)
@@ -368,8 +367,6 @@ def build_parser() -> _Parser:
     p.add_argument("--equiv-d", metavar="LIST", default=None,
                    help="comma-separated d values for the equivalence check, "
                         "or 'none' to disable it")
-    p.add_argument("--allow-huge", action="store_true",
-                   help="permit exhaustive n = 5")
     p.set_defaults(handler=_cmd_scan, render=_render_scan)
     return parser
 

@@ -113,8 +113,7 @@ from .dyadic import DyadicRational
 from .majority import maj_bound
 
 _MODES = ("exhaustive", "random")
-_EXHAUSTIVE_DEFAULT_MAX_N = 4
-_EXHAUSTIVE_HUGE_MAX_N = 5
+_EXHAUSTIVE_MAX_N = 5
 _RANDOM_MAX_N = 16
 _WITNESS_CAP = 1000
 # sub-batch rows are capped at 2^21 table bits, which keeps the chunk matrix
@@ -142,7 +141,10 @@ class ScanConfig:
     (sorted, without repeats), else at d = 1..n+1, and the range is () when
     the check is off.  A random scan's seed defaults to 0.  worker_count and
     chunk_size only split a random scan over a process pool, and take no
-    part in equality, so two configs that scan alike compare equal."""
+    part in equality, so two configs that scan alike compare equal.
+    allow_huge is derived, whatever was passed: true for an exhaustive scan
+    at n = 5, false otherwise.  It is kept because callers pass it and the
+    JSON config record names it."""
 
     n: int
     mode: str
@@ -163,14 +165,10 @@ class ScanConfig:
         if not isinstance(self.allow_huge, bool):
             raise InputError(f"allow_huge must be a bool, got {self.allow_huge!r}")
         exhaustive = self.mode == "exhaustive"
-        _check_int(self.n, 1, _EXHAUSTIVE_HUGE_MAX_N if exhaustive else _RANDOM_MAX_N,
+        _check_int(self.n, 1, _EXHAUSTIVE_MAX_N if exhaustive else _RANDOM_MAX_N,
                    self.mode + " scans support n in {lo}..{hi}, got {value!r}")
+        object.__setattr__(self, "allow_huge", exhaustive and self.n == _EXHAUSTIVE_MAX_N)
         if exhaustive:
-            if self.n > _EXHAUSTIVE_DEFAULT_MAX_N and not self.allow_huge:
-                raise InputError(
-                    f"exhaustive n = {self.n} exceeds the default ceiling "
-                    f"{_EXHAUSTIVE_DEFAULT_MAX_N}; set allow_huge to opt in"
-                )
             if self.sample_count is not None or self.seed is not None:
                 raise InputError("sample_count and seed only apply to random mode")
         else:
@@ -743,7 +741,11 @@ def _bounded_map(pool: ProcessPoolExecutor, spans, depth: int):
     spans = iter(spans)
     pending = collections.deque(pool.submit(_analyze_chunk, *span)
                                 for span in itertools.islice(spans, depth))
-    while pending:
-        result = pending.popleft().result()
-        pending.extend(pool.submit(_analyze_chunk, *span) for span in itertools.islice(spans, 1))
-        yield result
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(_analyze_chunk, *s) for s in itertools.islice(spans, 1))
+            yield result
+    finally:  # a failed span drops the spans queued behind it
+        for future in pending:
+            future.cancel()

@@ -187,7 +187,8 @@ def test_usage_errors_exit_1(capsys):
         ["analyze", "--hex", "0x+f", "--n", "3"],
         ["analyze", "--nope"],
         ["scan", "--n", "3", "--mode", "upside-down"],
-        ["scan", "--n", "5"],
+        ["scan", "--n", "6"],
+        ["scan", "--n", "5", "--allow-huge"],
         ["scan", "--n", "3", "--mode", "random"],
         ["scan", "--n", "3", "--equiv-d", "one,two"],
         ["scan", "--n", "3", "--equiv-d", ","],

@@ -51,16 +51,16 @@ GOLDEN = {
     # other run settings and at the default ones, which an exhaustive scan
     # ignores alike
     "scan_n5_equiv_1_6": (
-        ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2",
+        ["scan", "--n", "5", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2",
          "--chunk-size", "1048576"],
         "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
     "scan_n5_equiv_1_6_default_run": (
-        ["scan", "--n", "5", "--allow-huge", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2"],
+        ["scan", "--n", "5", "--equiv-d", "1,2,3,4,5,6", "--jobs", "2"],
         "d319187b5abb52e54976c5bae6aa37c357a657a17165d844acea1efdfea479fc"),
     # every n = 5 table with the equivalence check off: the per-degree table
     # alone, read on a level the identity proof must accept
     "scan_n5_bound_only": (
-        ["scan", "--n", "5", "--allow-huge"],
+        ["scan", "--n", "5"],
         "f0443c309d7a9a821ec4ab9045feb5d1d06bb5b1eb8e9b2be9f6e848b4102222"),
     "scan_random_n7_equiv_1_4_8": (
         ["scan", "--n", "7", "--mode", "random", "--samples", "300", "--seed", "11",
@@ -90,8 +90,7 @@ def test_cli_document_is_byte_identical(label, capsys):
 
 def test_whole_n5_table_from_one_range_call():
     # the range primitive reads all 2^32 tables at once, to the CLI's bytes
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=(1, 2, 3, 4, 5, 6))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=(1, 2, 3, 4, 5, 6))
     doc = {"schema_version": "1", "command": "scan",
            "payload": _scan_payload(scan_table_range(cfg, 0, 1 << 32))}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

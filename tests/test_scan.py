@@ -45,7 +45,7 @@ from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import maj_bound
 from boolfun.scan import (
     _BLOCK_BYTES,
-    _EXHAUSTIVE_HUGE_MAX_N,
+    _EXHAUSTIVE_MAX_N,
     ConjectureWitness,
     EquivalenceWitness,
     ScanResult,
@@ -334,7 +334,7 @@ def test_exhaustive_range_is_one_range_read(monkeypatch):
     for module, name in ((scan, "_accumulate"), (join, "_range_extremes")):
         monkeypatch.setattr(module, name, counted(module, name))
     cases = [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), 7, 60000),
-             (ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+             (ScanConfig(n=5, mode="exhaustive",
                          equivalence_d_range=tuple(range(1, 7))), 0, 1 << 32)]
     for cfg, start, stop in cases:
         calls.clear()
@@ -358,6 +358,36 @@ def test_pool_spans_in_flight_are_bounded_and_merged_in_order():
         assert start == done
         assert pool.submitted <= done + 1 + 8
     assert pool.submitted == 100
+
+
+def test_a_failed_pool_span_cancels_the_spans_queued_behind_it():
+    class Pool:  # spans below 3 resolve to their start, span 3 fails, the rest wait
+        def __init__(self):
+            self.futures = []
+
+        def submit(self, fn, cfg, start, stop):
+            future = Future()
+            if start < 3:
+                future.set_result(start)
+            elif start == 3:
+                future.set_exception(ValueError("span 3"))
+            self.futures.append(future)
+            return future
+
+    pool = Pool()
+    spans = iter([(None, s, s + 1) for s in range(100)])
+    results = scan._bounded_map(pool, spans, 8)
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match="span 3"):
+        next(results)
+    assert len(pool.futures) == 3 + 8 and next(spans)[1] == 3 + 8  # nothing later submitted
+    assert [f.cancelled() for f in pool.futures] == [False] * 4 + [True] * 7
+    # a caller that stops early drops the queued spans too
+    pool = Pool()
+    results = scan._bounded_map(pool, ((None, s, s + 1) for s in range(100)), 8)
+    assert next(results) == 0
+    results.close()
+    assert [f.cancelled() for f in pool.futures] == [False] * 4 + [True] * 5
 
 
 def test_pool_is_no_larger_than_its_span_count(monkeypatch):
@@ -466,9 +496,7 @@ def test_config_validation_errors():
     with pytest.raises(InputError):
         ScanConfig(n=0, mode="exhaustive")
     with pytest.raises(InputError):
-        ScanConfig(n=5, mode="exhaustive")  # needs allow_huge
-    with pytest.raises(InputError):
-        ScanConfig(n=6, mode="exhaustive", allow_huge=True)  # beyond any gate
+        ScanConfig(n=6, mode="exhaustive")  # beyond the exhaustive range
     with pytest.raises(InputError):
         ScanConfig(n=17, mode="random", sample_count=1)
     with pytest.raises(InputError):
@@ -514,8 +542,8 @@ def test_sample_count_is_capped_at_the_index_width():
                           1 << 64, (1 << 64) + 1)
 
 
-def test_allow_huge_gate_constructs_and_slices():
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+def test_exhaustive_n5_constructs_without_an_opt_in_and_slices():
+    cfg = ScanConfig(n=5, mode="exhaustive")
     start = 3 << 30
     res = scan_table_range(cfg, start, start + 2048)
     assert res.functions_examined == 2048
@@ -529,6 +557,27 @@ def test_allow_huge_gate_constructs_and_slices():
         assert ext.witness_count == sums.count(max(sums))
         witness = int(ext.witness, 16)
         assert reports[witness - start].linear_sum == ext.max_linear_sum
+
+
+def test_allow_huge_is_derived_so_alike_scans_compare_equal_and_merge(capsys):
+    # whatever a caller passes, allow_huge records whether the scan is the
+    # exhaustive n = 5 one, so configs of one scan are equal and their pieces merge
+    top = 3 << 30
+    cases = [(dict(n=3, mode="exhaustive"), False, scan_table_range, (0, 100, 256)),
+             (dict(n=5, mode="exhaustive"), True, scan_table_range, (top, top + 700, top + 2048)),
+             (dict(n=6, mode="random", sample_count=40, seed=5), False, scan_sample_range,
+              (0, 15, 40))]
+    for kwargs, derived, read, (start, mid, stop) in cases:
+        configs = [ScanConfig(**kwargs, allow_huge=flag) for flag in (True, False)]
+        configs.append(ScanConfig(**kwargs))
+        assert len(set(configs)) == 1, kwargs
+        assert [cfg.allow_huge for cfg in configs] == [derived] * 3, kwargs
+        whole = read(configs[2], start, stop)
+        assert merge_results(read(configs[0], start, mid), read(configs[1], mid, stop)) == whole
+    assert main(["scan", "--n", "5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["functions_examined"] == 1 << 32
+    assert payload["config"]["allow_huge"] is True
 
 
 # ------------------------------------------------- restriction decomposition
@@ -613,8 +662,7 @@ def test_level_tables_are_read_only():
 
 
 def test_exhaustive_n5_slices_match_oracle():
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=(1, 2, 3, 4, 5, 6, 24))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=(1, 2, 3, 4, 5, 6, 24))
     rng = random.Random(55)
     # across the boundary of the two 16-bit halves, the last tables, and seeded slices
     slices = [((1 << 16) - 100, (1 << 16) + 100), ((1 << 32) - 100, 1 << 32)]
@@ -642,7 +690,7 @@ def test_corrupted_level_row_fails_norm_check(monkeypatch):
     monkeypatch.undo()
     scan_table_range(cfg, 0, 256)  # the clean level again
     # n = 5: table = hi * 2^16 + lo, with a corrupt arity-4 row
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    cfg = ScanConfig(n=5, mode="exhaustive")
     target = 12345
     bad = _level(4).rows.copy()
     bad[target, 7] += 2
@@ -719,7 +767,7 @@ def test_a_range_holding_a_corrupt_half_fails_the_norm_check(monkeypatch):
             clean = rng.randrange(per_hi // 2) * 2 + 1
             clean = range(clean * per_hi + max(corrupt) + 1, (clean + 1) * per_hi)
             for check in (True, False):
-                cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_check=check)
+                cfg = ScanConfig(n=n, mode="exhaustive", equivalence_check=check)
                 call = f"scan_table_range({cfg!r}, {start}, {stop})"
                 with pytest.raises(InvariantError, match="norm check") as info:
                     scan_table_range(cfg, start, stop)
@@ -748,7 +796,7 @@ def test_a_sign_flip_keeps_every_norm_and_is_read_row_by_row(monkeypatch):
         monkeypatch.setattr(scan, "_level", lambda j: levels[j] if j in levels else _level(j))
         assert not levels[k].identities_hold
         assert (levels[k].halves[2] == _level(k).halves[2]).all()
-        cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_check=False)
+        cfg = ScanConfig(n=n, mode="exhaustive", equivalence_check=False)
         consts = _build_consts(cfg)
         # target as the hi, and as the lo under it
         tables = range(target * per_hi, (target + 1) * per_hi)
@@ -773,7 +821,7 @@ def test_whole_high_halves_are_read_a_key_block_at_a_time(monkeypatch):
             yield his, los
 
     monkeypatch.setattr(join, "_rectangles", spy)
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    cfg = ScanConfig(n=5, mode="exhaustive")
     scan_table_range(cfg, 0, 1 << 32)
     monkeypatch.undo()
     assert all(his.stop - his.start <= join._KEY_BLOCK for his, _ in rectangles)
@@ -798,7 +846,7 @@ def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
             eval(call, namespace)
 
     # n = 5: every 2^16 consecutive tables hold each arity-4 table as lo
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True)
+    cfg = ScanConfig(n=5, mode="exhaustive")
     step, start = scan._BATCH_CELLS >> 5, (9 << 16) + 20000
     bad = _level(4).rows.copy()
     bad[12345, 7] += 2
@@ -925,7 +973,7 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
     assert all(identity_route(tables, n)[0] == [] for tables in ranges)
     patch_level(monkeypatch, 4, rows=bad)
     assert not scan._level(4).identities_hold
-    cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
+    cfg = ScanConfig(n=n, mode="exhaustive", equivalence_d_range=(1, 3, 5))
     consts = _build_consts(cfg)
     changed = 0
     for tables in ranges:
@@ -962,7 +1010,7 @@ def test_half_statistics_hold_their_worst_cases(monkeypatch):
     assert (scan._level(4).halves == level.halves).all()
     assert not scan._level(4).identities_hold
     for check in (True, False):
-        cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check)
+        cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=check)
         with pytest.raises(InvariantError, match="norm check"):
             scan_table_range(cfg, target, target + 1)
 
@@ -977,7 +1025,7 @@ def test_identity_proof_reads_counts_past_the_level_bounds(monkeypatch):
     bump[target] = 1 << 11
     patch_level(monkeypatch, 4, plus=_level(4).plus + bump, minus=_level(4).minus + bump)
     assert not scan._level(4).identities_hold
-    cfg = ScanConfig(n=n, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 3, 5))
+    cfg = ScanConfig(n=n, mode="exhaustive", equivalence_d_range=(1, 3, 5))
     tables = range((target << 16) + 100, (target << 16) + 400)
     got = _accumulate(cfg, _build_consts(cfg), tables)
     assert got == _accumulate(cfg, _build_consts(cfg), list(tables))
@@ -1087,7 +1135,7 @@ def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
     cases = [(ScanConfig(n=n, mode="exhaustive", equivalence_check=True), range(1 << (1 << n)))
              for n in (1, 2, 3)]
     cases += [(ScanConfig(n=4, mode="exhaustive", equivalence_check=True), range(300, 40000))]
-    cases += [(ScanConfig(n=5, mode="exhaustive", allow_huge=True,
+    cases += [(ScanConfig(n=5, mode="exhaustive",
                           equivalence_d_range=tuple(range(1, 7))), range(77 << 14, 78 << 14))]
     for cfg, tables in cases:
         consts = _build_consts(cfg)
@@ -1196,7 +1244,7 @@ def test_range_and_gather_fills_agree(monkeypatch):
               (ScanConfig(n=3, mode="exhaustive"), range(5, 11))]
     a = random.Random(512).randrange((1 << 32) - 3000)
     for check, df in ((True, None), (False, 3)):
-        cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+        cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=check,
                          equivalence_d_range=tuple(range(1, 7)), degree_filter=df)
         cases += [(cfg, tables) for tables in (
             range(77 << 14, 78 << 14), range(a, a + 3000),
@@ -1224,14 +1272,13 @@ def test_whole_n5_spans_match_the_gather_route(monkeypatch):
              range((hi << 16) - (1 << 13), (hi << 16) + (1 << 13))]
     for check in (True, False):
         for degree_filter in (None, 3, 4, 5):
-            cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+            cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=check,
                              equivalence_d_range=tuple(range(1, 7)), degree_filter=degree_filter)
             consts = _build_consts(cfg)
             for tables in spans:
                 sliced = _accumulate(cfg, consts, tables)
                 assert sliced == _accumulate(cfg, consts, list(tables)), (cfg, tables)
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=tuple(range(1, 7)))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
     consts = _build_consts(cfg)
     per_degree = _accumulate(cfg, consts, spans[0]).per_degree
     assert sum(e.function_count for d, e in per_degree.items() if d < 5) > 2000
@@ -1360,14 +1407,14 @@ def test_key_statistics_route_matches_the_list_route():
     ranges = key_route_ranges()
     for check in (True, False):
         for degree_filter in (None, 3, 4, 5):
-            cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+            cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=check,
                              equivalence_d_range=tuple(range(1, 7)), degree_filter=degree_filter)
             consts = _build_consts(cfg)
             for tables in ranges:
                 got = _accumulate(cfg, consts, tables)
                 assert got == _accumulate(cfg, consts, list(tables)), (cfg, tables)
     # degrees below 4 come only from the pairs whose halves both have top 0
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=False)
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=False)
     consts = _build_consts(cfg)
     assert min(_accumulate(cfg, consts, ranges[0]).per_degree) < 4
     assert min(_accumulate(cfg, consts, ranges[1]).per_degree) == 4
@@ -1388,8 +1435,7 @@ def test_key_statistics_follow_a_flipped_top_entry(monkeypatch):
     assert (mutant.key_stats[-1][:, block] != level.key_stats[-1][:, block]).any()
     assert (np.delete(mutant.key_stats[-1], block, axis=1)
             == np.delete(level.key_stats[-1], block, axis=1)).all()
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=tuple(range(1, 7)))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
     consts = _build_consts(cfg)
     # under this hi the mutant's new key is the hi's, so as a lo it drops
     # from degree 5 to 4
@@ -1412,7 +1458,7 @@ def test_key_statistics_widen_for_a_corrupt_top_entry(monkeypatch):
     bad[target, -1] = 40
     patch_level(monkeypatch, 4, rows=bad)
     assert scan._level(4).key_stats[-1].shape == (4, 4, 2, 18)
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_d_range=(1, 2, 3))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=(1, 2, 3))
     consts = _build_consts(cfg)
     for tables in (range(77 << 16, (77 << 16) + 4000),
                    range((77 << 16) + 30000, (78 << 16) + 100)):
@@ -1435,7 +1481,7 @@ def test_ranges_under_a_high_half_of_every_degree_match_the_list_route():
                   range((hi << 16) + 5000, (hi << 16) + 7000))
         for check in (True, False):
             for degree_filter in (None, *range(6)):
-                cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True, equivalence_check=check,
+                cfg = ScanConfig(n=5, mode="exhaustive", equivalence_check=check,
                                  equivalence_d_range=tuple(range(1, 7)),
                                  degree_filter=degree_filter)
                 consts = _build_consts(cfg)
@@ -1466,8 +1512,7 @@ def test_key_statistics_follow_a_negated_weight_3_entry(monkeypatch):
     assert (mutant.halves == level.halves).all() and (mutant.degrees == level.degrees).all()
     assert (np.delete(mutant.keys, 3, axis=0) == np.delete(level.keys, 3, axis=0)).all()
     assert target not in np.flatnonzero(mutant.keys[3] == mutant.keys[3, partner])
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=tuple(range(1, 7)))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
     consts = _build_consts(cfg)
     start = (partner << 16) + max(0, target - 3000)
     ranges = (range(target << 16, (target + 1) << 16),  # hi is the mutant
@@ -1552,8 +1597,7 @@ def test_n5_violations_are_the_rows_over_the_bound():
     # not, under the Maj_d side cut in half: a range reads its degrees' best
     # rows from key statistics and goes row-wise only where one breaks the cut
     # bound, so it must report the rows a list reports
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=tuple(range(1, 7)))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
     consts = {d: s._replace(maj=s.maj // 2) for d, s in _build_consts(cfg).items()}
     for tables in key_route_ranges()[:2]:
         got = _accumulate(cfg, consts, tables)
@@ -1574,8 +1618,7 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
     step = scan._BATCH_CELLS >> 5
     start = majority(5).table - (1 << 16) - 1000
     tables = range(start, start + 3 * step + 17)
-    cfg = ScanConfig(n=5, mode="exhaustive", allow_huge=True,
-                     equivalence_d_range=tuple(range(1, 7)))
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
     consts = _build_consts(cfg)
     halved = {d: s._replace(maj=s.maj // 2) for d, s in consts.items()}
     bump = np.zeros(1 << 16, dtype=np.int64)
@@ -1626,7 +1669,7 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
 
 
 def test_int16_spectra_hold_every_exhaustive_arity():
-    for n in range(1, _EXHAUSTIVE_HUGE_MAX_N + 1):
+    for n in range(1, _EXHAUSTIVE_MAX_N + 1):
         assert _spectrum_dtype(n) is np.int16
     # the narrowest integer type that holds 2^n
     assert [_spectrum_dtype(n) for n in range(1, 63)] == \
