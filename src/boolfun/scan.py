@@ -23,7 +23,8 @@ Two routes read the tables.
 
 - Halves, for a range of consecutive tables of arity n <= 5 (an
   exhaustive scan, read whole): its per-degree rows come from per-key
-  records of its halves, with no block filled (the join module).
+  records of its halves, with no block filled.  The join module builds the
+  halves' keys and records and reads the range from them.
 - Gather, for a sub-batch of other tables (random samples, a list of
   tables, a level build, or a range read row by row, _BATCH_CELLS table
   bits at a time).  The tables are unpacked into chunks (_bits_matrix); a
@@ -409,9 +410,10 @@ class _Level:
     (rows, int8, one row per table) and its derivative +1 and -1 counts summed
     over coordinates 1..k (int8, as each is at most k 2^(k-1) <= 32), so a
     gather of either is small.  The statistics of each table as a half of an
-    arity-(k + 1) table, its degree and its key at each degree are built from
-    rows on first use, and only a range of arity-(k + 1) tables reads them.
-    One record serves the whole process, so every array is read-only."""
+    arity-(k + 1) table (halves) and the halves route's degrees, keys and
+    key_stats, which the join module builds, come from rows on first use,
+    and only a range of arity-(k + 1) tables reads them.  One record serves
+    the whole process, so every array is read-only."""
 
     rows: np.ndarray
     plus: np.ndarray
@@ -499,62 +501,9 @@ class _Level:
                               != rows[t : min(t + step, 1 << x)] - twice[x])
                        for x in range(points) for t in range(0, 1 << x, step))
 
-    @functools.cached_property
-    def degrees(self) -> np.ndarray:
-        """Each table's degree, the largest |S| with A(S) != 0, on first use;
-        int8, read-only."""
-        weights = popcounts(self.rows.shape[1].bit_length() - 1, np.int8)
-        degrees = np.zeros(len(self.rows), dtype=np.int8)
-        # one weight at a time: core._degrees would hold a weighted copy of
-        # rows, 2 MB at k = 4, and took 3 ms against 0.7 ms
-        for j in range(1, len(weights).bit_length()):
-            degrees[np.any(self.rows[:, weights == j], axis=1)] = j
-        degrees.setflags(write=False)
-        return degrees
-
-    @functools.cached_property
-    def keys(self) -> np.ndarray:
-        """Each table's key at each degree j = 0..k, on first use: row j
-        holds the rank of a table's H_j, its entries at the masks of weight j,
-        among the H_j of the level's tables of degree <= j, and -1 where its
-        degree is above j; read-only.  Each H_j is packed one byte an entry
-        into one integer, as it has at most C(4, 2) = 6 entries, so two tables
-        share a key exactly when their entries are equal, corrupt ones too."""
-        rows = self.rows
-        weights = popcounts(rows.shape[1].bit_length() - 1, np.int8)
-        ranks = []
-        for j in range(len(weights).bit_length()):
-            masks, held = np.flatnonzero(weights == j), np.flatnonzero(self.degrees <= j)
-            # whole bytes of a power of two, so the packed entries view as one integer
-            packed = np.zeros((len(held), 1 << (len(masks) - 1).bit_length()), dtype=np.uint8)
-            packed[:, : len(masks)] = rows[np.ix_(held, masks)].view(np.uint8)
-            ranks.append((held, *np.unique(packed.view(f"<u{packed.shape[1]}").ravel(),
-                                           return_inverse=True)))
-        keys = np.full((len(ranks), len(rows)), -1,
-                       dtype=_int_type(max(len(values) for _, values, _ in ranks)))
-        for key, (held, _, rank) in zip(keys, ranks):
-            key[held] = rank
-        keys.setflags(write=False)
-        return keys
-
-    @functools.cached_property
-    def key_stats(self) -> tuple[np.ndarray, ...]:
-        """The key statistics of this level's tables A, on first use, for
-        join._range_extremes: for each degree j = 0..k, an int64 table of
-        shape (4, blocks, 2, keys at j), the records of join._key_records at
-        j for each block of join._KEY_BLOCK consecutive tables, read-only.
-        For each key, the record of the block's tables with that key holds
-        their count, their largest a (halves), how many reach it and the
-        smallest table that does; the record of the block's tables with any
-        other key is beside it."""
-        size, step, stats = len(self.rows), join._KEY_BLOCK, []
-        for j, key in enumerate(self.keys):
-            # a level with no table of degree <= j still gets one, empty key
-            keys = max(int(key.max()), 0) + 1
-            stats.append(np.stack([join._key_records(self, j, start, min(start + step, size), keys)
-                                   for start in range(0, size, step)], axis=1))
-            stats[-1].setflags(write=False)
-        return tuple(stats)
+    degrees = functools.cached_property(join._degrees)
+    keys = functools.cached_property(join._keys)
+    key_stats = functools.cached_property(join._key_stats)
 
 
 @functools.cache
@@ -723,13 +672,13 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
 
 def run_scan(config: ScanConfig) -> ScanResult:
     """Full scan: in process, or a random one in chunk_size spans on a pool."""
-    if config.worker_count == 1 or config.mode == "exhaustive":
+    # a fork pool starts every worker at the first submit, so it gets no more
+    # workers than there are spans, and a scan that would get one reads in process
+    workers = min(config.worker_count, -(-config.total // config.chunk_size))
+    if workers == 1 or config.mode == "exhaustive":
         return _analyze_chunk(config, 0, config.total)
     spans = ((config, s, min(s + config.chunk_size, config.total))
              for s in range(0, config.total, config.chunk_size))
-    # a fork pool starts every worker at the first submit, so it gets no more
-    # workers than there are spans
-    workers = min(config.worker_count, -(-config.total // config.chunk_size))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         depth = _SPANS_IN_FLIGHT * workers
         return functools.reduce(merge_results, _bounded_map(pool, spans, depth))

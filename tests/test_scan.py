@@ -40,6 +40,7 @@ from boolfun import (
 )
 from boolfun.cli import _scan_payload, main
 from boolfun.conjecture import _sides
+from boolfun.core import _degrees
 from boolfun.derivatives import derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import maj_bound
@@ -392,7 +393,8 @@ def test_a_failed_pool_span_cancels_the_spans_queued_behind_it():
 
 def test_pool_is_no_larger_than_its_span_count(monkeypatch):
     # a fork pool starts all max_workers processes at the first submit.  An
-    # exhaustive scan is one range read, so it starts no pool at all
+    # exhaustive scan is one range read, and a random scan of one span is
+    # read in process, so neither starts a pool at all
     sizes = []
 
     class Pool:  # runs each span inline and records the pool size
@@ -414,7 +416,7 @@ def test_pool_is_no_larger_than_its_span_count(monkeypatch):
     cases = [(dict(n=3, mode="exhaustive", worker_count=8), None),
              (dict(n=3, mode="exhaustive", worker_count=8, chunk_size=100), None),
              (dict(n=4, mode="exhaustive", worker_count=2, chunk_size=1), None),
-             (dict(n=3, mode="random", sample_count=256, worker_count=8), 1),
+             (dict(n=3, mode="random", sample_count=256, worker_count=8), None),
              (dict(n=3, mode="random", sample_count=256, worker_count=8, chunk_size=100), 3),
              (dict(n=4, mode="random", sample_count=50, worker_count=2, chunk_size=10), 2)]
     for kwargs, workers in cases:
@@ -1385,6 +1387,21 @@ def test_key_statistics_hold_every_blocks_records():
                               (rng.randrange(60000) for _ in range(3)))):
             assert records_as_lists(join._key_records(level, j, start, stop, table.shape[3])) \
                 == python_key_records(4, j, start, stop), (j, start, stop)
+
+
+def test_degrees_of_a_corrupt_level_follow_its_rows():
+    # the mutant with the masks empty set and top swapped (as in
+    # test_identity_proof_is_sound) moves the degrees: the constants get
+    # degree k.  A level's degrees come from the masks its keys are held at,
+    # so they must still be each row's largest |S| with a nonzero entry
+    for k in (1, 2, 3):
+        across = np.arange(1 << k)
+        across[[0, -1]] = across[[-1, 0]]
+        level = dataclasses.replace(_level(k), rows=_level(k).rows[:, across])
+        assert level.degrees.dtype == np.int8
+        assert level.degrees.tolist() == _degrees(level.rows.T, k).tolist(), k
+        assert level.degrees.tolist() == (level.keys < 0).sum(axis=0).tolist(), k
+        assert level.degrees[0] == level.degrees[-1] == k != _level(k).degrees[0], k
 
 
 def key_route_ranges() -> list[range]:

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "boolfun").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "boolfun").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                  *(ROOT / "tools").glob("*.py")])
 
 
 def test_sources_are_found():
     names = {path.relative_to(ROOT).as_posix() for path in SOURCES}
-    assert {"src/boolfun/scan.py", "src/boolfun/join.py", "bench/run.py"} <= names
+    assert {"src/boolfun/scan.py", "src/boolfun/join.py", "bench/run.py",
+            "tools/code_lines.py"} <= names
 
 
 def test_join_imports_nothing_from_scan():
@@ -30,6 +32,16 @@ def test_join_imports_nothing_from_scan():
         else:
             continue
         assert not {"boolfun.scan", ".scan"} & set(modules), ast.dump(node)
+
+
+def test_scan_reads_only_the_join_entry_points():
+    # join owns the halves' keys, their degrees and their records, and the
+    # block layout they are kept in; scan binds the first three to its level
+    # record and reads ranges through _range_extremes, and names nothing else
+    tree = ast.parse((ROOT / "src" / "boolfun" / "scan.py").read_text(encoding="utf-8"))
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "join"}
+    assert reads == {"_range_extremes", "_degrees", "_keys", "_key_stats"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
