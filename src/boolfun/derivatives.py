@@ -13,6 +13,13 @@ formulas p_zero = 1 - Inf_i, p_plus = (Inf_i + fhat(i))/2,
 p_minus = (Inf_i - fhat(i))/2.  Their exact agreement on every function is a
 tested identity, not an assumption; neither route calls the other.
 
+As E[D_i f] = fhat(i) and Pr[D_i f != 0] = Inf_i (O'Donnell, Analysis of
+Boolean Functions, 2014, 2.2), a table's derivative counts plus and minus,
+summed over the coordinates, meet its spectrum in two identities:
+2 (plus - minus) is 2^n times the linear sum, and 2^(n+1) (plus + minus) is
+4^n times the total influence.  _identity_breaks compares both sides of
+each for a batch of tables at once.
+
 The influences read the spectrum's cached squares (``FourierSpectrum.squares``)
 and never touch the truth table, so they stay on the spectral side.  Inf_i
 sums the squares over the masks that contain i, while the total influence
@@ -170,6 +177,15 @@ def _total_influences(squares: np.ndarray, n: int) -> np.ndarray:
     most n * 4^n; they are taken in a type that holds that bound."""
     acc = np.promote_types(squares.dtype, _int_type(n << 2 * n))
     return (squares * _along(popcounts(n, acc), squares)).sum(axis=0, dtype=acc)
+
+
+def _identity_breaks(plus: np.ndarray, minus: np.ndarray, n: int, lin: np.ndarray,
+                     inf: np.ndarray) -> np.ndarray:
+    """The rows of arity-n tables that break one of the two identities of the
+    module docstring, ascending, from both sides of each per row: the
+    derivative counts plus and minus, in a type that holds 2^(n+1) times
+    their sum, against 2^n lin and 4^n inf."""
+    return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
 
 
 def total_influence(spectrum: FourierSpectrum) -> DyadicRational:

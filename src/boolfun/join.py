@@ -7,7 +7,7 @@ f = (lo, hi), table = hi * 2^(2^(n-1)) + lo, and its spectrum is
 integers, so a range is rectangles of (hi, lo) pairs: a partial first high
 half, runs of at most _KEY_BLOCK whole high halves, and a partial last one
 (_rectangles).  2^n times the linear sum is then a_lo + b_hi
-(scan._Level.halves), a per-half term for each side.  The coefficients at
+(_halves), a per-half term for each side.  The coefficients at
 S + {n} and S are A_lo(S) - A_hi(S) and A_lo(S) + A_hi(S), so with H_j a
 half's entries at the masks of weight j, f has degree <= j exactly when both
 halves do and H_j(lo) = H_j(hi) (O'Donnell, Analysis of Boolean Functions,
@@ -18,9 +18,12 @@ the lo's whose keys qualify, so a range's per-degree rows come from per-key
 records of the lo's (_range_extremes), with no per-table work: no block is
 filled.
 
-This module owns the halves' keys and their records, which the level
-record scan._Level binds as its degrees, keys and key_stats, built on first
-use and read-only:
+This module owns the halves route: the halves' statistics, keys and
+records, and the proof a range trusts, which the level record scan._Level
+binds as its halves, identities_hold, degrees, keys and key_stats, built on
+first use and read-only:
+- halves (_halves): each half's a = L + E and b = L - E, with L the sum of
+  its singleton entries and E its entry at the empty set, int16.
 - keys (_keys): a half's key at degree j = 0..k is the rank of its H_j,
   packed one byte an entry into one integer, among the H_j of the level's
   halves of degree <= j, and -1 where its degree is above j.  So two halves
@@ -32,12 +35,13 @@ use and read-only:
   shape (4, blocks, 2, keys at j): for each key, the record of the block's
   halves with any other key, then that of its halves with that key.
 
-A range is reduced from its halves alone, in the same integers, and
-checked by one proof per level (scan._Level.identities_hold): a proven
-level's tables each have N = 4^(n-1), the sum of their squared entries, so
-every pair's squares sum to 2 (N_lo + N_hi) = 4^n.  A range on a level
-without the proof is read through the gather route, whose blocks are
-norm-checked.
+A range is reduced from its halves alone, in the same integers, and its
+tables are neither norm-checked nor compared with their derivative counts
+one by one.  One proof per level (_identities_hold) stands for both: on a
+proven level every table has N = 4^(n-1), the sum of its squared entries,
+so every pair's squares sum to 2 (N_lo + N_hi) = 4^n, and every pair meets
+the two identities of the derivatives module.  A range on a level without
+the proof is read through the gather route, whose blocks are norm-checked.
 
 Each function here is given the level record of the halves and reads it;
 none builds a level, so this module imports nothing from scan.
@@ -45,7 +49,8 @@ none builds a level, so this module imports nothing from scan.
 
 import numpy as np
 
-from .core import _int_type, popcounts
+from .core import _int_type, popcounts, singleton_masks
+from .derivatives import _identity_breaks
 
 # consecutive halves per block of a level's key statistics (_key_stats)
 _KEY_BLOCK = 1 << 14
@@ -70,6 +75,69 @@ def _max_plus(records: np.ndarray, axis: int) -> np.ndarray:
     at = best == top
     return np.array([count.sum(axis=axis), top.squeeze(axis=axis), (reach * at).sum(axis=axis),
                      np.where(at, first, _EMPTY[3]).min(axis=axis)])
+
+
+def _halves(level) -> np.ndarray:
+    """Each half's statistics from its spectrum row A: rows a = L + E and
+    b = L - E, with L the sum of A's singleton entries and E = A(empty set);
+    int16, which holds any sum of k + 1 int8 entries at k <= 4, so they are
+    exact on every level, proven or not; read-only."""
+    rows = level.rows
+    lin = rows[:, singleton_masks(rows.shape[1].bit_length() - 1)].sum(axis=1, dtype=np.int16)
+    halves = np.stack([lin + rows[:, 0], lin - rows[:, 0]])
+    halves.setflags(write=False)
+    return halves
+
+
+def _identities_hold(level) -> bool:
+    """Whether every table f = (lo, hi) of arity k + 1 with halves at this
+    level passes the norm check and meets both identities of the derivatives
+    module, proven once per level, on first use, without reading a pair.
+    With H read off the level, H[:, x] = (A_0 - A_(2^x)) / 2 for each point
+    x, it checks in integers that
+    (a) the level is linear: each difference is even, H 1 = A_0, and
+        A_(t + 2^x) = A_t - 2 H[:, x] for every x and t < 2^x, so
+        A_t = H v_t, with v_t the table's +-1 values;
+    (b) H^T H = 2^k I, so with (a) every table has
+        N = v_t^T H^T H v_t = 2^k |v_t|^2 = 4^k, the sum of its squared
+        entries, and every f, whose spectrum is [A_lo + A_hi,
+        A_lo - A_hi], has squares summing to 2 (N_lo + N_hi) = 4^(k+1):
+        the range route relies on this in place of a norm check;
+    (c) H's row at the empty set is all ones, so E = A_t(empty set) is
+        the sum of v_t, 2^k - 2 popcount(t), and every table meets both
+        identities at arity k (_identity_breaks, with 2^k lin =
+        (a + b) / 2 from _halves and 4^k inf = W = sum |S| A(S)^2).
+    Then each identity of f is its halves' plus two pair terms, and the
+    pair terms are equal.  f's counts add popcount(hi & ~lo) and
+    popcount(lo & ~hi) to its halves', and its spectrum is [A_lo + A_hi,
+    A_lo - A_hi].  So 2 (plus - minus) adds 2 popcount(hi) - 2 popcount(lo),
+    and 2^(k+1) lin adds E_lo - E_hi, the same by (c).
+    2^(k+2) (plus + minus) adds 2^(k+2) popcount(lo ^ hi), and 4^(k+1) inf
+    adds |A_lo - A_hi|^2 = 2^k |v_lo - v_hi|^2, the same by (a) and (b)."""
+    rows = level.rows
+    points = rows.shape[1]
+    k = points.bit_length() - 1
+    twice = rows[0] - rows[1 << np.arange(points)].astype(np.int16)  # 2 H^T
+    h = twice >> 1
+    a, b = level.halves
+    # rows are int8, so W is at most k 2^k 4^7 on any level, and exact here
+    wide = _int_type(k << (k + 14))
+    weighted = np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows, dtype=wide)
+    # int8 counts would wrap when shifted; int16 holds 2^(k+1) times the
+    # sum of any two int8 counts at k <= 4, and wider counts stay wide
+    plus, minus = (counts.astype(np.promote_types(counts.dtype, np.int16))
+                   for counts in (level.plus, level.minus))
+    if (np.any(twice & 1) or np.any(h.sum(axis=0) != rows[0])
+            or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
+                      != np.eye(points, dtype=np.int64) << k)
+            or np.any(h[:, 0] != 1)
+            or _identity_breaks(plus, minus, k, (a + b) >> 1, weighted).size):
+        return False
+    # a few thousand rows at a time, so the int16 temporaries stay small
+    step = 1 << 12
+    return not any(np.any(rows[(1 << x) + t : (1 << x) + min(t + step, 1 << x)]
+                          != rows[t : min(t + step, 1 << x)] - twice[x])
+                   for x in range(points) for t in range(0, 1 << x, step))
 
 
 def _keys(level) -> np.ndarray:

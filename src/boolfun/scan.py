@@ -23,8 +23,9 @@ Two routes read the tables.
 
 - Halves, for a range of consecutive tables of arity n <= 5 (an
   exhaustive scan, read whole): its per-degree rows come from per-key
-  records of its halves, with no block filled.  The join module builds the
-  halves' keys and records and reads the range from them.
+  records of its halves, with no block filled.  The join module owns this
+  route: it builds the halves' statistics, keys and records, proves their
+  level once, and reads the range from them.
 - Gather, for a sub-batch of other tables (random samples, a list of
   tables, a level build, or a range read row by row, _BATCH_CELLS table
   bits at a time).  The tables are unpacked into chunks (_bits_matrix); a
@@ -49,26 +50,19 @@ of the conjecture module (see there for their int64 headroom).  Derivative
 value counts for the equivalence check come from table bits, not from the
 spectrum: the chunks' level counts plus, along each coordinate above the
 chunks' arity, popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk
-pairs (_derivative_counts).  As E[D_i f] = fhat(i) and Pr[D_i f != 0] =
-Inf_i (O'Donnell 2014, 2.2), the counts plus and minus of a table meet its
-spectrum in two identities: 2 (plus - minus) is 2^n times the linear sum,
-and 2^(n+1) (plus + minus) is 4^n times the total influence.  Where both
-hold, each of the four inequalities becomes the original one, linear sum
-<= M(d), so they agree at every d.  Only a row that breaks an identity goes
-through the four inequalities at each d, so the witnesses are those that a
-check of every row at every d reports: a break that flips no inequality is
-not one of them.  A gathered sub-batch compares both sides of each identity
-per row (_identity_breaks).  For a range, the level of its halves proves
-once, in integers, that every pair meets both (_Level.identities_hold): its
-spectra are A_t = H v_t, with v_t the table's +-1 values, for one matrix H
-with H^T H = 2^k I and all ones in its row at the empty set, and each of its
-tables meets both identities at arity k, compared by the same
-_identity_breaks.  Each identity of a pair is then the sum of its halves'
-plus two pair terms that are equal.  So a range on a proven level, which
-every clean level is, reads no pair.  On an unproven level, or where a
-degree's best row breaks the bound, the range's halves are re-read through
-the gather route (_pairs), _BATCH_CELLS table bits at a time, by the row
-loop that reads a sub-batch of other tables (_accumulate).
+pairs (_derivative_counts).  They meet the spectrum in the two identities
+of the derivatives module, and where both hold, each of the four
+inequalities becomes the original one, linear sum <= M(d), so they agree at
+every d.  Only a row that breaks an identity goes through the four
+inequalities at each d, so the witnesses are those that a check of every
+row at every d reports: a break that flips no inequality is not one of
+them.  A gathered sub-batch compares both sides of each identity per row
+(derivatives._identity_breaks).  A range trusts one proof per level
+instead (join._identities_hold), so a range on a proven level, which every
+clean level is, reads no pair.  On an unproven level, or where a degree's
+best row breaks the bound, the range's halves are re-read through the
+gather route (_pairs), _BATCH_CELLS table bits at a time, by the row loop
+that reads a sub-batch of other tables (_accumulate).
 
 Witness lists are capped at _WITNESS_CAP entries, the smallest tables first;
 the number cut off is carried along, so the reported totals stay exact.
@@ -105,11 +99,9 @@ from .core import (
     _int_type,
     _linear_sums,
     _table_bytes,
-    popcounts,
-    singleton_masks,
     to_hex,
 )
-from .derivatives import _total_influences
+from .derivatives import _identity_breaks, _total_influences
 from .dyadic import DyadicRational
 from .majority import maj_bound
 
@@ -369,15 +361,6 @@ def _pairs(tables: range, n: int) -> np.ndarray:
     return np.stack([keys & ((1 << half) - 1), keys >> half], axis=1)
 
 
-def _identity_breaks(plus: np.ndarray, minus: np.ndarray, n: int, lin: np.ndarray,
-                     inf: np.ndarray) -> np.ndarray:
-    """The rows of arity-n tables that break one of the two identities of the
-    module docstring, ascending, from both sides of each per row: the
-    derivative counts plus and minus, in a type that holds 2^(n+1) times
-    their sum, against 2^n lin and 4^n inf."""
-    return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
-
-
 def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Derivative values +1 and -1 per table, summed over coordinates, from
     the bits of a chunk matrix from _bits_matrix."""
@@ -409,11 +392,11 @@ class _Level:
     """Every arity-k table, indexed by table integer: its 2^k-scaled spectrum
     (rows, int8, one row per table) and its derivative +1 and -1 counts summed
     over coordinates 1..k (int8, as each is at most k 2^(k-1) <= 32), so a
-    gather of either is small.  The statistics of each table as a half of an
-    arity-(k + 1) table (halves) and the halves route's degrees, keys and
-    key_stats, which the join module builds, come from rows on first use,
-    and only a range of arity-(k + 1) tables reads them.  One record serves
-    the whole process, so every array is read-only."""
+    gather of either is small.  The halves route's statistics (halves), the
+    level's proof (identities_hold), degrees, keys and key_stats, which the
+    join module builds, come from these on first use, and only a range of
+    arity-(k + 1) tables reads them.  One record serves the whole process,
+    so every array is read-only."""
 
     rows: np.ndarray
     plus: np.ndarray
@@ -423,84 +406,8 @@ class _Level:
         for values in (self.rows, self.plus, self.minus):
             values.setflags(write=False)
 
-    @functools.cached_property
-    def halves(self) -> np.ndarray:
-        """The statistics of each table A as a half of an arity-(k + 1) table,
-        from rows, on first use: rows a = L + E and b = L - E, with L the
-        sum of A's singleton entries and E = A(empty set), then
-        W = sum |S| A(S)^2, 4^k times A's total influence.
-
-        Their type holds the bounds of a proven level (identities_hold),
-        where every table has N = 4^k: |a|, |b| <= (k + 1) 2^k and
-        W <= k 4^k.  That type is at least int16, which holds any sum of
-        k + 1 int8 entries, so a and b are exact on every level, and a
-        range reads them for its per-degree rows; W may wrap, on an
-        unproven level only."""
-        rows = self.rows
-        k = rows.shape[1].bit_length() - 1
-        halves = np.empty((3, len(rows)), dtype=_int_type(max((k + 1) << k, k << 2 * k)))
-        # rows are int8, so no sum below passes k 2^k 4^7 in size
-        wide = _int_type(k << (k + 14))
-        lin = rows[:, singleton_masks(k)].sum(axis=1, dtype=wide)
-        halves[0], halves[1] = lin + rows[:, 0], lin - rows[:, 0]
-        halves[2] = np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows, dtype=wide)
-        halves.setflags(write=False)
-        return halves
-
-    @functools.cached_property
-    def identities_hold(self) -> bool:
-        """Whether every table f = (lo, hi) of arity k + 1 with halves at this
-        level passes the norm check and meets both identities of the module
-        docstring, proven once per level, on first use, without reading a
-        pair.  It is the one check a range trusts: on a proven level a range
-        reads no row, and on an unproven one it reads every row through the
-        gather route, whose blocks are norm-checked.  With H read off the
-        level, H[:, x] = (A_0 - A_(2^x)) / 2 for each point x, it checks in
-        integers that
-        (a) the level is linear: each difference is even, H 1 = A_0, and
-            A_(t + 2^x) = A_t - 2 H[:, x] for every x and t < 2^x, so
-            A_t = H v_t, with v_t the table's +-1 values;
-        (b) H^T H = 2^k I, so with (a) every table has
-            N = v_t^T H^T H v_t = 2^k |v_t|^2 = 4^k, the sum of its squared
-            entries, and every f, whose spectrum is [A_lo + A_hi,
-            A_lo - A_hi], has squares summing to 2 (N_lo + N_hi) = 4^(k+1):
-            the range route relies on this in place of a norm check;
-        (c) H's row at the empty set is all ones, so E = A_t(empty set) is
-            the sum of v_t, 2^k - 2 popcount(t), and every table meets both
-            identities at arity k (_identity_breaks, with 2^k lin =
-            (a + b) / 2 and 4^k inf = W from halves).
-        W is stored in a type that holds k 4^k, its bound where N = 4^k as
-        |S| <= k, so it may wrap only where (a) or (b) fails, and the proof
-        is then false whatever (c) reads.  Then each identity of f is its
-        halves' plus two pair terms, and the pair terms are equal.  f's
-        counts add popcount(hi & ~lo) and popcount(lo & ~hi) to its halves',
-        and its spectrum is [A_lo + A_hi, A_lo - A_hi].  So 2 (plus - minus) adds
-        2 popcount(hi) - 2 popcount(lo), and 2^(k+1) lin adds E_lo - E_hi,
-        the same by (c).  2^(k+2) (plus + minus) adds
-        2^(k+2) popcount(lo ^ hi), and 4^(k+1) inf adds
-        |A_lo - A_hi|^2 = 2^k |v_lo - v_hi|^2, the same by (a) and (b)."""
-        rows = self.rows
-        points = rows.shape[1]
-        k = points.bit_length() - 1
-        twice = rows[0] - rows[1 << np.arange(points)].astype(np.int16)  # 2 H^T
-        h = twice >> 1
-        a, b, weighted = self.halves
-        # int8 counts would wrap when shifted; int16 holds 2^(k+1) times the
-        # sum of any two int8 counts at k <= 4, and wider counts stay wide
-        plus, minus = (counts.astype(np.promote_types(counts.dtype, np.int16))
-                       for counts in (self.plus, self.minus))
-        if (np.any(twice & 1) or np.any(h.sum(axis=0) != rows[0])
-                or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
-                          != np.eye(points, dtype=np.int64) << k)
-                or np.any(h[:, 0] != 1)
-                or _identity_breaks(plus, minus, k, (a + b) >> 1, weighted).size):
-            return False
-        # a few thousand rows at a time, so the int16 temporaries stay small
-        step = 1 << 12
-        return not any(np.any(rows[(1 << x) + t : (1 << x) + min(t + step, 1 << x)]
-                              != rows[t : min(t + step, 1 << x)] - twice[x])
-                       for x in range(points) for t in range(0, 1 << x, step))
-
+    halves = functools.cached_property(join._halves)
+    identities_hold = functools.cached_property(join._identities_hold)
     degrees = functools.cached_property(join._degrees)
     keys = functools.cached_property(join._keys)
     key_stats = functools.cached_property(join._key_stats)
@@ -534,7 +441,7 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
     statistics of its halves, read from their level _level(n - 1) by
     join._range_extremes, and its rows are read only where a degree's best
     row breaks the bound or that level is unproven
-    (_Level.identities_hold), and then as halves (_pairs), in parts of
+    (join._identities_hold), and then as halves (_pairs), in parts of
     _BATCH_CELLS table bits.  Other tables are one part, unpacked
     (_bits_matrix), whose per-degree rows come from its reductions.  Each
     part is reduced from its spectrum blocks.  Its rows over the bound and

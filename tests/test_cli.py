@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from boolfun import InvariantError, ScanConfig
+from boolfun import InvariantError, ScanConfig, cli
 from boolfun.cli import main
-from boolfun.scan import EquivalenceWitness, run_scan
+from boolfun.dyadic import ONE, DyadicRational
+from boolfun.scan import ConjectureWitness, EquivalenceWitness, run_scan
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +170,39 @@ def test_scan_text_mentions_no_violations(capsys):
     code, out, _ = run_cli(capsys, "scan", "--n", "2")
     assert code == 0
     assert "violations: none" in out and "equivalence: agreed" in out
+
+
+def doctored(name, **changes):
+    """A patch that makes boolfun.cli's name return its real result with the
+    given fields replaced."""
+    def patch(monkeypatch):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: dataclasses.replace(real(*args), **changes))
+    return patch
+
+
+@pytest.mark.parametrize("argv, patch, lines, code", [
+    (["derivative", "--fn", "maj:3", "--i", "2"], None,
+     ["counts over 4 restrictions: zero=2 plus=2 minus=0", "counted and spectral routes agree"], 0),
+    (["analyze", "--fn", "maj:3", "--spectrum"], None, ["       1: 1/2", "     111: -1/2"], 0),
+    (["maj", "--d", "3", "--table"], None, ["table: 0xe8"], 0),
+    (["scan", "--n", "2", "--degree", "1"], None, ["degree filter: 1"], 0),
+    # a violation is a reported result, and a disagreement an internal error
+    (["analyze", "--fn", "maj:3"], doctored("check_conjecture", satisfied=False),
+     ["!!! CONJECTURE VIOLATION: linear sum 3/2 exceeds M(3) = 3/2"], 0),
+    (["scan", "--n", "2"],
+     doctored("run_scan", violations=(ConjectureWitness("0x6", 2, 2, DyadicRational(3, 1), ONE),)),
+     ["!!! CONJECTURE VIOLATION: 1 witness(es)", "  0x6 degree 2: linear sum 3/2 exceeds 1"], 0),
+    (["equiv", "--fn", "maj:3", "--d", "1"], doctored("equivalence_predicates", ineq_a=True),
+     ["!!! EQUIVALENCE BROKEN: the four inequalities disagree"], 2),
+], ids=["derivative", "spectrum", "maj-table", "degree-filter", "analyze-violation",
+        "scan-violation", "equiv-broken"])
+def test_text_renderers(capsys, monkeypatch, argv, patch, lines, code):
+    if patch:
+        patch(monkeypatch)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert set(lines) <= set(out.splitlines()), out
 
 
 # -------------------------------------------------------------- exit codes

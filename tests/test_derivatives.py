@@ -8,6 +8,7 @@ everything else must match it bit for bit.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boolfun import (
@@ -24,9 +25,12 @@ from boolfun import (
     parity,
     singleton_masks,
 )
+from boolfun.core import _linear_sums, majority
 from boolfun.derivatives import (
     DerivativeDistribution,
     DerivativeTable,
+    _identity_breaks,
+    _total_influences,
     derivative_distribution_counted,
     derivative_distribution_spectral,
     derivative_value_counts,
@@ -36,7 +40,6 @@ from boolfun.derivatives import (
     influence_profile,
     total_influence,
 )
-from boolfun.core import majority
 from boolfun.dyadic import HALF, ONE, ZERO, DyadicRational
 
 
@@ -135,6 +138,24 @@ def test_influence_identities():
                 # Pr[derivative != 0] is the influence
                 assert ONE - dist.p_zero == influence(spectrum, i)
                 assert dist.p_plus + dist.p_minus == profile.influences[i - 1]
+
+
+def test_batch_identity_check_agrees_with_the_single_function_routes():
+    # the counts summed over every coordinate, 2^n lin and 4^n inf of each
+    # function, from the single-function routes, meet both identities in the
+    # batch comparison; one more +1 value in row 0 breaks the first
+    rng = random.Random(2929)
+    for n in range(1, 9):
+        fns = [random_function(rng, n) for _ in range(6)]
+        counts = [[derivative_value_counts(f, i) for i in range(1, n + 1)] for f in fns]
+        plus = np.array([sum(c[1] for c in row) for row in counts], dtype=np.int64)
+        minus = np.array([sum(c[2] for c in row) for row in counts], dtype=np.int64)
+        spectra = [fwht(f) for f in fns]
+        lin = np.array([_linear_sums(s.coeffs, n) for s in spectra], dtype=np.int64)
+        inf = np.array([_total_influences(s.squares, n) for s in spectra], dtype=np.int64)
+        assert _identity_breaks(plus, minus, n, lin, inf).tolist() == [], n
+        plus[0] += 1
+        assert _identity_breaks(plus, minus, n, lin, inf).tolist() == [0], n
 
 
 def test_total_influence_at_most_degree():

@@ -41,7 +41,7 @@ from boolfun import (
 from boolfun.cli import _scan_payload, main
 from boolfun.conjecture import _sides
 from boolfun.core import _degrees
-from boolfun.derivatives import derivative_value_counts
+from boolfun.derivatives import _identity_breaks, derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import maj_bound
 from boolfun.scan import (
@@ -55,7 +55,6 @@ from boolfun.scan import (
     _bits_matrix,
     _build_consts,
     _derivative_counts,
-    _identity_breaks,
     _level,
     _pairs,
     _sample_table,
@@ -797,7 +796,7 @@ def test_a_sign_flip_keeps_every_norm_and_is_read_row_by_row(monkeypatch):
             levels[n] = _level.__wrapped__(n)
         monkeypatch.setattr(scan, "_level", lambda j: levels[j] if j in levels else _level(j))
         assert not levels[k].identities_hold
-        assert (levels[k].halves[2] == _level(k).halves[2]).all()
+        assert (level_identity_sides(bad)[1] == level_identity_sides(_level(k).rows)[1]).all()
         cfg = ScanConfig(n=n, mode="exhaustive", equivalence_check=False)
         consts = _build_consts(cfg)
         # target as the hi, and as the lo under it
@@ -988,26 +987,29 @@ def test_range_reductions_read_the_level_spectra(monkeypatch):
 
 
 def test_half_statistics_hold_their_worst_cases(monkeypatch):
-    # on a proven level each half at n = 5 has N = 4^4, so |a|, |b| <= 5 * 2^4
-    # and W <= 4 * 4^4; the type also holds any sum of five int8 entries, so
-    # a and b are exact on any level
+    # on a proven level each half at n = 5 has N = 4^4, so |a|, |b| <= 5 * 2^4;
+    # the type also holds any sum of five int8 entries, so a and b are exact
+    # on any level
     level = _level(4)
     assert level.halves.dtype == np.int16
-    assert np.iinfo(level.halves.dtype).max >= max(5 * 2**4, 4 * 4**4, 5 * 2**7)
+    assert np.iinfo(level.halves.dtype).max >= max(5 * 2**4, 5 * 2**7)
     rng = random.Random(16)
     for t in (0, (1 << 16) - 1, *(rng.randrange(1 << 16) for _ in range(200))):
         spectrum = fwht(BooleanFunction(4, t)).coeffs.tolist()
         lin, empty = sum(spectrum[1 << i] for i in range(4)), spectrum[0]
-        weighted = sum(bin(s).count("1") * x * x for s, x in enumerate(spectrum))
-        assert level.halves[:, t].tolist() == [lin + empty, lin - empty, weighted], t
+        assert level.halves[:, t].tolist() == [lin + empty, lin - empty], t
     # these entries at masks 3, 7 and 15 keep the row's a and b and add 2^16
-    # to its W, which int16 wraps to the clean W: the table still meets both
-    # identities and H is unchanged, so the recurrence of (a) alone rejects
-    # the level, and the table's norm check fails at the range primitive
+    # to its W, which int16 would wrap to the clean W.  The proof takes W in
+    # the type that holds it, so the table breaks the second identity, H is
+    # unchanged, the recurrence of (a) rejects the level too, and the
+    # table's norm check fails at the range primitive
     target = 4242
     bad = level.rows.copy()
     bad[target, [3, 7, 15]] = [36, 24, 124]
-    assert level_identity_sides(bad)[1][target] == int(level.halves[2, target]) + (1 << 16)
+    lin, inf = level_identity_sides(bad)
+    assert inf[target] == level_identity_sides(level.rows)[1][target] + (1 << 16)
+    assert _identity_breaks(level.plus.astype(np.int64), level.minus.astype(np.int64), 4,
+                            lin, inf).tolist() == [target]
     patch_level(monkeypatch, 4, rows=bad)
     assert (scan._level(4).halves == level.halves).all()
     assert not scan._level(4).identities_hold

@@ -35,13 +35,27 @@ def test_join_imports_nothing_from_scan():
 
 
 def test_scan_reads_only_the_join_entry_points():
-    # join owns the halves' keys, their degrees and their records, and the
-    # block layout they are kept in; scan binds the first three to its level
-    # record and reads ranges through _range_extremes, and names nothing else
+    # join owns the halves route: the halves' statistics, the level's proof,
+    # the halves' keys, degrees and records, and the block layout they are
+    # kept in; scan binds the first five to its level record and reads ranges
+    # through _range_extremes, and names nothing else
     tree = ast.parse((ROOT / "src" / "boolfun" / "scan.py").read_text(encoding="utf-8"))
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "join"}
-    assert reads == {"_range_extremes", "_degrees", "_keys", "_key_stats"}
+    assert reads == {"_range_extremes", "_halves", "_identities_hold", "_degrees", "_keys",
+                     "_key_stats"}
+
+
+def test_scan_reads_no_half_statistics_and_breaks_no_identity_itself():
+    # the halves' format is join's and the identity comparison is derivatives',
+    # so scan reads no .halves attribute and defines no _identity_breaks
+    nodes = list(ast.walk(ast.parse((ROOT / "src" / "boolfun" / "scan.py").read_text(
+        encoding="utf-8"))))
+    assert "halves" not in {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    defined |= {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "_identity_breaks" not in defined
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).as_posix())
