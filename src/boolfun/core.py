@@ -259,7 +259,13 @@ def from_hex(text: str, n: int) -> BooleanFunction:
 
 def to_hex(f: BooleanFunction) -> str:
     """Canonical lowercase hex form; inverse of from_hex."""
-    return f"0x{f.table:0{hex_digits(f.n)}x}"
+    return _table_hex(f.n, f.table)
+
+
+def _table_hex(n: int, table: int) -> str:
+    """to_hex of the arity-n table integer table, which the caller has made
+    valid, so no BooleanFunction is built to check it."""
+    return f"0x{table:0{hex_digits(n)}x}"
 
 
 def point_to_index(x: Sequence[int]) -> int:

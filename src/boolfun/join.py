@@ -154,12 +154,17 @@ def _keys(level) -> np.ndarray:
         # whole bytes of a power of two, so the packed entries view as one integer
         packed = np.zeros((len(held), 1 << (len(masks) - 1).bit_length()), dtype=np.uint8)
         packed[:, : len(masks)] = rows[np.ix_(held, masks)].view(np.uint8)
-        values, rank = np.unique(packed.view(f"<u{packed.shape[1]}").ravel(), return_inverse=True)
-        ranks.append((held, len(values), rank))
-        held = held[~packed.any(axis=1)]
+        # each packed H_j's rank among the distinct ones, by a stable sort (a
+        # radix sort on the one-byte keys) and a search: at k = 4 the five
+        # rankings take ~2.0 ms, against ~2.7 ms by np.unique's inverse
+        flat = packed.view(f"<u{packed.shape[1]}").ravel()
+        ordered = np.sort(flat, kind="stable")
+        values = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        ranks.append((held, len(values), np.searchsorted(values, flat)))
+        held = held[flat == 0]
     # the ranks are kept until their type is known: a key table wide enough
     # for any rank, narrowed at the end, raised this build's peak at k = 4
-    # from 2.25 to 3.5 MiB
+    # from 2.25 to 3.5 MiB when np.unique gave the ranks
     keys = np.full((len(ranks), len(rows)), -1, dtype=_int_type(max(c for _, c, _ in ranks)))
     for key, (halves, _, rank) in zip(keys[::-1], ranks):
         key[halves] = rank

@@ -70,6 +70,9 @@ While rows are read, each row over the bound or identity break is an
 integer tuple, (table, d, ...), made one at a time and merged into the rows
 kept so far, of which the _WITNESS_CAP smallest stay (heapq.nsmallest), so
 no more than the cap are held and witness objects are built only for them.
+Each degree's record is built once from its integers (_extremal), and a
+merge builds one only for a degree that both sides hold; the records are
+immutable, so a degree that one side holds keeps its record.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ import numpy as np
 from . import join
 from .conjecture import _bound_sides, _scale, _Scale, _sides
 from .core import (
-    BooleanFunction,
     InputError,
     InvariantError,
     _butterfly,
@@ -99,7 +101,7 @@ from .core import (
     _int_type,
     _linear_sums,
     _table_bytes,
-    to_hex,
+    _table_hex,
 )
 from .derivatives import _identity_breaks, _total_influences
 from .dyadic import DyadicRational
@@ -502,17 +504,31 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
                     hits = np.flatnonzero(~agree)
                     keep(1, ((part[broken[i]], d, *(bool(x[i]) for x in sat)) for i in hits),
                          hits.size)
-    per_degree = {}
-    for d, (count, best, reach, first) in extremes.items():
-        best_dy, bound = DyadicRational(best, n), maj_bound(d)
-        per_degree[d] = DegreeExtremal(d, count, best_dy, to_hex(BooleanFunction(n, first)), reach,
-                                       bound, bound - best_dy)
-    violations = [ConjectureWitness(to_hex(BooleanFunction(n, table)), n, d,
+    per_degree = {d: _extremal(n, d, *record) for d, record in extremes.items()}
+    violations = [ConjectureWitness(_table_hex(n, table), n, d,
                                     DyadicRational(scaled, n), maj_bound(d))
                   for table, d, scaled in found[0]]
-    failures = [EquivalenceWitness(to_hex(BooleanFunction(n, table)), n, *rest)
-                for table, *rest in found[1]]
+    failures = [EquivalenceWitness(_table_hex(n, table), n, *rest) for table, *rest in found[1]]
     return _finalize(cfg, len(tables), violations, failures, per_degree, *omitted)
+
+
+@functools.cache
+def _scaled_bound(n: int, d: int) -> tuple[DyadicRational, int]:
+    """M(d) and 2^n M(d), an integer where d <= n: M(d)'s denominator is at
+    most 2^(d-1) (majority_profile).  Raises InvariantError where it is not."""
+    bound = maj_bound(d)
+    if bound.log2_den > n:
+        raise InvariantError(f"M({d}) = {bound} is not a multiple of 2^-{n}")
+    return bound, bound.num << (n - bound.log2_den)
+
+
+def _extremal(n: int, d: int, count: int, best: int, reach: int, first: int) -> DegreeExtremal:
+    """The DegreeExtremal of a record of arity-n tables of degree d (count,
+    2^n lin at best, reach and first, a table integer), with its margin
+    M(d) - best / 2^n taken over 2^n, so no DyadicRational is subtracted."""
+    bound, scaled = _scaled_bound(n, d)
+    return DegreeExtremal(d, count, DyadicRational(best, n), _table_hex(n, first), reach,
+                          bound, DyadicRational(scaled - best, n))
 
 
 def _analyze_chunk(cfg: ScanConfig, start: int, stop: int) -> ScanResult:
@@ -559,13 +575,19 @@ def merge_results(left: ScanResult, right: ScanResult) -> ScanResult:
         raise InputError("cannot merge results from different scan configs")
     per_degree = {}
     for d in sorted(left.per_degree.keys() | right.per_degree.keys()):
-        exts = [r.per_degree[d] for r in (left, right) if d in r.per_degree]
-        best = max(e.max_linear_sum for e in exts)
-        top = [e for e in exts if e.max_linear_sum == best]
+        one, other = left.per_degree.get(d), right.per_degree.get(d)
+        if one is None or other is None:
+            # records are immutable, so a degree that one side holds is its record
+            per_degree[d] = other if one is None else one
+            continue
+        order = one.max_linear_sum._cmp(other.max_linear_sum)
+        top = one if order > 0 else other
+        # at equal bests the reaches add, and the smaller witness (of equal width) wins
         per_degree[d] = DegreeExtremal(
-            degree=d, function_count=sum(e.function_count for e in exts), max_linear_sum=best,
-            witness=min(e.witness for e in top), witness_count=sum(e.witness_count for e in top),
-            bound=top[0].bound, margin=top[0].margin)
+            d, one.function_count + other.function_count, top.max_linear_sum,
+            min(one.witness, other.witness) if order == 0 else top.witness,
+            one.witness_count + other.witness_count if order == 0 else top.witness_count,
+            top.bound, top.margin)
     return _finalize(
         left.config,
         left.functions_examined + right.functions_examined,

@@ -1,4 +1,5 @@
-"""The record rule of boolfun.join, against a plain-Python fold.
+"""The record rule of boolfun.join, against a plain-Python fold, and the
+ranks of its keys, against np.unique.
 
 A record of some rows is [count, best, reach, first]: how many rows, the
 best value among them, how many reach it and the first of those.  The
@@ -10,7 +11,9 @@ import random
 
 import numpy as np
 
-from boolfun.join import _EMPTY, _max_plus
+from boolfun.core import _int_type, popcounts
+from boolfun.join import _EMPTY, _keys, _max_plus
+from boolfun.scan import _level
 
 
 def folded(records: list[list[int]]) -> list[int]:
@@ -52,3 +55,27 @@ def test_max_plus_folds_records_by_the_record_rule():
         # an axis of length 1 gives back its one record
         one = stacked[:, :1]
         assert _max_plus(one, 1).T.tolist() == [column[0] for column in records]
+
+
+def test_keys_are_the_ranks_np_unique_gives():
+    # a half of degree <= j has, as its key at j, the rank of its H_j (its
+    # entries at the masks of weight j, one byte each, zero-padded to a whole
+    # integer of 1, 2, 4 or 8 bytes, little-endian) among the level's halves
+    # of degree <= j; the others have -1
+    for k in range(1, 5):
+        rows = _level(k).rows
+        weights = popcounts(k, np.int8)
+        keys = _keys(_level(k))
+        counts = []
+        for j in range(k + 1):
+            held = np.flatnonzero(~rows[:, weights > j].any(axis=1))
+            masks = np.flatnonzero(weights == j)
+            packed = np.zeros((len(held), 1 << (len(masks) - 1).bit_length()), dtype=np.uint8)
+            packed[:, : len(masks)] = rows[np.ix_(held, masks)].view(np.uint8)
+            values, rank = np.unique(packed.view(f"<u{packed.shape[1]}").ravel(),
+                                     return_inverse=True)
+            want = np.full(len(rows), -1)
+            want[held] = rank
+            assert keys[j].tolist() == want.tolist(), (k, j)
+            counts.append(len(values))
+        assert keys.dtype == _int_type(max(counts)) and not keys.flags.writeable, k

@@ -48,6 +48,7 @@ from boolfun.scan import (
     _BLOCK_BYTES,
     _EXHAUSTIVE_MAX_N,
     ConjectureWitness,
+    DegreeExtremal,
     EquivalenceWitness,
     ScanResult,
     _accumulate,
@@ -55,6 +56,7 @@ from boolfun.scan import (
     _bits_matrix,
     _build_consts,
     _derivative_counts,
+    _extremal,
     _level,
     _pairs,
     _sample_table,
@@ -250,6 +252,106 @@ def test_merge_rejects_different_configs():
     b = scan_table_range(ScanConfig(n=3, mode="exhaustive"), 0, 4)
     with pytest.raises(InputError):
         merge_results(a, b)
+
+
+def test_merge_folds_shared_degrees_and_passes_on_the_others():
+    base = run_scan(ScanConfig(n=3, mode="exhaustive"))
+
+    def record(d, count, best, witness, reach):
+        best = DyadicRational(best, 3)
+        return DegreeExtremal(d, count, best, witness, reach, maj_bound(d), maj_bound(d) - best)
+
+    def merged(left, right):
+        return merge_results(dataclasses.replace(base, per_degree=left),
+                             dataclasses.replace(base, per_degree=right)).per_degree
+
+    # equal bests: the counts and the reaches add, and the smaller witness wins
+    left, right = record(2, 5, 8, "0x3c", 2), record(2, 3, 8, "0x0f", 1)
+    for pair in ((left, right), (right, left)):
+        assert merged({2: pair[0]}, {2: pair[1]}) == {2: record(2, 8, 8, "0x0f", 3)}
+    # a larger best wins with its witness and reach, and the counts add
+    low = record(2, 7, 4, "0x01", 6)
+    for pair in ((left, low), (low, left)):
+        assert merged({2: pair[0]}, {2: pair[1]}) == {2: record(2, 12, 8, "0x3c", 2)}
+    # disjoint degrees: each record comes through as it is, in degree order
+    one, three = record(1, 4, 8, "0x0f", 2), record(3, 6, 4, "0x17", 1)
+    out = merged({3: three}, {1: one})
+    assert list(out) == [1, 3] and out[1] is one and out[3] is three
+
+
+def test_a_span_and_its_merge_build_only_the_records_they_report(monkeypatch):
+    # a range read gives integers, and the records are built from them: no
+    # BooleanFunction re-checks a table the scan made, and no margin is a
+    # DyadicRational subtraction; a merge builds one record for a degree both
+    # sides hold and passes on the record of a degree that one side holds
+    cfg = ScanConfig(n=5, mode="exhaustive", equivalence_d_range=tuple(range(1, 7)))
+    span = 1 << 14
+    scan_table_range(cfg, 0, span)  # the level, its proof and its keys
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(BooleanFunction, "__post_init__",
+                        counted("function", BooleanFunction.__post_init__))
+    monkeypatch.setattr(DyadicRational, "__sub__", counted("sub", DyadicRational.__sub__))
+    low, high = scan_table_range(cfg, 0, span), scan_table_range(cfg, 5000 * span, 5001 * span)
+    assert not low.violations and not high.violations and not calls
+    shared = low.per_degree.keys() & high.per_degree.keys()
+    assert shared and low.per_degree.keys() - shared
+    monkeypatch.setattr(scan, "DegreeExtremal", counted("record", DegreeExtremal))
+    for left, right in ((low, high), (high, low)):
+        calls.clear()
+        out = merge_results(left, right)
+        assert calls == {"record": len(shared)}
+        for d, ext in low.per_degree.items():
+            assert (out.per_degree[d] is ext) == (d not in shared), d
+
+
+def test_merged_partitions_give_one_calls_payload_bytes():
+    # random cuts of the n = 4 range, merged pairwise in a random order, give
+    # the payload of the range read whole
+    for cfg in (ScanConfig(n=4, mode="exhaustive"),
+                ScanConfig(n=4, mode="exhaustive", equivalence_d_range=(1, 2, 5)),
+                ScanConfig(n=4, mode="exhaustive", degree_filter=3)):
+        want = json.dumps(_scan_payload(scan_table_range(cfg, 0, cfg.total)))
+        for seed in range(3):
+            rng = random.Random(seed)
+            cuts = sorted(rng.sample(range(1, cfg.total), rng.randrange(1, 12)))
+            pieces = [scan_table_range(cfg, a, b)
+                      for a, b in zip([0, *cuts], [*cuts, cfg.total])]
+            while len(pieces) > 1:
+                left = pieces.pop(rng.randrange(len(pieces)))
+                right = pieces.pop(rng.randrange(len(pieces)))
+                pieces.append(merge_results(left, right))
+            assert json.dumps(_scan_payload(pieces[0])) == want, (cfg, seed)
+
+
+def test_margins_are_taken_over_2_to_the_n_exactly():
+    # M(d)'s denominator divides 2^n at every d <= n, so the margin is an
+    # integer over 2^n; where it does not, the record is refused, not wrong
+    rng = random.Random(30)
+    for n in range(1, 17):
+        for d in range(1, n + 1):
+            assert maj_bound(d).log2_den <= n
+            top = n << n
+            for best in (-top, 0, top, *(rng.randint(-top, top) for _ in range(24))):
+                ext = _extremal(n, d, 1, best, 1, 0)
+                want = maj_bound(d) - DyadicRational(best, n)
+                assert (ext.margin.num, ext.margin.log2_den) == (want.num, want.log2_den)
+                assert ext.max_linear_sum == DyadicRational(best, n)
+                assert ext.bound is maj_bound(d)
+    refused = 0
+    for n in range(1, 6):
+        for d in range(n + 1, 2 * n + 4):
+            if maj_bound(d).log2_den > n:
+                refused += 1
+                with pytest.raises(InvariantError):
+                    _extremal(n, d, 1, 1, 1, 0)
+            else:
+                ext = _extremal(n, d, 1, 1, 1, 0)
+                assert ext.margin == maj_bound(d) - DyadicRational(1, n)
+    assert refused
 
 
 def test_merge_caps_witness_lists():
