@@ -359,23 +359,17 @@ def fourier_coefficient(spectrum: FourierSpectrum, mask: int) -> DyadicRational:
     return DyadicRational(int(spectrum.coeffs[mask]), spectrum.n)
 
 
-# The reductions below run along axis 0, 2^n entries indexed by mask, so they
-# serve one spectrum and a column-major block of spectra, one per column,
-# alike.
-
-
-def _along(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """weights shaped to broadcast along axis 0 of coeffs."""
-    return weights.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+# The reductions below run along the last axis, 2^n entries indexed by mask,
+# so they serve one spectrum and a block of spectra, one per row, alike.
 
 
 def _degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return ((coeffs != 0) * _along(popcounts(n, np.int8), coeffs)).max(axis=0)
+    return ((coeffs != 0) * popcounts(n, np.int8)).max(axis=-1)
 
 
 def _linear_sums(coeffs: np.ndarray, n: int) -> np.ndarray:
     """2^n times the sum of the singleton coefficients."""
-    return np.take(coeffs, singleton_masks(n), axis=0).sum(axis=0)
+    return np.take(coeffs, singleton_masks(n), axis=-1).sum(axis=-1)
 
 
 def degree(spectrum: FourierSpectrum) -> int:

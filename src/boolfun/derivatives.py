@@ -38,7 +38,6 @@ from .core import (
     FourierSpectrum,
     InputError,
     InvariantError,
-    _along,
     _check_arity,
     _check_int,
     _int_type,
@@ -172,11 +171,11 @@ def influence(spectrum: FourierSpectrum, i: int) -> DyadicRational:
 
 def _total_influences(squares: np.ndarray, n: int) -> np.ndarray:
     """4^n times the total influence, from the squared entries of 2^n-scaled
-    spectra along axis 0.  The squares of a spectrum sum to 4^n, so every
-    weighted square |S| * 4^n * fhat(S)^2 and every partial sum of them is at
-    most n * 4^n; they are taken in a type that holds that bound."""
+    spectra along the last axis.  The squares of a spectrum sum to 4^n, so
+    every weighted square |S| * 4^n * fhat(S)^2 and every partial sum of them
+    is at most n * 4^n; they are taken in a type that holds that bound."""
     acc = np.promote_types(squares.dtype, _int_type(n << 2 * n))
-    return (squares * _along(popcounts(n, acc), squares)).sum(axis=0, dtype=acc)
+    return np.einsum("...j,j->...", squares, popcounts(n, acc))
 
 
 def _identity_breaks(plus: np.ndarray, minus: np.ndarray, n: int, lin: np.ndarray,

@@ -17,9 +17,9 @@ of every arity-k table are built once per process (_level), so a table's
 spectrum is its chunks' level spectra followed by the butterfly stages for
 coordinates k+1..n (O'Donnell, Analysis of Boolean Functions, 2014, 3.3).
 Where spectra are built, they exist one block at a time
-(_spectrum_blocks).  A block is column-major, one row per mask and one
-column per table, with as many columns as keep it in a core's L2 cache.
-Two routes read the tables.
+(_spectrum_blocks).  A block holds one table a row, as every spectrum
+matrix does, with as many rows as keep it in a core's L2 cache.  Two
+routes read the tables.
 
 - Halves, for a range of consecutive tables of arity n <= 5 (an
   exhaustive scan, read whole): its per-degree rows come from per-key
@@ -31,16 +31,16 @@ Two routes read the tables.
   bits at a time).  The tables are unpacked into chunks (_bits_matrix); a
   range of arity-n tables is instead split into its halves, two
   arity-(n - 1) chunks a row, with no unpacking (_pairs).
-  The chunks' level rows are gathered with np.take, and the butterfly
-  stages for the coordinates above the chunks' arity run on the block.
+  The chunks' level rows are gathered chunk-major with np.take, and the
+  butterfly stages for the coordinates above the chunks' arity run there.
   After the stage for coordinate j every partial sum is at most 2^j, so
-  the stages through coordinate 14 run in int16 (_INT16_STAGES); above
-  n = 14 the block then widens once to the type that holds 2^n for the
-  remaining stages.
+  the stages through coordinate 14 run in int16 (_INT16_STAGES).  One copy
+  then makes the block's rows, widened to the type that holds 2^n, and
+  above n = 14 the remaining stages run along each row.
 
 A block's entries are squared once, in the narrowest type that holds 4^n
 (_spectrum_dtype), and every block is norm-checked.  A gathered block is
-reduced along axis 0 while it is in cache: its squares give the total
+reduced along each row while it is in cache: its squares give the total
 influence for the equivalence check, and its entries give the degree and
 the linear sum (_spectrum_reductions, by the core and derivatives
 formulas).
@@ -295,36 +295,34 @@ def _spectrum_blocks(source, n: int):
 
     source is a chunk matrix, from _bits_matrix or _pairs, whose chunks'
     level rows are gathered and then butterflied.  Yields (rows, block,
-    squares): block is 2^n x m and column-major, one column per table of
-    source[rows] and one row per mask, and squares holds its entries
-    squared.  Each block is norm-checked before it is yielded.  The
-    buffer behind block is reused, so a consumer is done with one block
-    before it asks for the next."""
+    squares): block is a C-contiguous m x 2^n matrix, one row per table of
+    source[rows], and squares holds its entries squared.  Each block is
+    norm-checked before it is yielded.  The buffers behind block are reused,
+    so a consumer is done with one block before it asks for the next."""
     dtype, square_type = _spectrum_dtype(n), _spectrum_dtype(2 * n)
     narrow = min(n, _INT16_STAGES)
     # holds the sum of any 2^n values of square_type (up to int64), so the
     # squares of a corrupt block do not wrap around to 4^n
     norm_type = _int_type(min(np.iinfo(square_type).max << n, np.iinfo(np.int64).max))
     step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << n))
-    staged_buf = np.empty(min(step, len(source)) << n, dtype=np.int16)
-    buf = staged_buf if narrow == n else np.empty(len(staged_buf), dtype=dtype)
+    size = min(step, len(source)) << n
+    staged_buf, buf = np.empty(size, dtype=np.int16), np.empty(size, dtype=dtype)
     k = n + 1 - source.shape[1].bit_length()  # 2^(n-k) chunks a row
     for start in range(0, len(source), step):
         width = min(step, len(source) - start)
-        staged, flat = staged_buf[: width << n], buf[: width << n]
-        # chunk c's level rows become rows c * 2^k .. (c + 1) * 2^k - 1; the
-        # int8 entries widen to int16 on assignment
-        staged.reshape(1 << (n - k), 1 << k, width)[:] = np.take(
-            _level(k).rows, source[start : start + width].T, axis=0).transpose(0, 2, 1)
-        # each run of 2^narrow masks is transformed through coordinate narrow
-        # in int16, then the block widens once for the stages above
+        # chunk-major, staged[c, r] the level row of chunk c of table r, so the
+        # stages for coordinates k+1..narrow pair runs of width * 2^k entries
+        # in int16; the int8 entries widen on assignment
+        staged = staged_buf[: width << n].reshape(1 << (n - k), width, 1 << k)
+        staged[:] = np.take(_level(k).rows, source[start : start + width].T, axis=0)
         _butterfly(staged.reshape(-1, width << narrow), half=width << k)
-        if narrow < n:
-            flat[:] = staged
-            _butterfly(flat, half=width << narrow)
-        block = flat.reshape(1 << n, width)
+        # one copy, widening to dtype, makes the rows; the stages above
+        # coordinate narrow run along each row
+        block = buf[: width << n].reshape(width, 1 << n)
+        block.reshape(width, 1 << (n - k), 1 << k)[:] = staged.swapaxes(0, 1)
+        _butterfly(block, half=1 << narrow)
         squares = np.square(block, dtype=square_type)
-        if np.any(squares.sum(axis=0, dtype=norm_type) != 1 << (2 * n)):
+        if np.any(squares.sum(axis=-1, dtype=norm_type) != 1 << (2 * n)):
             raise InvariantError("spectrum norm check failed during scan")
         yield slice(start, start + width), block, squares
 
@@ -334,7 +332,7 @@ def _batch_butterfly(source: np.ndarray, n: int) -> np.ndarray:
     per table (_spectrum_blocks)."""
     coeffs = np.empty((len(source), 1 << n), dtype=_spectrum_dtype(n))
     for rows, block, _ in _spectrum_blocks(source, n):
-        coeffs[rows] = block.T
+        coeffs[rows] = block
     return coeffs
 
 

@@ -70,6 +70,12 @@ GOLDEN = {
         ["scan", "--n", "12", "--mode", "random", "--samples", "96", "--seed", "7",
          "--equiv-d", "1,2,13"],
         "29a4c3ca82084ba80ac4c3148a04674e088bd7a4c8bb613bf236a8fdd8d51537"),
+    # two tables a spectrum block, whose stage for coordinate 15 runs on
+    # int32 rows after the int16 stages
+    "scan_random_n15_equiv_1_15_16": (
+        ["scan", "--n", "15", "--mode", "random", "--samples", "12", "--seed", "5",
+         "--equiv-d", "1,15,16"],
+        "8b499bdd7f5c95291e9b4fee685bb3023f42b1ad4a06ad290fde70144ecd7bff"),
     "scan_random_n16_equiv_16_17": (
         ["scan", "--n", "16", "--mode", "random", "--samples", "8", "--seed", "3",
          "--equiv-d", "16,17"],

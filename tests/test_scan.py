@@ -40,8 +40,8 @@ from boolfun import (
 )
 from boolfun.cli import _scan_payload, main
 from boolfun.conjecture import _sides
-from boolfun.core import _degrees
-from boolfun.derivatives import _identity_breaks, derivative_value_counts
+from boolfun.core import _degrees, _linear_sums
+from boolfun.derivatives import _identity_breaks, _total_influences, derivative_value_counts
 from boolfun.dyadic import DyadicRational, ZERO
 from boolfun.majority import maj_bound
 from boolfun.scan import (
@@ -60,6 +60,7 @@ from boolfun.scan import (
     _level,
     _pairs,
     _sample_table,
+    _spectrum_blocks,
     _spectrum_dtype,
     _spectrum_reductions,
 )
@@ -695,7 +696,7 @@ def test_chunked_route_matches_transform_and_counted_derivatives():
     # 40 tables at n <= 2, down to 2 at n >= 12
     cases = [(n, max(2, 40 >> (n // 3))) for n in range(1, 17)]
     # more rows than one butterfly block, the last block partial
-    cases += [(n, block_rows(n) + 3) for n in (10, 16)]
+    cases += [(n, block_rows(n) + 3) for n in (10, 14, 15, 16)]
     for n, count in cases:
         tables = [rng.getrandbits(1 << n) for _ in range(count)]
         chunks = _bits_matrix(tables, n)
@@ -979,11 +980,11 @@ def test_invariant_errors_name_the_failing_sub_batch(monkeypatch, capsys):
 
 def test_block_reductions_match_single_function_api():
     rng = random.Random(77)
-    # several blocks at n = 5, a partial last block at n = 10, one row a block at
-    # n = 16; parity has 4^n at |S| = n, and n * 4^n passes int16 at n = 7 and
-    # int32 at n = 15, where 4^n does not
+    # several blocks at n = 5, a partial last block at n = 10, 14 and 15, one
+    # row a block at n = 16; parity has 4^n at |S| = n, and n * 4^n passes
+    # int16 at n = 7 and int32 at n = 15, where 4^n does not
     for n, count in ((5, 2 * block_rows(5) + 5), (7, 3), (10, block_rows(10) + 3),
-                     (15, 1), (16, 3)):
+                     (14, block_rows(14) + 3), (15, 1), (15, block_rows(15) + 1), (16, 3)):
         fns = [parity(n), dictator(n, n), constant(n, -1)]
         fns += [BooleanFunction(n, rng.getrandbits(1 << n)) for _ in range(count)]
         deg, lin, inf = _spectrum_reductions(_bits_matrix([f.table for f in fns], n), n, True)
@@ -993,6 +994,29 @@ def test_block_reductions_match_single_function_api():
             assert DyadicRational(int(lin[row]), n) == report.linear_sum, (n, row)
             assert DyadicRational(int(inf[row]), 2 * n) == total_influence(fwht(f)), (n, row)
     assert _spectrum_reductions(_bits_matrix([0], 3), 3, False)[2] is None
+
+
+def test_spectrum_blocks_are_rows_of_tables():
+    # like every other spectrum matrix, a block holds one table a row, so the
+    # reductions of one spectrum serve it row by row: 4,096 tables a block
+    # at n = 5, two at n = 15, each with a partial last block
+    rng = random.Random(31)
+    for n, count in ((5, block_rows(5) + 7), (15, block_rows(15) + 1)):
+        tables = [rng.getrandbits(1 << n) for _ in range(count)]
+        done = 0
+        for rows, block, squares in _spectrum_blocks(_bits_matrix(tables, n), n):
+            assert rows.start == done, n
+            done = rows.stop
+            for values in (block, squares):
+                assert values.shape == (len(tables[rows]), 1 << n), n
+                assert values.flags.c_contiguous, n
+            assert block.tolist() == [fwht(BooleanFunction(n, t)).coeffs.tolist()
+                                      for t in tables[rows]], n
+            assert squares.tolist() == (block.astype(np.int64) ** 2).tolist(), n
+            for reduce, matrix in ((_degrees, block), (_linear_sums, block),
+                                   (_total_influences, squares)):
+                assert reduce(matrix, n).tolist() == [reduce(row, n) for row in matrix], n
+        assert done == count, n
 
 
 def rectangle_ranges(n: int) -> list[range]:
@@ -1503,7 +1527,7 @@ def test_degrees_of_a_corrupt_level_follow_its_rows():
         across[[0, -1]] = across[[-1, 0]]
         level = dataclasses.replace(_level(k), rows=_level(k).rows[:, across])
         assert level.degrees.dtype == np.int8
-        assert level.degrees.tolist() == _degrees(level.rows.T, k).tolist(), k
+        assert level.degrees.tolist() == _degrees(level.rows, k).tolist(), k
         assert level.degrees.tolist() == (level.keys < 0).sum(axis=0).tolist(), k
         assert level.degrees[0] == level.degrees[-1] == k != _level(k).degrees[0], k
 
