@@ -178,12 +178,13 @@ def _total_influences(squares: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("...j,j->...", squares, popcounts(n, acc))
 
 
-def _identity_breaks(plus: np.ndarray, minus: np.ndarray, n: int, lin: np.ndarray,
-                     inf: np.ndarray) -> np.ndarray:
+def _identity_breaks(counts: np.ndarray, n: int, lin: np.ndarray, inf: np.ndarray) -> np.ndarray:
     """The rows of arity-n tables that break one of the two identities of the
     module docstring, ascending, from both sides of each per row: the
-    derivative counts plus and minus, in a type that holds 2^(n+1) times
-    their sum, against 2^n lin and 4^n inf."""
+    derivative counts, plus in row 0 and minus in row 1 with a column per
+    table, in a type that holds 2^(n+1) times their sum, against 2^n lin and
+    4^n inf."""
+    plus, minus = counts
     return np.flatnonzero((2 * (plus - minus) != lin) | ((plus + minus) << (n + 1) != inf))
 
 

@@ -26,7 +26,9 @@ class DyadicRational:
     __slots__ = ("num", "log2_den")
 
     def __init__(self, num: int, log2_den: int = 0):
-        if not isinstance(num, int) or not isinstance(log2_den, int):
+        # exact ints only: a bool is refused, as by core._check_int, and so is
+        # any other int subclass
+        if type(num) is not int or type(log2_den) is not int:
             raise TypeError("numerator and log2 denominator must be ints")
         if log2_den < 0:
             raise ValueError("log2 denominator must be non-negative")
@@ -66,7 +68,7 @@ class DyadicRational:
     def _coerce(other) -> "DyadicRational | None":
         if isinstance(other, DyadicRational):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return DyadicRational(other)
         return None
 

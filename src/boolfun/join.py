@@ -105,8 +105,9 @@ def _identities_hold(level) -> bool:
         the range route relies on this in place of a norm check;
     (c) H's row at the empty set is all ones, so E = A_t(empty set) is
         the sum of v_t, 2^k - 2 popcount(t), and every table meets both
-        identities at arity k (_identity_breaks, with 2^k lin =
-        (a + b) / 2 from _halves and 4^k inf = W = sum |S| A(S)^2).
+        identities at arity k (_identity_breaks, on the level's counts,
+        plus and minus a row, with 2^k lin = (a + b) / 2 from _halves and
+        4^k inf = W = sum |S| A(S)^2).
     Then each identity of f is its halves' plus two pair terms, and the
     pair terms are equal.  f's counts add popcount(hi & ~lo) and
     popcount(lo & ~hi) to its halves', and its spectrum is [A_lo + A_hi,
@@ -125,13 +126,12 @@ def _identities_hold(level) -> bool:
     weighted = np.einsum("s,ts,ts->t", popcounts(k, wide), rows, rows, dtype=wide)
     # int8 counts would wrap when shifted; int16 holds 2^(k+1) times the
     # sum of any two int8 counts at k <= 4, and wider counts stay wide
-    plus, minus = (counts.astype(np.promote_types(counts.dtype, np.int16))
-                   for counts in (level.plus, level.minus))
+    counts = level.counts.astype(np.promote_types(level.counts.dtype, np.int16))
     if (np.any(twice & 1) or np.any(h.sum(axis=0) != rows[0])
             or np.any(np.einsum("xs,ys->xy", h, h, dtype=np.int64)
                       != np.eye(points, dtype=np.int64) << k)
             or np.any(h[:, 0] != 1)
-            or _identity_breaks(plus, minus, k, (a + b) >> 1, weighted).size):
+            or _identity_breaks(counts, k, (a + b) >> 1, weighted).size):
         return False
     # a few thousand rows at a time, so the int16 temporaries stay small
     step = 1 << 12

@@ -48,7 +48,8 @@ formulas).
 The bound and the four equivalence inequalities are the integer formulas
 of the conjecture module (see there for their int64 headroom).  Derivative
 value counts for the equivalence check come from table bits, not from the
-spectrum: the chunks' level counts plus, along each coordinate above the
+spectrum, as one array of two rows, the +1 counts and the -1 counts: the
+chunks' level counts, gathered once, plus, along each coordinate above the
 chunks' arity, popcount(hi & ~lo) and popcount(lo & ~hi) over the chunk
 pairs (_derivative_counts).  They meet the spectrum in the two identities
 of the derivatives module, and where both hold, each of the four
@@ -361,22 +362,21 @@ def _pairs(tables: range, n: int) -> np.ndarray:
     return np.stack([keys & ((1 << half) - 1), keys >> half], axis=1)
 
 
-def _derivative_counts(chunks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative values +1 and -1 per table, summed over coordinates, from
-    the bits of a chunk matrix from _bits_matrix."""
+def _derivative_counts(chunks: np.ndarray, n: int) -> np.ndarray:
+    """Derivative values +1 (row 0) and -1 (row 1) per table (column),
+    summed over coordinates, from the bits of a chunk matrix from
+    _bits_matrix; int64, shape (2, tables)."""
     k = n + 1 - chunks.shape[1].bit_length()  # 2^(n-k) chunks a row
-    level = _level(k)
     # chunk-major, so the counts below add whole contiguous rows of tables
     columns = np.ascontiguousarray(chunks.T)
-    plus = np.take(level.plus, columns).sum(axis=0)
-    minus = np.take(level.minus, columns).sum(axis=0)
+    counts = np.take(_level(k).counts, columns, axis=1).sum(axis=1)
     for i in range(k + 1, n + 1):
         # along x_i the derivative is +1 where only the high chunk has a set bit
         pairs = columns.reshape(1 << (n - i), 2, 1 << (i - 1 - k), len(chunks))
         lo, hi = pairs[:, 0], pairs[:, 1]
-        plus += np.bitwise_count(hi & ~lo).sum(axis=(0, 1), dtype=np.int64)
-        minus += np.bitwise_count(lo & ~hi).sum(axis=(0, 1), dtype=np.int64)
-    return plus, minus
+        counts[0] += np.bitwise_count(hi & ~lo).sum(axis=(0, 1), dtype=np.int64)
+        counts[1] += np.bitwise_count(lo & ~hi).sum(axis=(0, 1), dtype=np.int64)
+    return counts
 
 
 @functools.cache
@@ -391,19 +391,19 @@ def _spectrum_dtype(n: int) -> type:
 class _Level:
     """Every arity-k table, indexed by table integer: its 2^k-scaled spectrum
     (rows, int8, one row per table) and its derivative +1 and -1 counts summed
-    over coordinates 1..k (int8, as each is at most k 2^(k-1) <= 32), so a
-    gather of either is small.  The halves route's statistics (halves), the
-    level's proof (identities_hold), degrees, keys and key_stats, which the
-    join module builds, come from these on first use, and only a range of
-    arity-(k + 1) tables reads them.  One record serves the whole process,
-    so every array is read-only."""
+    over coordinates 1..k (counts, int8 of shape (2, tables), the +1 counts
+    in row 0 and the -1 counts in row 1, as each is at most k 2^(k-1) <= 32),
+    so a gather of either is small.  The halves route's statistics (halves),
+    the level's proof (identities_hold), degrees, keys and key_stats, which
+    the join module builds, come from these on first use, and only a range
+    of arity-(k + 1) tables reads them.  One record serves the whole
+    process, so every array is read-only."""
 
     rows: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        for values in (self.rows, self.plus, self.minus):
+        for values in (self.rows, self.counts):
             values.setflags(write=False)
 
     halves = functools.cached_property(join._halves)
@@ -420,11 +420,10 @@ def _level(k: int) -> _Level:
     gather route from _level(k - 1): its spectra by _batch_butterfly, and
     its derivative counts by _derivative_counts."""
     if k == 0:
-        zero = np.zeros(2, dtype=np.int8)
-        return _Level(np.array([[1], [-1]], dtype=np.int8), zero, zero)
+        return _Level(np.array([[1], [-1]], dtype=np.int8), np.zeros((2, 2), dtype=np.int8))
     halves = _pairs(range(1 << (1 << k)), k)
     return _Level(_batch_butterfly(halves, k).astype(np.int8),
-                  *(counts.astype(np.int8) for counts in _derivative_counts(halves, k)))
+                  _derivative_counts(halves, k).astype(np.int8))
 
 
 def _sample_table(seed: int, index: int, points: int) -> int:
@@ -488,14 +487,14 @@ def _accumulate(cfg: ScanConfig, consts: dict[int, _Scale],
             hits = idx[lhs > rhs]
             keep(0, ((part[j], d, int(lin[j])) for j in hits), hits.size)
         if check:
-            plus, minus = _derivative_counts(source, n)
+            counts = _derivative_counts(source, n)
             # where both identities hold, each of the four inequalities reads
             # (plus - minus) * s.prob <= s.maj at every d
-            broken = _identity_breaks(plus, minus, n, lin, inf)
+            broken = _identity_breaks(counts, n, lin, inf)
             if cfg.degree_filter is not None:
                 broken = broken[deg[broken] == cfg.degree_filter]
             if broken.size:
-                terms = (lin[broken], inf[broken], plus[broken], minus[broken])
+                terms = (lin[broken], inf[broken], *counts[:, broken])
                 for d in cfg.equivalence_d_range:
                     sat = [lhs <= rhs for lhs, rhs in _sides(consts[d], *terms).values()]
                     agree = (sat[0] == sat[1]) & (sat[0] == sat[2]) & (sat[0] == sat[3])

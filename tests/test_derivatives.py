@@ -153,9 +153,9 @@ def test_batch_identity_check_agrees_with_the_single_function_routes():
         spectra = [fwht(f) for f in fns]
         lin = np.array([_linear_sums(s.coeffs, n) for s in spectra], dtype=np.int64)
         inf = np.array([_total_influences(s.squares, n) for s in spectra], dtype=np.int64)
-        assert _identity_breaks(plus, minus, n, lin, inf).tolist() == [], n
+        assert _identity_breaks(np.stack([plus, minus]), n, lin, inf).tolist() == [], n
         plus[0] += 1
-        assert _identity_breaks(plus, minus, n, lin, inf).tolist() == [0], n
+        assert _identity_breaks(np.stack([plus, minus]), n, lin, inf).tolist() == [0], n
 
 
 def test_total_influence_at_most_degree():

@@ -105,3 +105,20 @@ def test_pickle_roundtrip():
     for d in (ZERO, ONE, HALF, DyadicRational(-7, 5)):
         clone = pickle.loads(pickle.dumps(d))
         assert clone == d and clone.log2_den == d.log2_den
+
+
+def test_bools_are_refused_as_operands():
+    # a bool is no integer here, as at the package's integer gate: it builds
+    # no value, and arithmetic and comparison with one are not implemented
+    for args in ((False,), (True,), (1, False), (3, True)):
+        with pytest.raises(TypeError):
+            DyadicRational(*args)
+    one = DyadicRational(1)
+    for method in ("__eq__", "__lt__", "__add__", "__rsub__", "__mul__"):
+        assert getattr(one, method)(True) is NotImplemented, method
+    assert one != True and ZERO != False  # noqa: E712
+    for op in (lambda: one + True, lambda: False - one, lambda: one * True, lambda: one < False):
+        with pytest.raises(TypeError):
+            op()
+    # exact ints still take part
+    assert one == 1 and one + 1 == 2 and DyadicRational(5, 1) < 3

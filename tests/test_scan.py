@@ -716,8 +716,8 @@ def assert_level_row(level, k: int, t: int):
     f = BooleanFunction(k, t)
     assert level.rows[t].tolist() == fwht(f).coeffs.tolist(), (k, t)
     counts = [derivative_value_counts(f, i) for i in range(1, k + 1)]
-    assert level.plus[t] == sum(c[1] for c in counts), (k, t)
-    assert level.minus[t] == sum(c[2] for c in counts), (k, t)
+    want = [sum(c[1] for c in counts), sum(c[2] for c in counts)]
+    assert level.counts[:, t].tolist() == want, (k, t)
 
 
 def patch_level(monkeypatch, k: int, **arrays):
@@ -736,7 +736,7 @@ def test_level_matches_transform_and_counted_derivatives():
         assert_level_row(_level(k), k, t)
     level = _level(0)
     assert level.rows.tolist() == [[1], [-1]]
-    assert level.plus.tolist() == level.minus.tolist() == [0, 0]
+    assert level.counts.tolist() == [[0, 0], [0, 0]]
 
 
 def test_levels_are_built_through_the_gather_route_without_unpacking(monkeypatch):
@@ -758,11 +758,40 @@ def test_levels_are_built_through_the_gather_route_without_unpacking(monkeypatch
 def test_level_tables_are_read_only():
     # one record per arity serves the whole process
     level = _level(3)
-    for values in (level.rows, level.plus, level.minus, level.halves, level.degrees,
-                   level.keys, *level.key_stats):
+    for values in (level.rows, level.counts, level.halves, level.degrees, level.keys,
+                   *level.key_stats):
         with pytest.raises(ValueError):
             values[0] += 1
     assert_level_row(level, 3, 0)
+
+
+def test_level_counts_are_one_array_gathered_once(monkeypatch):
+    # a level holds its +1 and -1 counts as one read-only int8 array, row 0
+    # and row 1 with a column per table, and _derivative_counts gathers both
+    # rows with one np.take into one (2, tables) int64 array
+    for k in range(5):
+        counts = _level(k).counts
+        assert (counts.flags.writeable, counts.dtype, counts.shape) \
+            == (False, np.int8, (2, 1 << (1 << k))), k
+    rng = random.Random(3232)
+    cases = [(k, t) for k in (1, 2, 3) for t in range(1 << (1 << k))]
+    cases += [(4, rng.randrange(1 << 16)) for _ in range(2000)]
+    for k, t in cases:
+        assert_level_row(_level(k), k, t)
+    take, calls = np.take, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return take(*args, **kwargs)
+
+    _level(4)
+    monkeypatch.setattr(np, "take", counted)
+    for chunks, n in ((_pairs(range(5000, 9000), 5), 5),
+                      (_bits_matrix([rng.getrandbits(1 << 12) for _ in range(40)], 12), 12)):
+        calls.clear()
+        counts = _derivative_counts(chunks, n)
+        assert (counts.dtype, counts.shape) == (np.int64, (2, len(chunks))), n
+        assert calls == [1], n
 
 
 def test_exhaustive_n5_slices_match_oracle():
@@ -1045,9 +1074,9 @@ def identity_route(source, n: int) -> list[list[int]]:
     if isinstance(source, range):
         source = _pairs(source, n)
     deg, lin, inf = _spectrum_reductions(source, n, True)
-    plus, minus = _derivative_counts(source, n)
-    rows = _identity_breaks(plus, minus, n, lin, inf)
-    return [rows.tolist(), inf[rows].tolist(), plus[rows].tolist(), minus[rows].tolist()]
+    counts = _derivative_counts(source, n)
+    rows = _identity_breaks(counts, n, lin, inf)
+    return [rows.tolist(), inf[rows].tolist(), *counts[:, rows].tolist()]
 
 
 def test_range_reductions_match_the_gather_route(monkeypatch):
@@ -1073,12 +1102,12 @@ def test_range_reductions_match_the_gather_route(monkeypatch):
             # plus + minus stays, so every row breaks the first identity only,
             # and both routes give every row's inf, plus and minus
             level, step = _level(n - 1), 1
-            patch_level(monkeypatch, n - 1, plus=level.plus + step, minus=level.minus - step)
+            patch_level(monkeypatch, n - 1, counts=level.counts + [[step], [-step]])
             assert not scan._level(n - 1).identities_hold
             got = identity_route(tables, n)
             monkeypatch.undo()
             level, step = _level(k), 2 >> (n - k)
-            patch_level(monkeypatch, k, plus=level.plus + step, minus=level.minus - step)
+            patch_level(monkeypatch, k, counts=level.counts + [[step], [-step]])
             want = identity_route(chunks, n)
             monkeypatch.undo()
             assert got == want, (n, tables)
@@ -1134,8 +1163,7 @@ def test_half_statistics_hold_their_worst_cases(monkeypatch):
     bad[target, [3, 7, 15]] = [36, 24, 124]
     lin, inf = level_identity_sides(bad)
     assert inf[target] == level_identity_sides(level.rows)[1][target] + (1 << 16)
-    assert _identity_breaks(level.plus.astype(np.int64), level.minus.astype(np.int64), 4,
-                            lin, inf).tolist() == [target]
+    assert _identity_breaks(level.counts.astype(np.int64), 4, lin, inf).tolist() == [target]
     patch_level(monkeypatch, 4, rows=bad)
     assert (scan._level(4).halves == level.halves).all()
     assert not scan._level(4).identities_hold
@@ -1153,7 +1181,7 @@ def test_identity_proof_reads_counts_past_the_level_bounds(monkeypatch):
     n, target = 5, 4242
     bump = np.zeros(1 << 16, dtype=np.int64)
     bump[target] = 1 << 11
-    patch_level(monkeypatch, 4, plus=_level(4).plus + bump, minus=_level(4).minus + bump)
+    patch_level(monkeypatch, 4, counts=_level(4).counts + bump)
     assert not scan._level(4).identities_hold
     cfg = ScanConfig(n=n, mode="exhaustive", equivalence_d_range=(1, 3, 5))
     tables = range((target << 16) + 100, (target << 16) + 400)
@@ -1184,7 +1212,7 @@ def test_identity_proof_holds_on_every_clean_level():
         assert (h.T @ h == points * np.eye(points, dtype=int)).all(), k
         assert (level.rows[:, 0] == values.sum(axis=1)).all(), k
         lin, inf = level_identity_sides(level.rows)
-        plus, minus = level.plus.astype(np.int64), level.minus.astype(np.int64)
+        plus, minus = level.counts.astype(np.int64)
         assert (2 * (plus - minus) == lin).all() and ((plus + minus) << (k + 1) == inf).all(), k
 
 
@@ -1229,12 +1257,12 @@ def test_identity_proof_is_sound(monkeypatch):
         flipped = level.rows.copy()
         flipped[3, np.flatnonzero(flipped[3])[-1]] *= -1
         mutants = [({}, True), ({"rows": level.rows[:, within]}, True),
-                   ({"rows": level.rows[rotated], "plus": level.plus[rotated],
-                     "minus": level.minus[rotated]}, True),
+                   ({"rows": level.rows[rotated], "counts": level.counts[:, rotated]}, True),
                    ({"rows": level.rows[:, across]}, False), ({"rows": -level.rows}, False),
-                   ({"rows": flipped}, False), ({"plus": level.plus + (tables == 3)}, False)]
-        mutants += [({"rows": level.rows[tables ^ (1 << x)], "plus": level.plus[tables ^ (1 << x)],
-                      "minus": level.minus[tables ^ (1 << x)]}, False) for x in range(points)]
+                   ({"rows": flipped}, False),
+                   ({"counts": level.counts + [[1], [0]] * (tables == 3)}, False)]
+        mutants += [({"rows": level.rows[tables ^ (1 << x)],
+                      "counts": level.counts[:, tables ^ (1 << x)]}, False) for x in range(points)]
         for arrays, holds in mutants:
             got = proof_and_pair_route(monkeypatch, k, **arrays)
             assert got == (holds, holds), (k, list(arrays))
@@ -1250,10 +1278,9 @@ def test_identity_proof_is_sound(monkeypatch):
         assert (rows.astype(np.int64)**2).sum(axis=1).max() <= 2 << 2 * k
         lin, inf = level_identity_sides(rows)
         diff, total = lin // 2, inf >> (k + 1)
-        plus, minus = (total + diff) // 2, (total - diff) // 2
-        assert _identity_breaks(plus, minus, k, lin, inf).size == 0, k
-        assert proof_and_pair_route(monkeypatch, k, rows=rows, plus=plus, minus=minus) \
-            == (False, False), k
+        counts = np.array([total + diff, total - diff]) // 2
+        assert _identity_breaks(counts, k, lin, inf).size == 0, k
+        assert proof_and_pair_route(monkeypatch, k, rows=rows, counts=counts) == (False, False), k
 
 
 def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
@@ -1273,7 +1300,7 @@ def test_ranges_on_a_proven_level_sum_no_pairs(monkeypatch):
     # the spy is in the route: a level without the proof reads every row
     bump = np.zeros(16, dtype=np.int64)
     bump[8] = 1
-    patch_level(monkeypatch, 2, plus=_level(2).plus + bump)
+    patch_level(monkeypatch, 2, counts=_level(2).counts + [[1], [0]] * bump)
     cfg = ScanConfig(n=3, mode="exhaustive")
     with pytest.raises(AssertionError, match="row by row"):
         _accumulate(cfg, _build_consts(cfg), range(256))
@@ -1308,7 +1335,7 @@ def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
     for row, flips in ((majority(3).table, True), (0, False)):
         bump = np.zeros(256, dtype=np.int64)
         bump[row] = 1
-        patch_level(monkeypatch, 3, plus=_level(3).plus + bump)
+        patch_level(monkeypatch, 3, counts=_level(3).counts + [[1], [0]] * bump)
         for degree_filter in (None, 3, 2):
             cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
             got = _accumulate(cfg, _build_consts(cfg), list(tables)).equivalence_failures
@@ -1324,7 +1351,7 @@ def test_identity_route_reports_what_every_row_check_reports(monkeypatch):
         bump = np.array([(t & 15 == half) + (t >> 4 == half) for t in tables])
         half_bump = np.zeros(16, dtype=np.int64)
         half_bump[half] = 1
-        patch_level(monkeypatch, 2, plus=_level(2).plus + half_bump)
+        patch_level(monkeypatch, 2, counts=_level(2).counts + [[1], [0]] * half_bump)
         assert not scan._level(2).identities_hold
         for degree_filter in (None, 3, 2):
             cfg = ScanConfig(n=3, mode="exhaustive", degree_filter=degree_filter)
@@ -1353,7 +1380,7 @@ def test_level_counts_reach_both_count_routes(monkeypatch):
     half_bump = np.zeros(16, dtype=np.int64)
     half_bump[8] = 1
     for k, routed, extra in ((2, tables, half_bump), (3, list(tables), bump)):
-        patch_level(monkeypatch, k, plus=_level(k).plus + extra)
+        patch_level(monkeypatch, k, counts=_level(k).counts + [[1], [0]] * extra)
         assert not scan._level(k).identities_hold
         got = _accumulate(cfg, _build_consts(cfg), routed).equivalence_failures
         monkeypatch.undo()
@@ -1793,7 +1820,7 @@ def test_rows_of_a_long_range_are_read_one_sub_batch_at_a_time(monkeypatch):
 
     for unproven, bounds in ((True, consts), (False, halved)):
         if unproven:
-            patch_level(monkeypatch, 4, plus=_level(4).plus + bump)
+            patch_level(monkeypatch, 4, counts=_level(4).counts + [[1], [0]] * bump)
             assert not scan._level(4).identities_hold
         for kind in (ConjectureWitness, EquivalenceWitness):
             monkeypatch.setattr(scan, kind.__name__, spied(kind))
